@@ -9,8 +9,8 @@
 //            envelope serialization + frame + delivery on the far side.
 //
 // Alongside wall-clock throughput it reports allocations per delivered
-// message, counted by replacing global operator new for this binary (same
-// harness as tests/test_introspection.cpp). Results land in
+// message, counted by the shared replacement of global operator new
+// (tests/alloc_counter.h). Results land in
 // BENCH_dispatch.json so CI can archive and diff them across commits.
 //
 // Each route runs as a profiler-off / profiler-on A/B: `--reps` repetitions
@@ -43,96 +43,24 @@
 // Usage: micro_dispatch [--json PATH] [--messages N] [--reps N] [--bounded]
 //                       [--traced] [--pin N]
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <new>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "bench/bench_json.h"
 #include "cluster/sim.h"
+#include "tests/alloc_counter.h"
 #include "tests/test_helpers.h"
 
 #if defined(__linux__)
 #include <pthread.h>
 #include <sched.h>
 #endif
-
-// ---------------------------------------------------------------------------
-// Counting allocator (see tests/test_introspection.cpp for the rationale,
-// including why the nothrow variants must be replaced too).
-// ---------------------------------------------------------------------------
-
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-
-namespace {
-std::atomic<std::uint64_t> g_alloc_count{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void* operator new(std::size_t n, std::align_val_t al) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t a = static_cast<std::size_t>(al);
-  const std::size_t rounded = (n + a - 1) / a * a;
-  if (void* p = std::aligned_alloc(a, rounded == 0 ? a : rounded)) return p;
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t n, std::align_val_t al) {
-  return ::operator new(n, al);
-}
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n == 0 ? 1 : n);
-}
-void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
-  return ::operator new(n, std::nothrow);
-}
-void* operator new(std::size_t n, std::align_val_t al,
-                   const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t a = static_cast<std::size_t>(al);
-  const std::size_t rounded = (n + a - 1) / a * a;
-  return std::aligned_alloc(a, rounded == 0 ? a : rounded);
-}
-void* operator new[](std::size_t n, std::align_val_t al,
-                     const std::nothrow_t&) noexcept {
-  return ::operator new(n, al, std::nothrow);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete(void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::align_val_t,
-                       const std::nothrow_t&) noexcept {
-  std::free(p);
-}
 
 namespace beehive {
 namespace {
@@ -179,14 +107,12 @@ RunResult run_local(std::size_t n_messages, bool profiler) {
   sim.run_to_idle();
 
   const std::uint64_t runs_before = sim.hive(0).counters().handler_runs;
-  const std::uint64_t allocs_before =
-      g_alloc_count.load(std::memory_order_relaxed);
+  const std::uint64_t allocs_before = testing::allocation_count();
   const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < n_messages; ++i) sim.hive(0).inject(msg);
   sim.run_to_idle();
   const double secs = seconds_since(t0);
-  const std::uint64_t allocs =
-      g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
+  const std::uint64_t allocs = testing::allocation_count() - allocs_before;
 
   const std::uint64_t delivered =
       sim.hive(0).counters().handler_runs - runs_before;
@@ -224,8 +150,7 @@ RunResult run_local_batched(std::size_t n_messages, bool profiler) {
   sim.run_to_idle();
 
   const std::uint64_t runs_before = sim.hive(0).counters().handler_runs;
-  const std::uint64_t allocs_before =
-      g_alloc_count.load(std::memory_order_relaxed);
+  const std::uint64_t allocs_before = testing::allocation_count();
   const std::size_t n_batches = n_messages / kInjectBatch;
   const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < n_batches; ++i) {
@@ -233,8 +158,7 @@ RunResult run_local_batched(std::size_t n_messages, bool profiler) {
   }
   sim.run_to_idle();
   const double secs = seconds_since(t0);
-  const std::uint64_t allocs =
-      g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
+  const std::uint64_t allocs = testing::allocation_count() - allocs_before;
 
   const std::uint64_t delivered =
       sim.hive(0).counters().handler_runs - runs_before;
@@ -271,14 +195,12 @@ RunResult run_local_bounded(std::size_t n_messages, bool profiler) {
   sim.run_to_idle();
 
   const std::uint64_t runs_before = sim.hive(0).counters().handler_runs;
-  const std::uint64_t allocs_before =
-      g_alloc_count.load(std::memory_order_relaxed);
+  const std::uint64_t allocs_before = testing::allocation_count();
   const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < n_messages; ++i) sim.hive(0).inject(msg);
   sim.run_to_idle();
   const double secs = seconds_since(t0);
-  const std::uint64_t allocs =
-      g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
+  const std::uint64_t allocs = testing::allocation_count() - allocs_before;
 
   const std::uint64_t delivered =
       sim.hive(0).counters().handler_runs - runs_before;
@@ -319,14 +241,12 @@ RunResult run_local_traced(std::size_t n_messages, bool profiler,
   sim.run_to_idle();
 
   const std::uint64_t runs_before = sim.hive(0).counters().handler_runs;
-  const std::uint64_t allocs_before =
-      g_alloc_count.load(std::memory_order_relaxed);
+  const std::uint64_t allocs_before = testing::allocation_count();
   const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < n_messages; ++i) sim.hive(0).inject(msg);
   sim.run_to_idle();
   const double secs = seconds_since(t0);
-  const std::uint64_t allocs =
-      g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
+  const std::uint64_t allocs = testing::allocation_count() - allocs_before;
 
   const std::uint64_t delivered =
       sim.hive(0).counters().handler_runs - runs_before;
@@ -358,8 +278,7 @@ RunResult run_remote(std::size_t n_messages, bool profiler) {
   sim.run_to_idle();
 
   const std::uint64_t runs_before = sim.hive(1).counters().handler_runs;
-  const std::uint64_t allocs_before =
-      g_alloc_count.load(std::memory_order_relaxed);
+  const std::uint64_t allocs_before = testing::allocation_count();
   const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t sent = 0; sent < n_messages;) {
     const std::size_t burst = std::min(kBatch, n_messages - sent);
@@ -368,8 +287,7 @@ RunResult run_remote(std::size_t n_messages, bool profiler) {
     sent += burst;
   }
   const double secs = seconds_since(t0);
-  const std::uint64_t allocs =
-      g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
+  const std::uint64_t allocs = testing::allocation_count() - allocs_before;
 
   const std::uint64_t delivered =
       sim.hive(1).counters().handler_runs - runs_before;

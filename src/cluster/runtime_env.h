@@ -23,11 +23,8 @@ struct QueueStats {
   /// reports its own peak instead of a startup burst pinned forever).
   std::uint64_t hwm = 0;
   std::uint64_t drained = 0;  ///< lifetime tasks executed
-  /// Ring-occupancy high-watermark since the previous read (resets like
-  /// `hwm`). Zero under runtimes without a lock-free ring (the simulator).
-  std::uint64_t ring_hwm = 0;
-  /// Lifetime pushes that missed the ring and took the overflow lane — the
-  /// queue running hot enough that producers lost lock-freedom.
+  /// Always 0: no runtime's run queue spills or drops. Kept for the
+  /// end-to-end benchmark, which reports it as `cluster.runq_overflowed`.
   std::uint64_t overflowed = 0;
 };
 
@@ -42,13 +39,6 @@ class RuntimeEnv {
   /// Non-const: reading resets the depth high-watermark to the current
   /// depth, giving per-scrape-window watermark semantics.
   virtual QueueStats queue_stats(HiveId) { return {}; }
-
-  /// Cheap, non-resetting run-queue occupancy probe for `hive` — the
-  /// admission-time input of OverloadConfig::ring_limit. Unlike
-  /// queue_stats() this never mutates watermark state and is safe to call
-  /// per message (two relaxed loads under the threaded runtime). Runtimes
-  /// without queue tracking return 0 (the gate never fires).
-  virtual std::uint64_t run_depth(HiveId) { return 0; }
 
   /// Schedules `fn` to run (on the calling hive's execution context) after
   /// `delay`. Used for timers and platform periodic work.

@@ -81,9 +81,6 @@ class SimCluster final : public RuntimeEnv {
     queues_[hive].hwm = queues_[hive].depth;
     return out;
   }
-  std::uint64_t run_depth(HiveId hive) override {
-    return hive < queues_.size() ? queues_[hive].depth : 0;
-  }
 
   // -- Driving --------------------------------------------------------------
 

@@ -4,12 +4,32 @@
 #include <cassert>
 #include <future>
 
+#include "util/logging.h"
+
 #if defined(__linux__)
 #include <pthread.h>
 #include <sched.h>
+
+#include <cerrno>
+#include <cstring>
 #endif
 
 namespace beehive {
+
+#if defined(__linux__)
+namespace {
+// The CPUs the process was started on (its taskset mask, inside its cgroup
+// cpuset), read before main() runs. Pinning indexes into this set rather
+// than into the mask of the thread that starts a cluster: that thread may
+// already be pinned to a CPU of its own, which the loops must not inherit.
+const cpu_set_t kStartupCpus = [] {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) CPU_ZERO(&set);
+  return set;
+}();
+}  // namespace
+#endif
 
 ThreadCluster::ThreadCluster(ThreadClusterConfig config, const AppSet& apps)
     : config_(config),
@@ -48,7 +68,7 @@ ThreadCluster::ThreadCluster(ThreadClusterConfig config, const AppSet& apps)
     hc.faults = &faults_;
     hc.metrics = metrics_.get();
     hc.recorder = recorder_.get();
-    auto node = std::make_unique<Node>(config_.ring_capacity);
+    auto node = std::make_unique<Node>();
     node->hive = std::make_unique<Hive>(id, apps, registry_, *this, hc);
     nodes_.push_back(std::move(node));
   }
@@ -159,31 +179,17 @@ void ThreadCluster::schedule_after(HiveId hive, Duration delay,
   task.at = delay <= 0 ? 0 : now() + delay;
   task.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
   task.fn = std::move(fn);
-  node.queue.push(std::move(task));
-
-  // Pressure accounting: occupancy watermarks sampled at enqueue (the
-  // consumer samples again per drain). Relaxed — monitoring, not ordering.
-  const std::uint64_t depth =
-      node.queue.size() + node.timed_size.load(std::memory_order_relaxed);
-  if (depth > node.q_hwm.load(std::memory_order_relaxed)) {
-    node.q_hwm.store(depth, std::memory_order_relaxed);
-  }
-  const std::uint64_t ring = node.queue.ring_size();
-  if (ring > node.ring_hwm.load(std::memory_order_relaxed)) {
-    node.ring_hwm.store(ring, std::memory_order_relaxed);
-  }
-
-  // Wake the loop only when it is actually parked (the empty->non-empty
-  // edge): in steady state `sleeping` is false and the push costs no lock
-  // and no syscall. The seq_cst fence orders our ring publish before the
-  // sleeping read against the loop's park sequence (set sleeping, fence,
-  // re-check ring) — the classic store/load handshake; the loop's bounded
-  // wait backstops the (now impossible) missed-wakeup interleaving.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (node.sleeping.load(std::memory_order_relaxed)) {
+  bool wake = false;
+  {
     std::lock_guard lock(node.mutex);
-    node.cv.notify_one();
+    node.queue.push_back(std::move(task));
+    node.q_hwm = std::max<std::uint64_t>(
+        node.q_hwm, node.queue.size() + node.timed_size);
+    wake = node.sleeping;
   }
+  // Only a parked loop needs the syscall; a running one swaps this task
+  // out on its next turn.
+  if (wake) node.cv.notify_one();
 }
 
 void ThreadCluster::send_frame(HiveId from, HiveId to, Bytes frame) {
@@ -231,19 +237,14 @@ void ThreadCluster::send_frame(HiveId from, HiveId to, Bytes frame) {
 QueueStats ThreadCluster::queue_stats(HiveId hive) {
   if (hive >= nodes_.size()) return {};
   Node& node = *nodes_[hive];
+  std::lock_guard lock(node.mutex);
   QueueStats qs;
-  qs.depth =
-      node.queue.size() + node.timed_size.load(std::memory_order_relaxed);
-  // Window-watermark semantics: swap the current depth in as the new
-  // baseline. A concurrent enqueue's bump can race the reset and be lost
-  // across the window boundary — acceptable for a watermark gauge.
-  qs.hwm = std::max(node.q_hwm.exchange(qs.depth, std::memory_order_relaxed),
-                    qs.depth);
-  qs.drained = node.q_drained.load(std::memory_order_relaxed);
-  const std::uint64_t ring = node.queue.ring_size();
-  qs.ring_hwm =
-      std::max(node.ring_hwm.exchange(ring, std::memory_order_relaxed), ring);
-  qs.overflowed = node.queue.overflowed();
+  qs.depth = node.queue.size() + node.timed_size;
+  // Window-watermark semantics: the current depth is the next window's
+  // baseline.
+  qs.hwm = std::max(node.q_hwm, qs.depth);
+  node.q_hwm = qs.depth;
+  qs.drained = node.q_drained;
   return qs;
 }
 
@@ -336,15 +337,30 @@ TraceBlame ThreadCluster::blame_scrape(std::uint64_t* n_traces) {
 
 void ThreadCluster::pin_loop_thread(std::size_t hive_index) {
 #if defined(__linux__)
-  const unsigned ncores = std::max(1u, std::thread::hardware_concurrency());
-  const unsigned core =
-      (static_cast<unsigned>(config_.hive.pin_cpu) + hive_index) % ncores;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(core, &set);
-  // Best-effort: a failure (cgroup cpuset restrictions, exotic kernels)
-  // leaves the thread unpinned, which is only a performance concern.
-  pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
+  // Hive i takes the ((pin_cpu + i) mod n)-th of the n startup CPUs, so a
+  // restricted process (taskset, cgroup cpuset) keeps every loop inside
+  // its set; the machine's CPU numbers need not be 0..n-1 there.
+  const auto n = static_cast<std::size_t>(CPU_COUNT(&kStartupCpus));
+  int cpu = -1;
+  int err = EINVAL;
+  if (n > 0) {
+    std::size_t skip =
+        (static_cast<std::size_t>(config_.hive.pin_cpu) + hive_index) % n;
+    for (cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+      if (CPU_ISSET(cpu, &kStartupCpus) && skip-- == 0) break;
+    }
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    err = pthread_setaffinity_np(pthread_self(), sizeof(one), &one);
+  }
+  // Best-effort: an unpinned loop is only a performance concern.
+  if (err != 0) {
+    std::call_once(pin_warning_, [&] {
+      BH_WARN << "hive " << hive_index << ": cannot pin its loop thread to cpu "
+              << cpu << " (" << std::strerror(err) << "); loops run unpinned";
+    });
+  }
 #else
   (void)hive_index;
 #endif
@@ -352,30 +368,35 @@ void ThreadCluster::pin_loop_thread(std::size_t hive_index) {
 
 void ThreadCluster::loop(Node& node) {
   if (config_.hive.pin_cpu >= 0) pin_loop_thread(node.hive->id());
-  // Reusable buffers: live on the loop thread only, keep their capacity
-  // across iterations — the steady-state drain allocates nothing.
+  // Swapped with node.queue each turn and cleared after running: both
+  // vectors keep their capacity, so a steady-state turn allocates nothing.
   std::vector<Task> batch;
   std::vector<std::function<void()>> run;
-  while (running_.load()) {
-    // `busy` goes up BEFORE the drain: from here until the drained batch
-    // has executed, in-flight work is visible either in the queue or in
-    // this flag — wait_idle() checks both, so it can't slip through the
-    // gap between a drain and the batch's execution.
-    node.busy.store(true, std::memory_order_seq_cst);
-    batch.clear();
-    node.queue.drain(batch);
-    const TimePoint current = now();
-
-    // Ring-occupancy watermark, sampled pre-drain occupancy via batch size
-    // (the producers also sample at enqueue; this catches bursts drained
-    // before any scrape).
-    const auto drained_now = static_cast<std::uint64_t>(batch.size());
-    if (drained_now > node.ring_hwm.load(std::memory_order_relaxed)) {
-      node.ring_hwm.store(drained_now, std::memory_order_relaxed);
+  const auto has_work = [&] {
+    return !node.queue.empty() || !running_.load();
+  };
+  std::unique_lock lock(node.mutex);
+  for (;;) {
+    // Park until a producer pushes, the next timer is due, or stop().
+    node.sleeping = true;
+    if (node.timed.empty()) {
+      node.cv.wait(lock, has_work);
+    } else {
+      node.cv.wait_until(
+          lock, epoch_ + std::chrono::microseconds(node.timed.top().at),
+          has_work);
     }
+    node.sleeping = false;
+    if (!running_.load()) return;
 
-    // Delayed tasks ride the ring stamped with a due time; file them into
-    // the loop-local heap (no lock — only this thread touches it).
+    // One turn: take everything pushed so far, in push order, and run it
+    // with the lock released. `busy` keeps wait_idle from seeing an empty
+    // queue while the batch is still executing.
+    batch.swap(node.queue);
+    node.busy = true;
+    lock.unlock();
+
+    const TimePoint current = now();
     for (Task& t : batch) {
       if (t.at != 0) node.timed.push(std::move(t));
     }
@@ -385,86 +406,48 @@ void ThreadCluster::loop(Node& node) {
       run.push_back(std::move(const_cast<Task&>(node.timed.top()).fn));
       node.timed.pop();
     }
-    // ... then this turn's immediate tasks, in arrival (ring) order.
+    // ... then this turn's immediate tasks, in push order.
     for (Task& t : batch) {
       if (t.at == 0) run.push_back(std::move(t.fn));
     }
-    node.timed_size.store(node.timed.size(), std::memory_order_relaxed);
+    batch.clear();
+    for (auto& fn : run) fn();
+    const std::size_t ran = run.size();
+    run.clear();  // releases the closures' captures
 
-    if (!run.empty()) {
-      node.q_drained.fetch_add(run.size(), std::memory_order_relaxed);
-      for (auto& fn : run) fn();
-      run.clear();
-      node.busy.store(false, std::memory_order_seq_cst);
-      // Idle edge: executing the batch may have re-fed our own queue
-      // (egress flushes, deferred emissions), so check after the store.
-      if (node.queue.empty() && node.timed.empty()) {
-        std::lock_guard lock(node.mutex);
-        node.idle_cv.notify_all();
-      }
-      continue;
-    }
-
-    node.busy.store(false, std::memory_order_seq_cst);
-    // Nothing runnable: park until the next due time or a producer's wake.
-    std::unique_lock lock(node.mutex);
-    node.sleeping.store(true, std::memory_order_seq_cst);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    // Dekker re-check against a push that raced the park: the producer
-    // published to the ring before reading `sleeping`; we set `sleeping`
-    // before re-reading the ring. One of the two must see the other.
-    if (!node.queue.empty()) {
-      node.sleeping.store(false, std::memory_order_seq_cst);
-      continue;
-    }
-    if (node.timed.empty()) {
-      node.idle_cv.notify_all();  // truly empty: release wait_idle callers
-      node.cv.wait_for(lock, std::chrono::milliseconds(50));
-    } else {
-      Duration until_due = node.timed.top().at - now();
-      if (until_due < 0) until_due = 0;
-      node.cv.wait_for(lock,
-                       std::min(std::chrono::microseconds(until_due),
-                                std::chrono::microseconds(50000)));
-    }
-    node.sleeping.store(false, std::memory_order_seq_cst);
+    lock.lock();
+    node.busy = false;
+    node.q_drained += ran;
+    node.timed_size = node.timed.size();
+    if (node_idle(node)) node.idle_cv.notify_all();
   }
 }
 
-bool ThreadCluster::node_idle(Node& node) {
-  // Order matters. (1) queue empty — synchronizes with the consumer's
-  // drain, so if emptiness came from a drain, the pre-drain busy=true is
-  // visible at (2). (2) not busy — its release store follows every push
-  // the executing batch made, so (3) re-reading the queue sees any re-fed
-  // work. A bare queue-then-busy read (or busy-then-queue) admits an
-  // interleaving where a drained-but-still-executing batch, or its
-  // self-pushed follow-up work, goes unseen — the early-return bug this
-  // replaces.
-  if (!node.queue.empty()) return false;
-  if (node.busy.load(std::memory_order_seq_cst)) return false;
-  if (!node.queue.empty()) return false;
-  return node.timed_size.load(std::memory_order_relaxed) == 0;
+bool ThreadCluster::node_idle(const Node& node) {
+  return node.queue.empty() && !node.busy && node.timed_size == 0;
 }
 
 void ThreadCluster::wait_idle() {
-  // Two phases: first park on each node's idle condition (no polling), then
-  // take one confirming pass — a node visited early may have been re-fed by
-  // a later one, in which case we go around again.
+  // Wait for each node to go idle, then repeat the pass until one finds
+  // every node idle with the same drained count as the pass before. Each
+  // node then ran nothing between its two checks, and those spans all
+  // overlap between the end of one pass and the start of the next: an
+  // instant when the whole cluster was idle. A single pass is not enough,
+  // since a node checked late can still hand work to one checked early.
+  std::vector<std::uint64_t> seen(nodes_.size(), 0);
   while (running_.load()) {
-    for (auto& node : nodes_) {
-      std::unique_lock lock(node->mutex);
-      node->idle_cv.wait_for(lock, std::chrono::milliseconds(50), [&] {
-        return !running_.load() || node_idle(*node);
-      });
-    }
-    bool idle = true;
-    for (auto& node : nodes_) {
-      if (!node_idle(*node)) {
-        idle = false;
-        break;
+    bool settled = true;
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+      Node& node = *nodes_[i];
+      std::unique_lock lock(node.mutex);
+      node.idle_cv.wait(
+          lock, [&] { return !running_.load() || node_idle(node); });
+      if (node.q_drained != seen[i]) {
+        seen[i] = node.q_drained;
+        settled = false;
       }
     }
-    if (idle) return;
+    if (settled) return;
   }
 }
 

@@ -1,21 +1,20 @@
-// Threaded in-process cluster runtime (shared-nothing datapath,
-// DESIGN.md §12).
+// Threaded in-process cluster runtime (DESIGN.md §12).
 //
-// Each hive runs its own event-loop thread fed by a lock-free MPSC ring
-// (cluster/runqueue.h): producers CAS a tail slot and publish with a
-// release store; the loop drains a whole batch per turn without taking a
-// mutex. Delayed tasks ride the same ring stamped with a due time and land
-// in a heap owned by the loop thread — no cross-thread lock guards either
-// lane. The loop parks on a condition variable only on the empty queue
-// edge; producers skip the notify entirely while the loop is running (a
-// relaxed `sleeping` flag, Dekker-fenced against the park). A full ring
-// spills to a mutex-guarded overflow lane that preserves per-producer FIFO
-// (the backpressure handoff; overflowed pushes are counted into
-// queue_stats as a pressure signal). Bees keep the one-handler-at-a-time
-// discipline while different hives execute genuinely concurrently. Frames
-// between hives are in-memory posts, metered on the same ChannelMeter as
-// the simulator. This runtime backs the runnable examples and the
-// concurrency tests; benches use the deterministic SimCluster.
+// Each hive runs its own event-loop thread with one task queue: a vector
+// guarded by the hive's mutex. Every cross-thread submission, immediate or
+// delayed, is appended under that lock, and the loop swaps the whole
+// vector out once per turn and runs it with the lock released. Because one
+// lock orders every push, each producer's tasks run in the order it pushed
+// them, and frames between two hives arrive in the order they were sent.
+// Delayed tasks are filed into a heap owned by the loop thread. The loop
+// parks on a condition variable when it has nothing to run; producers
+// notify only while it is parked. Bees keep the one-handler-at-a-time
+// discipline while different hives execute concurrently. Frames between
+// hives are in-memory posts, metered on the same ChannelMeter as the
+// simulator. This runtime backs the runnable examples, the concurrency
+// tests, bench/overload_demo and the end-to-end benchmark (beebench/); the
+// other benches and the seeded experiments use the deterministic
+// SimCluster.
 #pragma once
 
 #include <atomic>
@@ -31,7 +30,6 @@
 #include "cluster/channel.h"
 #include "cluster/faults.h"
 #include "cluster/registry.h"
-#include "cluster/runqueue.h"
 #include "cluster/runtime_env.h"
 #include "core/hive.h"
 #include "instrument/blame.h"
@@ -46,10 +44,6 @@ struct ThreadClusterConfig {
   Duration bw_bucket = kSecond;
   HiveId registry_hive = 0;
   std::uint64_t seed = 42;
-  /// Per-hive run-queue ring capacity (rounded up to a power of two).
-  /// Pushes beyond it take the mutex-guarded overflow lane — correct but
-  /// no longer lock-free, and counted as a pressure signal.
-  std::size_t ring_capacity = 1024;
   /// Record span events for the Chrome trace exporter (per-hive
   /// recorders; each hive's spans are written only from its loop thread).
   bool tracing = false;
@@ -92,9 +86,6 @@ class ThreadCluster final : public RuntimeEnv {
   void send_frame(HiveId from, HiveId to, Bytes frame) override;
   Xoshiro256& rng() override { return rng_; }
   QueueStats queue_stats(HiveId hive) override;
-  std::uint64_t run_depth(HiveId hive) override {
-    return hive < nodes_.size() ? nodes_[hive]->queue.size() : 0;
-  }
 
   // -- Access ---------------------------------------------------------------
 
@@ -146,9 +137,10 @@ class ThreadCluster final : public RuntimeEnv {
   /// correct threading) and returns immediately.
   void post(HiveId hive, std::function<void()> fn);
 
-  /// Blocks until every hive's queue is momentarily empty. Best-effort
-  /// quiescence for tests: with timers disabled and no external input this
-  /// is a true fixpoint check.
+  /// Blocks until, at one instant, no hive has a task queued, running or
+  /// timed. Quiescence for tests: it returns only at a true fixpoint when
+  /// no thread outside the cluster posts meanwhile, and never while a
+  /// periodic timer is armed.
   void wait_idle();
 
  private:
@@ -163,47 +155,32 @@ class ThreadCluster final : public RuntimeEnv {
   };
 
   struct Node {
-    explicit Node(std::size_t ring_capacity) : queue(ring_capacity) {}
-
     std::unique_ptr<Hive> hive;
     std::thread thread;
-    /// The lock-free run queue: every cross-thread submission (immediate
-    /// and delayed alike) lands here; the loop drains a full batch per
-    /// turn. Delayed tasks are re-queued into `timed` by the loop.
-    RunQueue<Task> queue;
-    /// Timed lane: owned by the loop thread exclusively — no lock. Sized
-    /// separately in `timed_size` (atomic) so wait_idle can observe it.
+    /// Delayed tasks, ordered by (due time, sequence). Owned by the loop
+    /// thread alone; no lock.
     std::priority_queue<Task, std::vector<Task>, std::greater<>> timed;
-    std::atomic<std::uint64_t> timed_size{0};
-    /// Parking. The mutex guards only the sleep/wake edge and idle
-    /// signalling — never the hot enqueue/drain path.
+    /// Guards every field below it: the queue, the park and the idle state.
     std::mutex mutex;
     std::condition_variable cv;       ///< wakes the loop (work arrived, stop)
     std::condition_variable idle_cv;  ///< signals quiescence to wait_idle()
-    /// True while the loop is parked in cv.wait — producers notify only
-    /// then (the empty->non-empty edge). seq_cst against the park's
-    /// re-check of the ring (Dekker pattern); a bounded wait backstops the
-    /// benign race that remains.
-    std::atomic<bool> sleeping{false};
-    /// True from just before the loop drains until the drained batch has
-    /// fully executed. Set *before* the drain so there is no instant where
-    /// in-flight work is visible neither in the queue nor here — this is
-    /// what keeps wait_idle() from returning early between a drain and the
-    /// batch's execution.
-    std::atomic<bool> busy{false};
-    /// Run-queue pressure accounting (QueueStats): ring+overflow occupancy
-    /// high-watermark (sampled at enqueue and drain), lifetime drained
-    /// count, and ring-occupancy HWM for the `ringq` column.
-    std::atomic<std::uint64_t> q_hwm{0};
-    std::atomic<std::uint64_t> q_drained{0};
-    std::atomic<std::uint64_t> ring_hwm{0};
+    /// Every cross-thread submission, immediate and delayed, in push order.
+    /// The loop swaps the whole vector out once per turn.
+    std::vector<Task> queue;
+    bool sleeping = false;  ///< loop parked in cv.wait: producers notify
+    bool busy = false;      ///< a swapped-out batch has not finished running
+    /// Size of the loop's timed heap, published at the end of each turn.
+    std::uint64_t timed_size = 0;
+    /// Run-queue accounting (QueueStats): depth high-watermark since the
+    /// last queue_stats() read, and lifetime tasks executed.
+    std::uint64_t q_hwm = 0;
+    std::uint64_t q_drained = 0;
   };
 
   void loop(Node& node);
   void pin_loop_thread(std::size_t hive_index);
-  /// The race-free idle predicate shared by wait_idle and the loop's idle
-  /// signalling (ordering contract documented at the definition).
-  static bool node_idle(Node& node);
+  /// Nothing queued, running or timed on `node`. Caller holds node.mutex.
+  static bool node_idle(const Node& node);
 
   /// Gathers every recorder's ring + tail-retained spans, thread-safely
   /// (see assembled_traces).
@@ -226,6 +203,7 @@ class ThreadCluster final : public RuntimeEnv {
   std::atomic<bool> running_{false};
   std::atomic<std::uint64_t> next_seq_{0};
   std::chrono::steady_clock::time_point epoch_;
+  std::once_flag pin_warning_;  // pin_loop_thread logs its first failure
   // Blame-gauge cache (see blame_scrape). Guarded by blame_mutex_.
   std::mutex blame_mutex_;
   TimePoint blame_at_ = -kSecond;

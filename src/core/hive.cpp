@@ -135,10 +135,6 @@ void Hive::register_metrics() {
       &reg->gauge("beehive_runq_hwm", labels,
                   "High-watermark of run-queue depth over the last metrics "
                   "window (resets each report)");
-  published_.ringq_hwm = &reg->gauge(
-      "beehive_ringq_hwm", labels,
-      "High-watermark of lock-free run-queue ring occupancy over the last "
-      "metrics window (DESIGN.md §12; zero without a ring runtime)");
   published_.drained_window =
       &reg->ring("beehive_runq_drained_window", labels);
   published_.egress_hwm = &reg->gauge(
@@ -424,36 +420,12 @@ void Hive::deliver(BeeId bee, AppId app, HiveId hive,
   }
 }
 
-void Hive::shed_at_admission(Bee& bee, const MessageEnvelope& env) {
-  ++counters_.shed_total;
-  trace_span(SpanKind::kShed, env, bee.id());
-  if (tracing() && env.trace_id() != 0) {
-    Duration e2e = env_.now() - env.trace_root_at();
-    if (e2e < 0) e2e = 0;
-    config_.tracer->note_trace_end(env.trace_id(), e2e, /*errored=*/true);
-  }
-}
-
 void Hive::deliver_local(Bee& bee, const MessageEnvelope& env,
                          std::uint64_t min_transfers, const CellSet* mapped,
                          const Bound* pre) {
   bee.note_required_transfers(min_transfers);
   bee.note_receive(env.from_bee(), env.from_hive(), env.wire_size(),
                    /*count_provenance=*/!env.is<TimerTick>(), env.type());
-  // Run-queue occupancy gate (DESIGN.md §12): with a ring_limit armed,
-  // shed non-priority traffic at admission while the hive's run queue sits
-  // at/above the limit — the loop is visibly saturated, and queueing more
-  // work behind the backlog only lengthens every latency tail. Apps with
-  // no overload config pay one load and a never-taken branch; control
-  // traffic is never shed.
-  if (const OverloadConfig* oc = bee.overload(); oc != nullptr)
-      [[unlikely]] {
-    if (oc->bounded && oc->ring_limit != 0 && !is_priority_type(env.type()) &&
-        env_.run_depth(id_) >= oc->ring_limit) {
-      shed_at_admission(bee, env);
-      return;
-    }
-  }
   // Hold when the transfer fence is up — and also behind an existing
   // holdback, so per-bee arrival order is preserved. The borrowed Map
   // result cannot outlive this call, so held messages recompute it when
@@ -1063,8 +1035,6 @@ void Hive::report_metrics() {
                     static_cast<double>(backlog + drained_window + 1);
   report.runq_depth = qs.depth;
   report.runq_hwm = qs.hwm;
-  report.ringq_hwm = qs.ring_hwm;
-  report.ring_overflowed = qs.overflowed;
   report.drained_window = drained_window;
   report.egress_hwm = egress_hwm_window_;
   egress_hwm_window_ = egress_pending_;
@@ -1106,7 +1076,6 @@ void Hive::report_metrics() {
                                std::memory_order_relaxed);
   health_.queue_depth.store(queue_depth, std::memory_order_relaxed);
   health_.runq_depth.store(qs.depth, std::memory_order_relaxed);
-  health_.ringq_hwm.store(qs.ring_hwm, std::memory_order_relaxed);
   health_.cost_us.store(report.cost_us, std::memory_order_relaxed);
   health_.shed_total.store(report.shed_total, std::memory_order_relaxed);
   health_.stalled_frames.store(report.stalled_frames,
@@ -1166,7 +1135,6 @@ HiveHealth Hive::health() const {
   h.handler_p99_us = health_.handler_p99_us.load(std::memory_order_relaxed);
   h.queue_depth = health_.queue_depth.load(std::memory_order_relaxed);
   h.runq_depth = health_.runq_depth.load(std::memory_order_relaxed);
-  h.ringq_hwm = health_.ringq_hwm.load(std::memory_order_relaxed);
   h.handler_failures = counters_.handler_failures;
   h.cost_us_window = health_.cost_us.load(std::memory_order_relaxed);
   h.shed_total = health_.shed_total.load(std::memory_order_relaxed);
@@ -1205,7 +1173,6 @@ void Hive::publish_window(const LocalMetricsReport& report,
   published_.pressure->set(report.pressure);
   published_.runq_depth->set(static_cast<double>(report.runq_depth));
   published_.runq_hwm->set(static_cast<double>(report.runq_hwm));
-  published_.ringq_hwm->set(static_cast<double>(report.ringq_hwm));
   published_.drained_window->push(
       report.at, static_cast<double>(report.drained_window));
   published_.egress_hwm->set(static_cast<double>(report.egress_hwm));

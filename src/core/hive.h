@@ -92,8 +92,9 @@ struct HiveConfig {
   double degrade_below_score = 0.0;
   /// Core pinning for the hive's loop thread (threaded runtime only).
   /// < 0 leaves placement to the OS scheduler. >= 0 pins hive i's loop to
-  /// core (pin_cpu + i) mod hardware_concurrency, so loops stop migrating
-  /// across cores under load (shared-nothing datapath, DESIGN.md §12).
+  /// the ((pin_cpu + i) mod n)-th of the n CPUs the process was started on
+  /// (its taskset or cgroup set), so loops stop migrating across cores
+  /// under load (DESIGN.md §12).
   /// Honored on Linux via pthread_setaffinity_np; a no-op elsewhere.
   int pin_cpu = -1;
 };
@@ -260,10 +261,6 @@ class Hive {
                      std::uint64_t min_transfers = 0,
                      const CellSet* mapped = nullptr,
                      const Bound* pre = nullptr);
-  // Cold tail of the §12 admission gate: count the shed, record the
-  // terminal span, close the trace. Out of line so deliver_local's fast
-  // path stays small.
-  void shed_at_admission(Bee& bee, const MessageEnvelope& env);
 
   /// Runs the bound handler for one message on a local bee, inside a
   /// transaction; flushes emissions and migration orders on commit. `pre`
@@ -466,7 +463,6 @@ class Hive {
     std::atomic<std::uint64_t> handler_p99_us{0};
     std::atomic<std::uint64_t> queue_depth{0};
     std::atomic<std::uint64_t> runq_depth{0};
-    std::atomic<std::uint64_t> ringq_hwm{0};
     std::atomic<std::uint64_t> cost_us{0};
     // Overload-control signals (DESIGN.md §10).
     std::atomic<std::uint64_t> shed_total{0};
@@ -523,7 +519,6 @@ class Hive {
     Gauge* pressure = nullptr;
     Gauge* runq_depth = nullptr;
     Gauge* runq_hwm = nullptr;
-    Gauge* ringq_hwm = nullptr;
     TimeSeriesRing* drained_window = nullptr;
     Gauge* egress_hwm = nullptr;
     TimeSeriesRing* cost_window = nullptr;

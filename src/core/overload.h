@@ -62,14 +62,6 @@ struct OverloadConfig {
   /// Maximum held-back messages per bee before `policy` applies.
   std::size_t mailbox_limit = 1024;
   OverloadPolicy policy = OverloadPolicy::kBlockSender;
-  /// Run-queue occupancy gate (DESIGN.md §12): when non-zero and the
-  /// hive's run queue (the lock-free ring under the threaded runtime)
-  /// holds at least this many pending tasks at delivery time, non-priority
-  /// messages for this app are shed at admission — the queue is visibly
-  /// saturated, so dropping before the handler beats queueing further
-  /// behind the backlog. Control traffic ("platform.*"/"stats.*") is
-  /// always exempt. 0 disables the gate.
-  std::size_t ring_limit = 0;
 };
 
 }  // namespace beehive

@@ -54,7 +54,6 @@ std::string HealthReport::to_json() const {
            ", \"handler_p99_us\": " + std::to_string(h.handler_p99_us) +
            ", \"queue_depth\": " + std::to_string(h.queue_depth) +
            ", \"runq_depth\": " + std::to_string(h.runq_depth) +
-           ", \"ringq_hwm\": " + std::to_string(h.ringq_hwm) +
            ", \"handler_failures\": " + std::to_string(h.handler_failures) +
            ", \"cost_us_window\": " + std::to_string(h.cost_us_window) +
            ", \"shed_total\": " + std::to_string(h.shed_total) +
@@ -90,7 +89,6 @@ std::string HealthReport::to_text() const {
            " retx=" + fmt_double(h.retransmit_rate) +
            " p99us=" + std::to_string(h.handler_p99_us) +
            " runq=" + std::to_string(h.runq_depth) +
-           " ringq=" + std::to_string(h.ringq_hwm) +
            " holdback=" + std::to_string(h.queue_depth) +
            " cost_us=" + std::to_string(h.cost_us_window) +
            " shed=" + std::to_string(h.shed_total) +

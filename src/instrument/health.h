@@ -28,9 +28,6 @@ struct HiveHealth {
   std::uint64_t handler_p99_us = 0;  ///< last window's handler duration p99
   std::uint64_t queue_depth = 0;     ///< holdback behind transfer fences
   std::uint64_t runq_depth = 0;      ///< run-queue tasks at report time
-  /// Lock-free ring occupancy high-watermark over the last metrics window
-  /// (DESIGN.md §12; zero under runtimes without a ring).
-  std::uint64_t ringq_hwm = 0;
   std::uint64_t handler_failures = 0;  ///< lifetime rolled-back handlers
   std::uint64_t cost_us_window = 0;  ///< profiler: estimated CPU us, last window
   // -- Overload control (DESIGN.md §10) --

@@ -283,11 +283,6 @@ struct LocalMetricsReport {
   std::uint64_t runq_hwm = 0;         ///< run-queue depth hwm, window (resets on read)
   std::uint64_t drained_window = 0;   ///< run-queue tasks executed, window
   std::uint64_t egress_hwm = 0;       ///< pending egress frames hwm, window
-  /// Lock-free run-queue ring occupancy hwm, window (DESIGN.md §12; zero
-  /// under runtimes without a ring, e.g. the simulator).
-  std::uint64_t ringq_hwm = 0;
-  /// Pushes that missed the ring and took the overflow lane (lifetime).
-  std::uint64_t ring_overflowed = 0;
   /// Profiler: summed estimated handler CPU microseconds this window.
   std::uint64_t cost_us = 0;
 
@@ -317,8 +312,6 @@ struct LocalMetricsReport {
     w.varint(runq_hwm);
     w.varint(drained_window);
     w.varint(egress_hwm);
-    w.varint(ringq_hwm);
-    w.varint(ring_overflowed);
     w.varint(cost_us);
     w.varint(shed_total);
     w.varint(stalled_frames);
@@ -340,8 +333,6 @@ struct LocalMetricsReport {
     rep.runq_hwm = r.varint();
     rep.drained_window = r.varint();
     rep.egress_hwm = r.varint();
-    rep.ringq_hwm = r.varint();
-    rep.ring_overflowed = r.varint();
     rep.cost_us = r.varint();
     rep.shed_total = r.varint();
     rep.stalled_frames = r.varint();

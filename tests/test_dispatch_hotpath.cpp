@@ -7,8 +7,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <set>
 #include <string>
 #include <tuple>
@@ -17,79 +15,8 @@
 #include "cluster/sim.h"
 #include "cluster/thread_cluster.h"
 #include "msg/codec.h"
+#include "tests/alloc_counter.h"
 #include "tests/test_helpers.h"
-
-// ---------------------------------------------------------------------------
-// Counting allocator (same harness as bench/micro_dispatch.cpp): replaces
-// every global operator new variant so the steady-state allocation tests
-// observe each heap round-trip the dispatch path makes. Deletes route to
-// free() for all of them, which trips -Wmismatched-new-delete's pattern
-// matching — suppressed, the pairing is correct by construction.
-// ---------------------------------------------------------------------------
-
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-
-namespace {
-std::atomic<std::uint64_t> g_alloc_count{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void* operator new(std::size_t n, std::align_val_t al) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t a = static_cast<std::size_t>(al);
-  const std::size_t rounded = (n + a - 1) / a * a;
-  if (void* p = std::aligned_alloc(a, rounded == 0 ? a : rounded)) return p;
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t n, std::align_val_t al) {
-  return ::operator new(n, al);
-}
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n == 0 ? 1 : n);
-}
-void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
-  return ::operator new(n, std::nothrow);
-}
-void* operator new(std::size_t n, std::align_val_t al,
-                   const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t a = static_cast<std::size_t>(al);
-  const std::size_t rounded = (n + a - 1) / a * a;
-  return std::aligned_alloc(a, rounded == 0 ? a : rounded);
-}
-void* operator new[](std::size_t n, std::align_val_t al,
-                     const std::nothrow_t&) noexcept {
-  return ::operator new(n, al, std::nothrow);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::align_val_t,
-                       const std::nothrow_t&) noexcept {
-  std::free(p);
-}
 
 namespace beehive {
 namespace {
@@ -340,10 +267,9 @@ TEST(DecodeClamp, HugeVectorCountUnderrunsInsteadOfAllocating) {
   w.varint(std::uint64_t{1} << 60);  // claimed count, no elements follow
   const Bytes wire = std::move(w).take();
   ByteReader r(wire);
-  const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  const std::uint64_t before = testing::allocation_count();
   EXPECT_THROW(decode_vector<I64>(r), DecodeError);
-  const std::uint64_t spent =
-      g_alloc_count.load(std::memory_order_relaxed) - before;
+  const std::uint64_t spent = testing::allocation_count() - before;
   // The clamp bounds the pre-reserve to the bytes actually present (~10):
   // a corrupt count must not turn into a multi-GB allocation attempt.
   EXPECT_LE(spent, 4u);
@@ -421,11 +347,10 @@ TEST(DispatchAllocs, LocalSteadyStateIsAllocationFree) {
 
   constexpr std::uint64_t kN = 5000;
   const std::uint64_t runs_before = sim.hive(0).counters().handler_runs;
-  const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  const std::uint64_t before = testing::allocation_count();
   for (std::uint64_t i = 0; i < kN; ++i) sim.hive(0).inject(msg);
   sim.run_to_idle();
-  const std::uint64_t allocs =
-      g_alloc_count.load(std::memory_order_relaxed) - before;
+  const std::uint64_t allocs = testing::allocation_count() - before;
 
   ASSERT_EQ(sim.hive(0).counters().handler_runs - runs_before, kN);
   EXPECT_EQ(allocs, 0u)
@@ -456,11 +381,10 @@ TEST(DispatchAllocs, BoundedLocalSteadyStateIsAllocationFree) {
 
   constexpr std::uint64_t kN = 5000;
   const std::uint64_t runs_before = sim.hive(0).counters().handler_runs;
-  const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  const std::uint64_t before = testing::allocation_count();
   for (std::uint64_t i = 0; i < kN; ++i) sim.hive(0).inject(msg);
   sim.run_to_idle();
-  const std::uint64_t allocs =
-      g_alloc_count.load(std::memory_order_relaxed) - before;
+  const std::uint64_t allocs = testing::allocation_count() - before;
 
   ASSERT_EQ(sim.hive(0).counters().handler_runs - runs_before, kN);
   EXPECT_EQ(sim.hive(0).counters().shed_total, 0u)
@@ -485,13 +409,12 @@ TEST(DispatchAllocs, RemoteSteadyStateWithinTwoAllocsPerMessage) {
 
   constexpr std::uint64_t kRounds = 3;
   const std::uint64_t runs_before = sim.hive(1).counters().handler_runs;
-  const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  const std::uint64_t before = testing::allocation_count();
   for (std::uint64_t round = 0; round < kRounds; ++round) {
     for (std::uint64_t i = 0; i < kBurst; ++i) sim.hive(0).inject(msg);
     sim.run_to_idle();
   }
-  const std::uint64_t allocs =
-      g_alloc_count.load(std::memory_order_relaxed) - before;
+  const std::uint64_t allocs = testing::allocation_count() - before;
 
   const std::uint64_t delivered =
       sim.hive(1).counters().handler_runs - runs_before;

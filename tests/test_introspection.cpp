@@ -12,11 +12,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
-#include <new>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -32,85 +30,9 @@
 #include "instrument/status_app.h"
 #include "net/http_export.h"
 #include "placement/strategy.h"
+#include "tests/alloc_counter.h"
 #include "tests/test_helpers.h"
 #include "util/logging.h"
-
-// ---------------------------------------------------------------------------
-// Counting allocator: replaces global operator new for this binary so the
-// hot-path tests can assert that metric updates never allocate.
-// ---------------------------------------------------------------------------
-
-// The replacements below pair malloc with free correctly, but GCC's
-// inliner can't see through the replacement and flags new/free pairs.
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-
-namespace {
-std::atomic<std::uint64_t> g_alloc_count{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void* operator new(std::size_t n, std::align_val_t al) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t a = static_cast<std::size_t>(al);
-  const std::size_t rounded = (n + a - 1) / a * a;
-  if (void* p = std::aligned_alloc(a, rounded == 0 ? a : rounded)) return p;
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t n, std::align_val_t al) {
-  return ::operator new(n, al);
-}
-// The nothrow variants must be replaced too: the library (e.g.
-// std::stable_sort's temporary buffer) allocates with new(nothrow), and
-// releasing that through our malloc-backed delete would mismatch the
-// default allocator under ASan.
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n == 0 ? 1 : n);
-}
-void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
-  return ::operator new(n, std::nothrow);
-}
-void* operator new(std::size_t n, std::align_val_t al,
-                   const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t a = static_cast<std::size_t>(al);
-  const std::size_t rounded = (n + a - 1) / a * a;
-  return std::aligned_alloc(a, rounded == 0 ? a : rounded);
-}
-void* operator new[](std::size_t n, std::align_val_t al,
-                     const std::nothrow_t&) noexcept {
-  return ::operator new(n, al, std::nothrow);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete(void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::align_val_t,
-                       const std::nothrow_t&) noexcept {
-  std::free(p);
-}
 
 namespace beehive {
 namespace {
@@ -138,7 +60,7 @@ TEST(RegistryHotPath, UpdatesDoNotAllocate) {
   h.record(123);
   ring.push(0, 1.0);
 
-  const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  const std::uint64_t before = testing::allocation_count();
   for (int i = 0; i < 10000; ++i) {
     c.inc();
     c += 2;
@@ -148,7 +70,7 @@ TEST(RegistryHotPath, UpdatesDoNotAllocate) {
     h.record(i);
     ring.push(i, 2.0);
   }
-  const std::uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
+  const std::uint64_t after = testing::allocation_count();
   EXPECT_EQ(after, before)
       << "metric updates must not allocate on the hot path";
 

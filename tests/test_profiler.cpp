@@ -6,11 +6,8 @@
 // induced hot-bee skew whose migration decision cites the measured signal.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -21,80 +18,8 @@
 #include "instrument/profiler.h"
 #include "placement/strategy.h"
 #include "state/txn.h"
+#include "tests/alloc_counter.h"
 #include "tests/test_helpers.h"
-
-// ---------------------------------------------------------------------------
-// Counting allocator (same harness as tests/test_dispatch_hotpath.cpp):
-// replaces every global operator new variant so the profiler-off test can
-// assert the dispatch path's allocation budget is unchanged.
-// ---------------------------------------------------------------------------
-
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-
-namespace {
-std::atomic<std::uint64_t> g_alloc_count{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void* operator new(std::size_t n, std::align_val_t al) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t a = static_cast<std::size_t>(al);
-  const std::size_t rounded = (n + a - 1) / a * a;
-  if (void* p = std::aligned_alloc(a, rounded == 0 ? a : rounded)) return p;
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t n, std::align_val_t al) {
-  return ::operator new(n, al);
-}
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n == 0 ? 1 : n);
-}
-void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
-  return ::operator new(n, std::nothrow);
-}
-void* operator new(std::size_t n, std::align_val_t al,
-                   const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t a = static_cast<std::size_t>(al);
-  const std::size_t rounded = (n + a - 1) / a * a;
-  return std::aligned_alloc(a, rounded == 0 ? a : rounded);
-}
-void* operator new[](std::size_t n, std::align_val_t al,
-                     const std::nothrow_t&) noexcept {
-  return ::operator new(n, al, std::nothrow);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete(void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete(void* p, std::align_val_t,
-                     const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::align_val_t,
-                       const std::nothrow_t&) noexcept {
-  std::free(p);
-}
 
 namespace beehive {
 namespace {
@@ -353,11 +278,10 @@ TEST(ProfilerOff, LocalSteadyStateStaysAllocationFree) {
 
   constexpr std::uint64_t kN = 5000;
   const std::uint64_t runs_before = sim.hive(0).counters().handler_runs;
-  const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  const std::uint64_t before = testing::allocation_count();
   for (std::uint64_t i = 0; i < kN; ++i) sim.hive(0).inject(msg);
   sim.run_to_idle();
-  const std::uint64_t allocs =
-      g_alloc_count.load(std::memory_order_relaxed) - before;
+  const std::uint64_t allocs = testing::allocation_count() - before;
 
   ASSERT_EQ(sim.hive(0).counters().handler_runs - runs_before, kN);
   EXPECT_EQ(allocs, 0u)

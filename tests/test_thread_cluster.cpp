@@ -1,13 +1,27 @@
 // Tests of the threaded in-process runtime: the same hive/bee/registry
 // code as the simulator, but with each hive on its own OS thread. These
 // verify that the platform's consistency guarantees survive real
-// concurrency.
+// concurrency. The run-loop and FIFO tests are the ones CI runs under
+// ThreadSanitizer on two CPUs: many small posts from several threads
+// maximize interleavings.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <thread>
+#include <vector>
 
 #include "cluster/thread_cluster.h"
 #include "tests/test_helpers.h"
+
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#include <unistd.h>
+#endif
 
 namespace beehive {
 namespace {
@@ -200,6 +214,310 @@ TEST_F(ThreadClusterTest, MeterSeesCrossHiveTraffic) {
   EXPECT_GT(cluster.meter().total_bytes(), 0u);
   EXPECT_EQ(counter_value(cluster, "x"), 2);
   cluster.stop();
+}
+
+// -- The run loop: quiescence, watermark, pinning ---------------------------
+
+class RunLoopTest : public ThreadClusterTest {
+ protected:
+  ThreadClusterConfig config(std::size_t n_hives) {
+    ThreadClusterConfig c;
+    c.n_hives = n_hives;
+    c.hive.metrics_period = 0;
+    return c;
+  }
+};
+
+TEST_F(RunLoopTest, WaitIdleSeesInFlightBatches) {
+  // Hammer wait_idle while posting: every time wait_idle returns, all work
+  // posted before the wait began must have executed, including work in a
+  // swapped-out batch that is still running (the window `busy` covers).
+  ThreadCluster cluster(config(1), apps_);
+  cluster.start();
+
+  std::atomic<std::uint64_t> executed{0};
+  constexpr std::uint64_t kRounds = 200;
+  constexpr std::uint64_t kPerRound = 50;
+  std::uint64_t posted = 0;
+  for (std::uint64_t round = 0; round < kRounds; ++round) {
+    for (std::uint64_t i = 0; i < kPerRound; ++i) {
+      cluster.post(0, [&executed] {
+        executed.fetch_add(1, std::memory_order_relaxed);
+      });
+      ++posted;
+    }
+    cluster.wait_idle();
+    ASSERT_EQ(executed.load(std::memory_order_relaxed), posted)
+        << "wait_idle returned with in-flight work on round " << round;
+  }
+  cluster.stop();
+}
+
+TEST_F(RunLoopTest, WaitIdleUnderConcurrentPosting) {
+  // A racing producer keeps wait_idle's passes from settling. After the
+  // producer stops, one final wait_idle must observe everything.
+  ThreadCluster cluster(config(2), apps_);
+  cluster.start();
+
+  std::atomic<std::uint64_t> executed{0};
+  constexpr std::uint64_t kTotal = 5'000;
+  std::thread producer([&cluster, &executed] {
+    for (std::uint64_t i = 0; i < kTotal; ++i) {
+      cluster.post(i % 2 == 0 ? 0 : 1, [&executed] {
+        executed.fetch_add(1, std::memory_order_relaxed);
+      });
+    }
+  });
+  for (int i = 0; i < 50; ++i) cluster.wait_idle();
+  producer.join();
+  cluster.wait_idle();
+  EXPECT_EQ(executed.load(std::memory_order_relaxed), kTotal);
+  cluster.stop();
+}
+
+TEST_F(RunLoopTest, BurstDeliversEveryMessage) {
+  // End-to-end through the hive: a burst of posts, taken a few large
+  // batches at a time, loses no increment.
+  ThreadCluster cluster(config(1), apps_);
+  cluster.start();
+  constexpr int kN = 2'000;
+  for (int i = 0; i < kN; ++i) inject(cluster, 0, Incr{"k", 1});
+  cluster.wait_idle();
+  EXPECT_GE(cluster.queue_stats(0).drained, static_cast<std::uint64_t>(kN));
+  EXPECT_EQ(counter_value(cluster, "k"), kN);
+  cluster.stop();
+}
+
+TEST_F(RunLoopTest, PostedClosureReleasesCapturesOnceRun) {
+  // The loop must not keep a run closure (and whatever it captured) alive
+  // after running it: captured envelopes and frames are released at once.
+  ThreadCluster cluster(config(1), apps_);
+  cluster.start();
+  auto value = std::make_shared<int>(7);
+  cluster.post(0, [value] {});
+  cluster.wait_idle();
+  EXPECT_EQ(value.use_count(), 1);
+  cluster.stop();
+}
+
+TEST_F(RunLoopTest, WatermarkSurfacesInQueueStats) {
+  ThreadCluster cluster(config(1), apps_);
+  cluster.start();
+  // Hold the loop in a spinning closure so a burst piles up in the queue.
+  std::atomic<bool> spinning{false};
+  std::atomic<bool> release{false};
+  cluster.post(0, [&spinning, &release] {
+    spinning.store(true, std::memory_order_release);
+    while (!release.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+  });
+  while (!spinning.load(std::memory_order_acquire)) std::this_thread::yield();
+  for (int i = 0; i < 32; ++i) cluster.post(0, [] {});
+  release.store(true, std::memory_order_release);
+  cluster.wait_idle();
+  EXPECT_GE(cluster.queue_stats(0).hwm, 32u);
+  cluster.stop();
+}
+
+TEST_F(RunLoopTest, PinnedLoopsStillDeliver) {
+  // pin_cpu is best-effort placement, never correctness: with pinning on
+  // (wrapping around however few CPUs the process may use), traffic flows
+  // exactly as unpinned.
+  ThreadClusterConfig c = config(2);
+  c.hive.pin_cpu = 0;
+  ThreadCluster cluster(c, apps_);
+  cluster.start();
+  for (int i = 0; i < 100; ++i) {
+    inject(cluster, i % 2 == 0 ? 0 : 1, Incr{"p", 1});
+  }
+  cluster.wait_idle();
+  std::uint64_t runs = 0;
+  for (HiveId h = 0; h < 2; ++h) {
+    runs += cluster.hive(h).counters().handler_runs;
+  }
+  cluster.stop();
+  EXPECT_EQ(runs, 100u);
+}
+
+#if defined(__linux__)
+TEST_F(RunLoopTest, PinningStaysInsideAllowedCpus) {
+  // A process started on two of the machine's CPUs (taskset, a cgroup
+  // cpuset) must pin each loop to one of those two, wrapping hive 2 back
+  // onto the first. A threadsafe death test re-executes this binary from
+  // this thread, so restricting the thread first starts the child on the
+  // last two allowed CPUs: on an unrestricted machine, not CPUs 0 and 1.
+  if (sysconf(_SC_NPROCESSORS_ONLN) < 3) GTEST_SKIP() << "needs 3 CPUs";
+  struct AffinityRestore {
+    cpu_set_t saved;
+    AffinityRestore() { sched_getaffinity(0, sizeof(saved), &saved); }
+    ~AffinityRestore() {
+      pthread_setaffinity_np(pthread_self(), sizeof(saved), &saved);
+    }
+  } restore;
+  std::vector<int> cpus;
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &restore.saved)) cpus.push_back(cpu);
+  }
+  if (cpus.size() < 2) GTEST_SKIP() << "needs 2 allowed CPUs";
+  const int allowed[2] = {cpus[cpus.size() - 2], cpus[cpus.size() - 1]};
+  cpu_set_t two;
+  CPU_ZERO(&two);
+  CPU_SET(allowed[0], &two);
+  CPU_SET(allowed[1], &two);
+  ASSERT_EQ(pthread_setaffinity_np(pthread_self(), sizeof(two), &two), 0);
+
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        constexpr HiveId kHives = 3;
+        ThreadClusterConfig c = config(kHives);
+        c.hive.pin_cpu = 0;
+        std::vector<cpu_set_t> masks(kHives);
+        ThreadCluster cluster(c, apps_);
+        cluster.start();
+        for (HiveId h = 0; h < kHives; ++h) {
+          cluster.post(h, [&masks, h] {
+            sched_getaffinity(0, sizeof(masks[h]), &masks[h]);
+          });
+        }
+        cluster.wait_idle();
+        cluster.stop();
+        bool pinned = true;
+        for (HiveId h = 0; h < kHives; ++h) {
+          pinned = pinned && CPU_COUNT(&masks[h]) == 1 &&
+                   CPU_ISSET(allowed[h % 2], &masks[h]);
+        }
+        std::exit(pinned ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+}
+#endif
+
+// -- FIFO on real threads ----------------------------------------------------
+
+class ThreadClusterFifo : public RunLoopTest {};
+
+TEST_F(ThreadClusterFifo, ConcurrentPostersKeepPerProducerOrder) {
+  // Four threads post numbered closures to one hive. Each closure spins
+  // briefly, so the producers outrun the loop and its turns swap out
+  // batches mixing several producers' tasks. Each producer's closures must
+  // run in the order it posted them, and every one exactly once.
+  constexpr std::uint32_t kProducers = 4;
+  constexpr std::uint64_t kPerProducer = 5'000;
+  ThreadCluster cluster(config(1), apps_);
+  cluster.start();
+  // Touched only on the loop thread until wait_idle returns.
+  std::vector<std::uint64_t> next(kProducers, 0);
+  std::uint64_t out_of_order = 0;
+  std::uint64_t ran = 0;
+  std::vector<std::thread> producers;
+  for (std::uint32_t p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      for (std::uint64_t i = 0; i < kPerProducer; ++i) {
+        cluster.post(0, [&, p, i] {
+          const auto until =
+              std::chrono::steady_clock::now() + std::chrono::microseconds(1);
+          while (std::chrono::steady_clock::now() < until) {
+          }
+          if (next[p] != i) ++out_of_order;
+          next[p] = i + 1;
+          ++ran;
+        });
+      }
+    });
+  }
+  for (auto& t : producers) t.join();
+  cluster.wait_idle();
+  EXPECT_GT(cluster.queue_stats(0).hwm, 1u)
+      << "producers never outran the loop";
+  cluster.stop();
+  EXPECT_EQ(out_of_order, 0u);
+  EXPECT_EQ(ran, kProducers * kPerProducer);
+  for (std::uint32_t p = 0; p < kProducers; ++p) {
+    EXPECT_EQ(next[p], kPerProducer) << "producer " << p;
+  }
+}
+
+/// A message stamped with its source hive and a per-source sequence.
+struct Numbered {
+  static constexpr std::string_view kTypeName = "test.numbered";
+  std::uint32_t src = 0;
+  std::uint64_t seq = 0;
+
+  void encode(ByteWriter& w) const {
+    w.u32(src);
+    w.u64(seq);
+  }
+  static Numbered decode(ByteReader& r) {
+    Numbered m;
+    m.src = r.u32();
+    m.seq = r.u64();
+    return m;
+  }
+};
+
+/// One bee (a single cell) that logs each Numbered it handles per source.
+class SeqLogApp : public App {
+ public:
+  explicit SeqLogApp(std::vector<std::vector<std::uint64_t>>* log)
+      : App("test.seqlog") {
+    on<Numbered>(
+        [](const Numbered&) { return CellSet::single("seq", "sink"); },
+        [log](AppContext&, const Numbered& m) {
+          (*log)[m.src].push_back(m.seq);
+        });
+  }
+};
+
+TEST_F(ThreadClusterFifo, FramesKeepPerLinkOrderWithoutReliableTransport) {
+  // Three source hives each emit numbered messages to one bee pinned on a
+  // fourth hive, with the reliable transport off: nothing but the run
+  // queue keeps each link's frames in order. Per-(src,dst) FIFO and zero
+  // loss must hold anyway.
+  constexpr HiveId kSink = 3;
+  constexpr std::uint32_t kSources = 3;
+  constexpr std::uint64_t kPerSource = 4'000;
+  std::vector<std::vector<std::uint64_t>> log(kSources + 1);
+  AppSet apps;
+  apps.emplace<SeqLogApp>(&log);
+  ThreadClusterConfig config;
+  config.n_hives = kSink + 1;
+  config.hive.metrics_period = 0;
+  ThreadCluster cluster(config, apps);
+  cluster.start();
+  const auto emit = [&cluster](HiveId hive, std::uint64_t seq) {
+    cluster.post(hive, [&cluster, hive, seq] {
+      cluster.hive(hive).inject(MessageEnvelope::make(
+          Numbered{hive, seq}, 0, kNoBee, hive, cluster.now()));
+    });
+  };
+  // The first message for the cell creates its bee where it was injected.
+  emit(kSink, 0);
+  cluster.wait_idle();
+  ASSERT_EQ(log[kSink].size(), 1u);
+
+  std::vector<std::thread> sources;
+  for (HiveId src = 0; src < kSources; ++src) {
+    sources.emplace_back([&emit, src] {
+      for (std::uint64_t i = 0; i < kPerSource; ++i) emit(src, i);
+    });
+  }
+  for (auto& t : sources) t.join();
+  cluster.wait_idle();
+  std::uint64_t remote = 0;
+  for (HiveId src = 0; src < kSources; ++src) {
+    remote += cluster.hive(src).counters().routed_remote;
+  }
+  cluster.stop();
+
+  EXPECT_EQ(remote, kSources * kPerSource) << "messages did not cross hives";
+  for (std::uint32_t src = 0; src < kSources; ++src) {
+    ASSERT_EQ(log[src].size(), kPerSource) << "link " << src << " lost";
+    for (std::uint64_t i = 0; i < kPerSource; ++i) {
+      ASSERT_EQ(log[src][i], i) << "link " << src << " reordered";
+    }
+  }
 }
 
 }  // namespace

@@ -259,7 +259,6 @@ struct HiveRow {
   double retx = 0.0;
   std::uint64_t p99_us = 0;
   std::uint64_t runq = 0;
-  std::uint64_t ringq = 0;  ///< ring-occupancy hwm, last window (§12)
   std::uint64_t queue = 0;
   std::uint64_t cost_us = 0;
   double shed_per_s = 0.0;  ///< overload sheds per second, last window
@@ -345,7 +344,6 @@ std::size_t render_frame(const Options& opt, bool clear_screen) {
           row.retx = h.number("retransmit_rate");
           row.p99_us = static_cast<std::uint64_t>(h.number("handler_p99_us"));
           row.runq = static_cast<std::uint64_t>(h.number("runq_depth"));
-          row.ringq = static_cast<std::uint64_t>(h.number("ringq_hwm"));
           row.queue = static_cast<std::uint64_t>(h.number("queue_depth"));
           row.cost_us =
               static_cast<std::uint64_t>(h.number("cost_us_window"));
@@ -438,9 +436,9 @@ std::size_t render_frame(const Options& opt, bool clear_screen) {
   }
   std::printf("\n\n");
 
-  std::printf("%-5s %7s %9s %8s %9s %6s %6s %6s %10s %8s %8s %s\n", "HIVE",
-              "SCORE", "PRESSURE", "RETX", "P99_US", "RUNQ", "RINGQ",
-              "QUEUE", "COST_US", "SHED/S", "CREDITS", "");
+  std::printf("%-5s %7s %9s %8s %9s %6s %6s %10s %8s %8s %s\n", "HIVE",
+              "SCORE", "PRESSURE", "RETX", "P99_US", "RUNQ", "QUEUE",
+              "COST_US", "SHED/S", "CREDITS", "");
   for (const HiveRow& h : hives) {
     char credits[24];
     if (h.credits < 0) {
@@ -451,12 +449,11 @@ std::size_t render_frame(const Options& opt, bool clear_screen) {
     std::string flags;
     if (h.degraded) flags += "DEGRADED";
     if (h.suspected) flags += flags.empty() ? "SUSPECTED" : " SUSPECTED";
-    std::printf("%-5llu %7.1f %9.3f %8.3f %9llu %6llu %6llu %6llu %10llu "
+    std::printf("%-5llu %7.1f %9.3f %8.3f %9llu %6llu %6llu %10llu "
                 "%8.1f %s %s\n",
                 static_cast<unsigned long long>(h.hive), h.score, h.pressure,
                 h.retx, static_cast<unsigned long long>(h.p99_us),
                 static_cast<unsigned long long>(h.runq),
-                static_cast<unsigned long long>(h.ringq),
                 static_cast<unsigned long long>(h.queue),
                 static_cast<unsigned long long>(h.cost_us), h.shed_per_s,
                 credits, flags.c_str());
