@@ -12,8 +12,8 @@
 //   shed-newest the stalled queue tail-drops app batches past the stall
 //               limit. Expect a monotone shed_total and no producer stall.
 //   shed-oldest head-drop variant: freshest data survives.
-//   priority    like shed-newest, but control frames always queue (they
-//               do under every policy — this makes it explicit).
+//
+// Control frames always queue, under every policy.
 //
 // Under every policy resident memory must stay bounded (the CI smoke
 // asserts peak < 2x idle). The demo prints a one-line JSON object on
@@ -23,7 +23,7 @@
 //    "shed_total":..., "credits_min":..., "stalled_max":...,
 //    "rss_idle_mb":..., "rss_peak_mb":...}
 //
-// Usage: overload_demo [--policy block|shed-newest|shed-oldest|priority]
+// Usage: overload_demo [--policy block|shed-newest|shed-oldest]
 //                      [--seconds N]
 #include <atomic>
 #include <chrono>
@@ -91,7 +91,7 @@ int run(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: overload_demo [--policy "
-                   "block|shed-newest|shed-oldest|priority] [--seconds N]\n");
+                   "block|shed-newest|shed-oldest] [--seconds N]\n");
       return 2;
     }
   }
@@ -146,9 +146,11 @@ int run(int argc, char** argv) {
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
 
-    const HiveHealth h = cluster.hive(0).health();
-    if (h.credits >= 0 && h.credits < credits_min) credits_min = h.credits;
-    if (h.stalled > stalled_max) stalled_max = h.stalled;
+    const HiveSignals sig = cluster.hive(0).health().signals;
+    const auto credits = static_cast<std::int64_t>(sig.credits);
+    if (credits >= 0 && credits < credits_min) credits_min = credits;
+    const auto stalled = static_cast<std::uint64_t>(sig.stalled);
+    if (stalled > stalled_max) stalled_max = stalled;
     const double rss = rss_mb();
     if (rss > rss_peak) rss_peak = rss;
   }

@@ -5,7 +5,6 @@
 #include <cassert>
 #include <chrono>
 
-#include "instrument/registry.h"
 #include "util/logging.h"
 
 namespace beehive {
@@ -979,40 +978,6 @@ std::optional<HiveId> RegistryService::Client::hive_of(BeeId bee,
     ++cache_version_;
   }
   return hive;
-}
-
-void register_registry_shard_metrics(MetricsRegistry& reg,
-                                     const RegistryService& svc) {
-  for (std::uint32_t s = 0; s < svc.shard_count(); ++s) {
-    const MetricLabels labels{{"shard", std::to_string(s)}};
-    reg.gauge_fn(
-        "beehive_registry_ops_total", labels,
-        [&svc, s] { return static_cast<double>(svc.shard_stats(s).ops); },
-        "Registry operations that locked this shard.",
-        /*counter_semantics=*/true);
-    reg.gauge_fn(
-        "beehive_registry_lock_waits_total", labels,
-        [&svc, s] {
-          return static_cast<double>(svc.shard_stats(s).lock_waits);
-        },
-        "Shard lock acquisitions that contended (try_lock failed).",
-        /*counter_semantics=*/true);
-    reg.gauge_fn(
-        "beehive_registry_lock_wait_us_total", labels,
-        [&svc, s] {
-          return static_cast<double>(svc.shard_stats(s).lock_wait_ns) /
-                 1000.0;
-        },
-        "Microseconds spent blocked on this shard's lock.",
-        /*counter_semantics=*/true);
-    reg.gauge_fn(
-        "beehive_registry_invalidations_total", labels,
-        [&svc, s] {
-          return static_cast<double>(svc.shard_stats(s).invalidations);
-        },
-        "Cache invalidations issued by ownership writes to this shard.",
-        /*counter_semantics=*/true);
-  }
 }
 
 }  // namespace beehive

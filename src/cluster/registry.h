@@ -544,13 +544,4 @@ class RegistryService::Client {
   Duration backoff_ = kBackoffInitial;
 };
 
-class MetricsRegistry;
-
-/// Registers the per-shard contention gauges (beehive_registry_ops_total,
-/// _lock_waits_total, _lock_wait_us_total, _invalidations_total, all
-/// labeled {shard=<n>}) for `svc` on `reg`. Shared by ThreadCluster and
-/// SimCluster; `svc` must outlive `reg`'s scrapes.
-void register_registry_shard_metrics(MetricsRegistry& reg,
-                                     const RegistryService& svc);
-
 }  // namespace beehive

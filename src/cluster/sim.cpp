@@ -3,6 +3,8 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "cluster/telemetry.h"
+
 namespace beehive {
 
 SimCluster::SimCluster(ClusterConfig config, const AppSet& apps)
@@ -43,25 +45,7 @@ SimCluster::SimCluster(ClusterConfig config, const AppSet& apps)
     hives_.push_back(
         std::make_unique<Hive>(id, apps, registry_, *this, hc));
   }
-  if (metrics_) {
-    // Control-channel totals are pull-gauges: the meter has its own lock,
-    // so they are read at scrape time instead of being pushed.
-    metrics_->gauge_fn(
-        "beehive_channel_bytes_total", {},
-        [this] { return static_cast<double>(meter_.total_bytes()); },
-        "Bytes that crossed the inter-hive control channel.",
-        /*counter_semantics=*/true);
-    metrics_->gauge_fn(
-        "beehive_channel_messages_total", {},
-        [this] { return static_cast<double>(meter_.total_messages()); },
-        "Frames that crossed the inter-hive control channel.",
-        /*counter_semantics=*/true);
-    metrics_->gauge_fn(
-        "beehive_channel_hotspot_share", {},
-        [this] { return meter_.hotspot_share(); },
-        "Fraction of inter-hive traffic involving the busiest hive.");
-    register_registry_shard_metrics(*metrics_, registry_);
-  }
+  if (metrics_) register_cluster_metrics(*metrics_, meter_, registry_);
   // Registry RPC attempts traverse the same lossy network as frames.
   registry_.set_rpc_fault_hook([this](HiveId requester) {
     return faults_.active() &&
@@ -183,14 +167,7 @@ HealthReport SimCluster::health() const {
     h.suspected = !hive_alive(h.hive);
     report.hives.push_back(h);
   }
-  report.registry_shards.reserve(registry_.shard_count());
-  for (std::uint32_t s = 0; s < registry_.shard_count(); ++s) {
-    const RegistryShardStats stats = registry_.shard_stats(s);
-    report.registry_shards.push_back({s, stats.ops, stats.lock_waits,
-                                      stats.lock_wait_ns / 1000,
-                                      stats.invalidations, stats.resolves,
-                                      stats.lease_term});
-  }
+  report.registry_shards = registry_shard_health(registry_);
   return report;
 }
 

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <future>
 
+#include "cluster/telemetry.h"
 #include "util/logging.h"
 
 #if defined(__linux__)
@@ -73,23 +74,7 @@ ThreadCluster::ThreadCluster(ThreadClusterConfig config, const AppSet& apps)
     nodes_.push_back(std::move(node));
   }
   if (metrics_) {
-    // Channel totals as pull-gauges; the meter's own mutex makes the reads
-    // thread-safe at scrape time.
-    metrics_->gauge_fn(
-        "beehive_channel_bytes_total", {},
-        [this] { return static_cast<double>(meter_.total_bytes()); },
-        "Bytes that crossed the inter-hive control channel.",
-        /*counter_semantics=*/true);
-    metrics_->gauge_fn(
-        "beehive_channel_messages_total", {},
-        [this] { return static_cast<double>(meter_.total_messages()); },
-        "Frames that crossed the inter-hive control channel.",
-        /*counter_semantics=*/true);
-    metrics_->gauge_fn(
-        "beehive_channel_hotspot_share", {},
-        [this] { return meter_.hotspot_share(); },
-        "Fraction of inter-hive traffic involving the busiest hive.");
-    register_registry_shard_metrics(*metrics_, registry_);
+    register_cluster_metrics(*metrics_, meter_, registry_);
     if (config_.tracing) {
       // Critical-path blame totals over the slowest assembled traces
       // (DESIGN.md §11). Assembly is too heavy per scrape; blame_scrape
@@ -259,14 +244,7 @@ HealthReport ThreadCluster::health(
                   suspected.end();
     report.hives.push_back(h);
   }
-  report.registry_shards.reserve(registry_.shard_count());
-  for (std::uint32_t s = 0; s < registry_.shard_count(); ++s) {
-    const RegistryShardStats stats = registry_.shard_stats(s);
-    report.registry_shards.push_back({s, stats.ops, stats.lock_waits,
-                                      stats.lock_wait_ns / 1000,
-                                      stats.invalidations, stats.resolves,
-                                      stats.lease_term});
-  }
+  report.registry_shards = registry_shard_health(registry_);
   return report;
 }
 

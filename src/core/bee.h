@@ -99,8 +99,7 @@ class Bee {
   template <typename PriorityFn>
   HoldOutcome hold_bounded(MessageEnvelope env, const OverloadConfig& oc,
                            PriorityFn&& is_priority) {
-    // Priority traffic always lands, whatever the policy: the priority
-    // lane is retained unconditionally, mirroring the run queues' split.
+    // Priority traffic always lands, whatever the policy.
     if (is_priority(env.type())) {
       hold(std::move(env));
       return HoldOutcome::kHeld;
@@ -112,7 +111,6 @@ class Bee {
         hold(std::move(env));
         return HoldOutcome::kHeld;
       case OverloadPolicy::kShedNewest:
-      case OverloadPolicy::kPriorityLanes:
         return HoldOutcome::kShedNew;
       case OverloadPolicy::kShedOldest:
         for (auto it = holdback_.begin(); it != holdback_.end(); ++it) {

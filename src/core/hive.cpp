@@ -26,8 +26,43 @@ Hive::Hive(HiveId id, const AppSet& apps, RegistryService& registry,
     // Link-level spans (stall/retransmit/shed) land in the hive's recorder.
     transport_->set_tracer(config_.tracer);
   }
+  // The report timer builds a LocalMetricsReport on the loop thread.
+  // Register the type here, before any loop runs: the type registry takes
+  // concurrent lookups but not concurrent first registrations.
+  register_metrics_messages();
   register_metrics();
 }
+
+namespace {
+
+/// The reliable transport's lifetime totals, exported as gauges.
+struct TransportGauge {
+  const char* family;
+  const char* help;
+  std::uint64_t TransportCounters::* field;
+};
+constexpr TransportGauge kTransportGauges[] = {
+    {"beehive_transport_data_frames",
+     "Reliable transport: data frames first-sent (lifetime)",
+     &TransportCounters::data_frames},
+    {"beehive_transport_retransmits",
+     "Reliable transport: frames re-sent on ack timeout (lifetime)",
+     &TransportCounters::retransmits},
+    {"beehive_transport_acks_sent",
+     "Reliable transport: standalone ack frames (lifetime)",
+     &TransportCounters::acks_sent},
+    {"beehive_transport_dup_frames_dropped",
+     "Reliable transport: receive-side dedup discards (lifetime)",
+     &TransportCounters::dup_frames_dropped},
+    {"beehive_transport_reorder_buffered",
+     "Reliable transport: frames held for in-order delivery (lifetime)",
+     &TransportCounters::reorder_buffered},
+    {"beehive_transport_frames_abandoned",
+     "Reliable transport: frames dropped after the retransmit cap",
+     &TransportCounters::frames_abandoned},
+};
+
+}  // namespace
 
 bool Hive::is_priority_type(MsgTypeId type) {
   const std::string_view name = MsgTypeRegistry::instance().name_of(type);
@@ -86,13 +121,9 @@ void Hive::register_metrics() {
       &reg->ring("beehive_handler_runs_window", labels);
   published_.e2e_p99_window =
       &reg->ring("beehive_e2e_p99_window_us", labels);
-  published_.bees =
-      &reg->gauge("beehive_bees", labels, "Live bees on this hive");
-  published_.cells =
-      &reg->gauge("beehive_cells", labels, "Cells owned by local bees");
-  published_.queue_depth =
-      &reg->gauge("beehive_queue_depth", labels,
-                  "Messages held behind transfer fences at report time");
+  published_.drained_window =
+      &reg->ring("beehive_runq_drained_window", labels);
+  published_.cost_window = &reg->ring("beehive_cost_us_window", labels);
   published_.e2e = &reg->histogram(
       "beehive_e2e_latency_us", labels,
       "Trace ingress to terminal handler latency (microseconds)");
@@ -102,56 +133,16 @@ void Hive::register_metrics() {
   published_.handler = &reg->histogram(
       "beehive_handler_latency_us", labels,
       "Handler duration (microseconds)");
-  published_.tx_data = &reg->gauge(
-      "beehive_transport_data_frames", labels,
-      "Reliable transport: data frames first-sent (lifetime)");
-  published_.tx_retransmits = &reg->gauge(
-      "beehive_transport_retransmits", labels,
-      "Reliable transport: frames re-sent on ack timeout (lifetime)");
-  published_.tx_acks =
-      &reg->gauge("beehive_transport_acks_sent", labels,
-                  "Reliable transport: standalone ack frames (lifetime)");
-  published_.tx_dups = &reg->gauge(
-      "beehive_transport_dup_frames_dropped", labels,
-      "Reliable transport: receive-side dedup discards (lifetime)");
-  published_.tx_reorder = &reg->gauge(
-      "beehive_transport_reorder_buffered", labels,
-      "Reliable transport: frames held for in-order delivery (lifetime)");
-  published_.tx_abandoned = &reg->gauge(
-      "beehive_transport_frames_abandoned", labels,
-      "Reliable transport: frames dropped after the retransmit cap");
-  published_.partitions =
-      &reg->gauge("beehive_partitions_active", labels,
-                  "Partitions currently injected by the fault plan");
-
-  // Queue-pressure and cost-profiler cells (DESIGN.md §9).
-  published_.pressure = &reg->gauge(
-      "beehive_pressure", labels,
-      "Queue-pressure score in [0,1): backlog / (backlog + drained + 1)");
-  published_.runq_depth =
-      &reg->gauge("beehive_runq_depth", labels,
-                  "Run-queue tasks pending for this hive at report time");
-  published_.runq_hwm =
-      &reg->gauge("beehive_runq_hwm", labels,
-                  "High-watermark of run-queue depth over the last metrics "
-                  "window (resets each report)");
-  published_.drained_window =
-      &reg->ring("beehive_runq_drained_window", labels);
-  published_.egress_hwm = &reg->gauge(
-      "beehive_egress_pending_hwm", labels,
-      "High-watermark of frames pending in egress buffers this window");
-  published_.cost_window = &reg->ring("beehive_cost_us_window", labels);
-
-  // Overload control (DESIGN.md §10).
-  published_.link_credits = &reg->gauge(
-      "beehive_link_credits", labels,
-      "Smallest remaining credit across outbound links (-1 = unlimited)");
-  published_.link_stalled = &reg->gauge(
-      "beehive_link_stalled_frames", labels,
-      "Outbound frames waiting for link credit at report time");
-  published_.degraded = &reg->gauge(
-      "beehive_degraded", labels,
-      "1 while the hive advertises its degraded credit window");
+  for (const HiveSignal& row : kHiveSignals) {
+    if (row.family.empty()) continue;
+    published_.signals.emplace_back(
+        &reg->gauge(std::string(row.family), labels, std::string(row.help)),
+        row.field);
+  }
+  for (const TransportGauge& row : kTransportGauges) {
+    published_.transport.emplace_back(
+        &reg->gauge(row.family, labels, row.help), row.field);
+  }
 
   // Optimizer-round latency by mode (DESIGN.md §13): non-zero only on the
   // hive hosting the collector bee. The full/incremental split is what the
@@ -971,6 +962,7 @@ void Hive::report_metrics() {
   LocalMetricsReport report;
   report.hive = id_;
   report.at = env_.now();
+  HiveSignals& sig = report.signals;
   LatencyHistogram handler_window;
   for (auto& [id, bee] : bees_) {
     BeeMetricsSample sample;
@@ -1006,45 +998,61 @@ void Hive::report_metrics() {
     for (const auto& [pair, count] : w.causation) {
       sample.causations.push_back({pair.first, pair.second, count});
     }
-    report.cost_us += sample.cost_us;
-    report.hive_cells += sample.cells;
+    sig.cost_us += static_cast<double>(sample.cost_us);
+    sig.cells += static_cast<double>(sample.cells);
+    sig.queue_depth += static_cast<double>(sample.holdback);
     report.bees.push_back(std::move(sample));
     bee->reset_window();
   }
+  sig.bees = static_cast<double>(report.bees.size());
+  sig.handler_p99_us = static_cast<double>(handler_window.p99());
   report.e2e_latency = e2e_window_;
   e2e_window_.reset();
   report.transport = transport_counters();
-  report.migration_aborts = counters_.migration_aborts;
-  report.partitions_active =
+  const TransportCounters& t = report.transport;
+  sig.retransmit_rate = t.data_frames > 0
+                            ? static_cast<double>(t.retransmits) /
+                                  static_cast<double>(t.data_frames)
+                            : 0.0;
+  sig.migration_aborts = static_cast<double>(counters_.migration_aborts);
+  sig.partitions_active =
       config_.faults != nullptr
-          ? static_cast<std::uint32_t>(config_.faults->partitions_active())
-          : 0;
+          ? static_cast<double>(config_.faults->partitions_active())
+          : 0.0;
 
   // Queue pressure: how much work is waiting relative to how much the hive
   // got through this window. backlog counts the run queue, messages held
   // behind transfer fences, and frames parked in egress buffers; the +1
   // keeps an idle hive at exactly 0.
-  std::uint64_t queue_depth = 0;
-  for (const BeeMetricsSample& s : report.bees) queue_depth += s.holdback;
   const QueueStats qs = env_.queue_stats(id_);
-  const std::uint64_t drained_window =
-      qs.drained >= prev_drained_ ? qs.drained - prev_drained_ : 0;
+  sig.runq_depth = static_cast<double>(qs.depth);
+  sig.runq_hwm = static_cast<double>(qs.hwm);
+  sig.drained_window = static_cast<double>(
+      qs.drained >= prev_drained_ ? qs.drained - prev_drained_ : 0);
   prev_drained_ = qs.drained;
-  const std::uint64_t backlog = qs.depth + queue_depth + egress_pending_;
-  report.pressure = static_cast<double>(backlog) /
-                    static_cast<double>(backlog + drained_window + 1);
-  report.runq_depth = qs.depth;
-  report.runq_hwm = qs.hwm;
-  report.drained_window = drained_window;
-  report.egress_hwm = egress_hwm_window_;
+  sig.egress_hwm = static_cast<double>(egress_hwm_window_);
   egress_hwm_window_ = egress_pending_;
+  const double backlog = sig.runq_depth + sig.queue_depth +
+                         static_cast<double>(egress_pending_);
+  sig.pressure = backlog / (backlog + sig.drained_window + 1.0);
 
-  // Overload accounting (DESIGN.md §10): total sheds (mailbox + link),
-  // frames currently stalled awaiting credit, and the tightest remaining
-  // credit across outbound links.
-  report.shed_total = counters_.shed_total.get();
-  report.stalled_frames = transport_ != nullptr ? transport_->stalled_now() : 0;
-  report.credits = transport_ != nullptr ? transport_->credits_available() : -1;
+  // Overload accounting (DESIGN.md §10): total sheds (mailbox + link) and
+  // their rate over this window, frames currently stalled awaiting credit,
+  // and the tightest remaining credit across outbound links.
+  const std::uint64_t shed = counters_.shed_total.get();
+  const std::uint64_t shed_delta = shed >= prev_shed_ ? shed - prev_shed_ : 0;
+  const TimePoint dt = report.at - prev_report_at_;
+  sig.shed_total = static_cast<double>(shed);
+  sig.shed_per_s = prev_report_at_ > 0 && dt > 0
+                       ? static_cast<double>(shed_delta) * 1e6 /
+                             static_cast<double>(dt)
+                       : 0.0;
+  prev_shed_ = shed;
+  prev_report_at_ = report.at;
+  sig.stalled = static_cast<double>(
+      transport_ != nullptr ? transport_->stalled_now() : 0);
+  sig.credits = static_cast<double>(
+      transport_ != nullptr ? transport_->credits_available() : -1);
 
   // Re-evaluate the kBlockSender saturation flag: once every bounded
   // holdback has drained to below half its limit, admit producers again.
@@ -1063,37 +1071,6 @@ void Hive::report_metrics() {
     }
   }
 
-  // Refresh the cross-thread health snapshot (independent of whether a
-  // metrics registry is attached: /health.json works without /metrics).
-  health_.pressure.store(report.pressure, std::memory_order_relaxed);
-  health_.retransmit_rate.store(
-      report.transport.data_frames > 0
-          ? static_cast<double>(report.transport.retransmits) /
-                static_cast<double>(report.transport.data_frames)
-          : 0.0,
-      std::memory_order_relaxed);
-  health_.handler_p99_us.store(handler_window.p99(),
-                               std::memory_order_relaxed);
-  health_.queue_depth.store(queue_depth, std::memory_order_relaxed);
-  health_.runq_depth.store(qs.depth, std::memory_order_relaxed);
-  health_.cost_us.store(report.cost_us, std::memory_order_relaxed);
-  health_.shed_total.store(report.shed_total, std::memory_order_relaxed);
-  health_.stalled_frames.store(report.stalled_frames,
-                               std::memory_order_relaxed);
-  health_.credits.store(report.credits, std::memory_order_relaxed);
-  {
-    const std::uint64_t shed_delta =
-        report.shed_total >= prev_shed_ ? report.shed_total - prev_shed_ : 0;
-    const TimePoint dt = report.at - prev_report_at_;
-    health_.shed_per_s.store(
-        prev_report_at_ > 0 && dt > 0
-            ? static_cast<double>(shed_delta) * 1e6 / static_cast<double>(dt)
-            : 0.0,
-        std::memory_order_relaxed);
-    prev_shed_ = report.shed_total;
-    prev_report_at_ = report.at;
-  }
-
   // Graceful degradation (DESIGN.md §10): when the health score falls below
   // the configured low-water mark, advertise the reduced credit window on
   // every inbound link (piggybacked on the next acks) so peers throttle
@@ -1101,7 +1078,9 @@ void Hive::report_metrics() {
   // threshold; the decision is recomputed once per metrics window, from the
   // same event-driven inputs on both runtimes — no wall clock, no RNG.
   if (config_.degrade_below_score > 0.0) {
-    const double score = health().score();
+    HiveHealth now;
+    now.signals = sig;
+    const double score = now.score();
     const bool was_degraded = degraded_.load(std::memory_order_relaxed);
     bool now_degraded = was_degraded;
     if (!was_degraded && score < config_.degrade_below_score) {
@@ -1114,11 +1093,18 @@ void Hive::report_metrics() {
       if (transport_ != nullptr) transport_->set_degraded(now_degraded);
     }
   }
-  report.degraded = degraded_.load(std::memory_order_relaxed);
+  sig.degraded = degraded_.load(std::memory_order_relaxed) ? 1.0 : 0.0;
+
+  // Refresh the cross-thread snapshot (independent of whether a metrics
+  // registry is attached: /health.json works without /metrics).
+  {
+    std::lock_guard lock(signals_mutex_);
+    signals_ = sig;
+  }
 
   if (config_.metrics != nullptr) {
     const std::uint64_t runs = counters_.handler_runs;
-    publish_window(report, runs - prev_handler_runs_, queue_depth);
+    publish_window(report, runs - prev_handler_runs_);
     prev_handler_runs_ = runs;
   }
   inject(MessageEnvelope::make(std::move(report), 0, kNoBee, id_,
@@ -1128,59 +1114,35 @@ void Hive::report_metrics() {
 HiveHealth Hive::health() const {
   HiveHealth h;
   h.hive = id_;
-  h.pressure = health_.pressure.load(std::memory_order_relaxed);
-  h.retransmit_rate =
-      health_.retransmit_rate.load(std::memory_order_relaxed);
-  h.suspected = false;
-  h.handler_p99_us = health_.handler_p99_us.load(std::memory_order_relaxed);
-  h.queue_depth = health_.queue_depth.load(std::memory_order_relaxed);
-  h.runq_depth = health_.runq_depth.load(std::memory_order_relaxed);
+  {
+    std::lock_guard lock(signals_mutex_);
+    h.signals = signals_;
+  }
   h.handler_failures = counters_.handler_failures;
-  h.cost_us_window = health_.cost_us.load(std::memory_order_relaxed);
-  h.shed_total = health_.shed_total.load(std::memory_order_relaxed);
-  h.shed_per_s = health_.shed_per_s.load(std::memory_order_relaxed);
-  h.credits = health_.credits.load(std::memory_order_relaxed);
-  h.stalled = health_.stalled_frames.load(std::memory_order_relaxed);
-  h.degraded = degraded_.load(std::memory_order_relaxed);
   h.trace_dropped =
       config_.tracer != nullptr ? config_.tracer->trace_dropped_total() : 0;
   return h;
 }
 
 void Hive::publish_window(const LocalMetricsReport& report,
-                          std::uint64_t window_msgs,
-                          std::uint64_t queue_depth) {
+                          std::uint64_t window_msgs) {
   published_.msgs_window->push(report.at,
                                static_cast<double>(window_msgs));
   published_.e2e_p99_window->push(
       report.at, static_cast<double>(report.e2e_latency.p99()));
-  published_.bees->set(static_cast<double>(bees_.size()));
-  published_.cells->set(static_cast<double>(report.hive_cells));
-  published_.queue_depth->set(static_cast<double>(queue_depth));
+  published_.drained_window->push(report.at, report.signals.drained_window);
+  published_.cost_window->push(report.at, report.signals.cost_us);
   published_.e2e->merge(report.e2e_latency);
   for (const BeeMetricsSample& s : report.bees) {
     published_.queue->merge(s.queue_latency);
     published_.handler->merge(s.handler_latency);
   }
-  const TransportCounters& t = report.transport;
-  published_.tx_data->set(static_cast<double>(t.data_frames));
-  published_.tx_retransmits->set(static_cast<double>(t.retransmits));
-  published_.tx_acks->set(static_cast<double>(t.acks_sent));
-  published_.tx_dups->set(static_cast<double>(t.dup_frames_dropped));
-  published_.tx_reorder->set(static_cast<double>(t.reorder_buffered));
-  published_.tx_abandoned->set(static_cast<double>(t.frames_abandoned));
-  published_.partitions->set(static_cast<double>(report.partitions_active));
-  published_.pressure->set(report.pressure);
-  published_.runq_depth->set(static_cast<double>(report.runq_depth));
-  published_.runq_hwm->set(static_cast<double>(report.runq_hwm));
-  published_.drained_window->push(
-      report.at, static_cast<double>(report.drained_window));
-  published_.egress_hwm->set(static_cast<double>(report.egress_hwm));
-  published_.cost_window->push(report.at,
-                               static_cast<double>(report.cost_us));
-  published_.link_credits->set(static_cast<double>(report.credits));
-  published_.link_stalled->set(static_cast<double>(report.stalled_frames));
-  published_.degraded->set(report.degraded ? 1.0 : 0.0);
+  for (const auto& [gauge, field] : published_.signals) {
+    gauge->set(report.signals.*field);
+  }
+  for (const auto& [gauge, field] : published_.transport) {
+    gauge->set(static_cast<double>(report.transport.*field));
+  }
 }
 
 }  // namespace beehive

@@ -16,6 +16,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -31,6 +32,7 @@
 #include "instrument/histogram.h"
 #include "instrument/profiler.h"
 #include "instrument/registry.h"
+#include "instrument/signals.h"
 #include "instrument/trace.h"
 #include "msg/message.h"
 #include "placement/strategy.h"
@@ -202,8 +204,8 @@ class Hive {
   const CostProfiler& profiler() const { return profiler_; }
 
   /// Snapshot of this hive's health signals, as of the last metrics
-  /// report. Safe to call from any thread (the HTTP export path): reads
-  /// only atomics refreshed by report_metrics(). `suspected` is always
+  /// report. Safe to call from any thread (the HTTP export path): copies
+  /// the signals report_metrics() last wrote. `suspected` is always
   /// false here — failure-detector suspicion is a cluster-level judgment
   /// folded in by the runtime's health() aggregation.
   HiveHealth health() const;
@@ -375,7 +377,7 @@ class Hive {
   // the dispatch path).
   void register_metrics();
   void publish_window(const LocalMetricsReport& report,
-                      std::uint64_t window_msgs, std::uint64_t queue_depth);
+                      std::uint64_t window_msgs);
   /// Drains ctx.note_decision() records into the trace stream and the
   /// flight recorder.
   void record_decisions(const MessageEnvelope& env,
@@ -454,23 +456,10 @@ class Hive {
   CostProfiler profiler_;
   /// env_.queue_stats(id_).drained at the previous report (window deltas).
   std::uint64_t prev_drained_ = 0;
-  /// Cross-thread-readable snapshot of the latest report window's health
-  /// signals. health() reads these from arbitrary threads (HTTP export),
-  /// so they are atomics, refreshed once per metrics period.
-  struct HealthSnapshot {
-    std::atomic<double> pressure{0.0};
-    std::atomic<double> retransmit_rate{0.0};
-    std::atomic<std::uint64_t> handler_p99_us{0};
-    std::atomic<std::uint64_t> queue_depth{0};
-    std::atomic<std::uint64_t> runq_depth{0};
-    std::atomic<std::uint64_t> cost_us{0};
-    // Overload-control signals (DESIGN.md §10).
-    std::atomic<std::uint64_t> shed_total{0};
-    std::atomic<double> shed_per_s{0.0};
-    std::atomic<std::int64_t> credits{-1};
-    std::atomic<std::uint64_t> stalled_frames{0};
-  };
-  HealthSnapshot health_;
+  /// The latest report's signals, for health() on any thread (the HTTP
+  /// export path). Written once per metrics report.
+  mutable std::mutex signals_mutex_;
+  HiveSignals signals_;
   /// Latest optimizer-round summary per mode (ctx.note_round). Atomics:
   /// the collector bee writes on its dispatch thread, scrapes read from
   /// the metrics thread. Wall-clock only — never fed back into state.
@@ -499,33 +488,20 @@ class Hive {
   LatencyHistogram e2e_window_;
 
   /// Registry metric cells this hive publishes into at report time (all
-  /// null when config_.metrics is null).
+  /// null or empty when config_.metrics is null).
   struct Published {
     TimeSeriesRing* msgs_window = nullptr;   ///< handler runs per window
     TimeSeriesRing* e2e_p99_window = nullptr;
-    Gauge* bees = nullptr;
-    Gauge* cells = nullptr;
-    Gauge* queue_depth = nullptr;
+    TimeSeriesRing* drained_window = nullptr;
+    TimeSeriesRing* cost_window = nullptr;
     HistogramMetric* e2e = nullptr;
     HistogramMetric* queue = nullptr;
     HistogramMetric* handler = nullptr;
-    Gauge* tx_data = nullptr;
-    Gauge* tx_retransmits = nullptr;
-    Gauge* tx_acks = nullptr;
-    Gauge* tx_dups = nullptr;
-    Gauge* tx_reorder = nullptr;
-    Gauge* tx_abandoned = nullptr;
-    Gauge* partitions = nullptr;
-    Gauge* pressure = nullptr;
-    Gauge* runq_depth = nullptr;
-    Gauge* runq_hwm = nullptr;
-    TimeSeriesRing* drained_window = nullptr;
-    Gauge* egress_hwm = nullptr;
-    TimeSeriesRing* cost_window = nullptr;
-    // Overload control (DESIGN.md §10).
-    Gauge* link_credits = nullptr;
-    Gauge* link_stalled = nullptr;
-    Gauge* degraded = nullptr;
+    /// One gauge per exported kHiveSignals row, and one per transport
+    /// total, each paired with the field it publishes.
+    std::vector<std::pair<Gauge*, double HiveSignals::*>> signals;
+    std::vector<std::pair<Gauge*, std::uint64_t TransportCounters::*>>
+        transport;
   };
   Published published_;
   std::uint64_t prev_handler_runs_ = 0;  ///< for per-window deltas

@@ -6,11 +6,9 @@
 //   * a bee's bounded mailbox, which decides what to do with a newly held
 //     message once the holdback reaches the app's mailbox limit.
 //
-// Control traffic is exempt everywhere: platform frames (merge, migration,
-// replication) are never shed at the link, and platform-typed messages
-// ("platform.*" / "stats.*") are never shed from a mailbox — the priority
-// lane is the same two-lane split the run queues use for immediate vs.
-// timed work, applied to retention instead of ordering.
+// Control traffic is exempt under every policy: platform frames (merge,
+// migration, replication) are never shed at the link, and platform-typed
+// messages ("platform.*" / "stats.*") are never shed from a mailbox.
 #pragma once
 
 #include <cstdint>
@@ -30,9 +28,6 @@ enum class OverloadPolicy : std::uint8_t {
   /// Drop the oldest queued message/frame to admit the new one (head
   /// drop). The backlog stays fresh; stale work is lost first.
   kShedOldest,
-  /// Two lanes: priority (platform/control) traffic is always retained,
-  /// the non-priority lane sheds newest beyond the bound.
-  kPriorityLanes,
 };
 
 constexpr std::string_view to_string(OverloadPolicy p) {
@@ -40,7 +35,6 @@ constexpr std::string_view to_string(OverloadPolicy p) {
     case OverloadPolicy::kBlockSender: return "block";
     case OverloadPolicy::kShedNewest: return "shed-newest";
     case OverloadPolicy::kShedOldest: return "shed-oldest";
-    case OverloadPolicy::kPriorityLanes: return "priority";
   }
   return "?";
 }
@@ -50,7 +44,6 @@ inline std::optional<OverloadPolicy> overload_policy_from_string(
   if (s == "block") return OverloadPolicy::kBlockSender;
   if (s == "shed-newest") return OverloadPolicy::kShedNewest;
   if (s == "shed-oldest") return OverloadPolicy::kShedOldest;
-  if (s == "priority") return OverloadPolicy::kPriorityLanes;
   return std::nullopt;
 }
 

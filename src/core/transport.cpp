@@ -145,9 +145,8 @@ void ReliableTransport::enqueue_stalled(HiveId to, Peer& peer, Bytes inner) {
     case OverloadPolicy::kBlockSender:
       break;  // handled above
     case OverloadPolicy::kShedNewest:
-    case OverloadPolicy::kPriorityLanes:
       // Tail drop — but only pure app-message batches; control frames
-      // always queue (the priority lane, in both policies).
+      // always queue.
       if (frame_is_sheddable(inner)) {
         note_shed(to);
         return;

@@ -139,15 +139,17 @@ CollectorApp::CollectorApp(std::shared_ptr<PlacementStrategy> strategy,
   on<LocalMetricsReport>(
       [](const LocalMetricsReport&) { return collector_cells(); },
       [bees, hives](AppContext& ctx, const LocalMetricsReport& report) {
+        const HiveSignals& sig = report.signals;
         ctx.state().put_as(hives, std::to_string(report.hive),
-                           HiveCells{report.hive_cells});
+                           HiveCells{static_cast<std::uint64_t>(sig.cells)});
         ctx.state().put_as(
             CollectorApp::kTransportDict, std::to_string(report.hive),
-            TransportAgg{report.transport, report.migration_aborts,
-                         report.partitions_active});
+            TransportAgg{report.transport,
+                         static_cast<std::uint64_t>(sig.migration_aborts),
+                         static_cast<std::uint32_t>(sig.partitions_active)});
         ctx.state().put_as(CollectorApp::kPressureDict,
                            std::to_string(report.hive),
-                           HivePressure{report.pressure, report.degraded});
+                           HivePressure{sig.pressure, sig.degraded != 0.0});
         merge_hist(ctx.state(), "e2e", report.e2e_latency);
         for (const BeeMetricsSample& sample : report.bees) {
           BeeAgg agg = ctx.state()

@@ -3,42 +3,30 @@
 // layer measures, plus the raw inputs so an operator (or beectl) can see
 // *why* a hive is unhealthy.
 //
-// The inputs are all last-reported-window values published by each hive at
-// metrics-report time into scrape-safe atomic cells, so building a
-// HealthReport never touches a hive's dispatch path or its loop thread.
+// The inputs are the hive's signals (instrument/signals.h) as of its last
+// metrics report, copied out of a snapshot the report writes once, so
+// building a HealthReport never touches a hive's dispatch path or its loop
+// thread.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "instrument/signals.h"
 #include "util/types.h"
 
 namespace beehive {
 
 struct HiveHealth {
   HiveId hive = 0;
-  /// Run-queue pressure score in [0, 1): backlog / (backlog + drained + 1)
-  /// over the last metrics window. 0 = keeping up, ->1 = falling behind.
-  double pressure = 0.0;
-  /// Reliable-transport retransmits / data frames (lifetime ratio).
-  double retransmit_rate = 0.0;
   /// Failure-detector suspicion (set by the cluster-level assembler).
   bool suspected = false;
-  std::uint64_t handler_p99_us = 0;  ///< last window's handler duration p99
-  std::uint64_t queue_depth = 0;     ///< holdback behind transfer fences
-  std::uint64_t runq_depth = 0;      ///< run-queue tasks at report time
   std::uint64_t handler_failures = 0;  ///< lifetime rolled-back handlers
-  std::uint64_t cost_us_window = 0;  ///< profiler: estimated CPU us, last window
-  // -- Overload control (DESIGN.md §10) --
-  std::uint64_t shed_total = 0;  ///< lifetime messages/frames shed by policy
-  double shed_per_s = 0.0;       ///< shed rate over the last metrics window
-  /// Smallest remaining credit across outbound links (-1 = no credited link).
-  std::int64_t credits = -1;
-  std::uint64_t stalled = 0;  ///< frames parked awaiting credit right now
-  bool degraded = false;      ///< advertising reduced credit (low health)
   /// Trace events lost: span-ring overwrites + tail-sampler rejections.
   std::uint64_t trace_dropped = 0;
+  /// The hive's signals as of its last metrics report.
+  HiveSignals signals;
 
   /// 0..100. Deductions: up to 40 for pressure, 30 for retransmit rate,
   /// 20 for suspicion, 10 for handler p99 beyond 10ms (see DESIGN.md §9).

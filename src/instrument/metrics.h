@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "instrument/histogram.h"
+#include "instrument/signals.h"
 #include "msg/codec.h"
 #include "util/types.h"
 
@@ -258,86 +259,37 @@ struct BeeMetricsSample {
 };
 
 /// Periodic report from one hive to the collector: a delta since the
-/// previous report for every local bee.
+/// previous report for every local bee, plus the hive's signals.
 struct LocalMetricsReport {
   static constexpr std::string_view kTypeName = "platform.local_metrics";
 
   HiveId hive = 0;
   TimePoint at = 0;
-  std::uint64_t hive_cells = 0;
   /// End-to-end latency (trace ingress -> terminal handler) of traces that
   /// ended on this hive during the window.
   LatencyHistogram e2e_latency;
   /// Reliable-transport lifetime totals (zeros when disabled).
   TransportCounters transport;
-  /// Migrations this hive gave up on after the retry cap (lifetime).
-  std::uint64_t migration_aborts = 0;
-  /// Partitions currently injected by the cluster's FaultPlan.
-  std::uint32_t partitions_active = 0;
-
-  // -- Queue pressure (see DESIGN.md §9) ----------------------------------
-  /// backlog / (backlog + drained_window + 1) in [0, 1), where backlog is
-  /// run-queue depth + holdback + pending egress frames at report time.
-  double pressure = 0.0;
-  std::uint64_t runq_depth = 0;       ///< run-queue tasks at report time
-  std::uint64_t runq_hwm = 0;         ///< run-queue depth hwm, window (resets on read)
-  std::uint64_t drained_window = 0;   ///< run-queue tasks executed, window
-  std::uint64_t egress_hwm = 0;       ///< pending egress frames hwm, window
-  /// Profiler: summed estimated handler CPU microseconds this window.
-  std::uint64_t cost_us = 0;
-
-  // -- Overload control (DESIGN.md §10) ------------------------------------
-  /// Messages/frames shed by this hive's overload policies (lifetime).
-  std::uint64_t shed_total = 0;
-  /// Outbound frames waiting for link credit at report time.
-  std::uint64_t stalled_frames = 0;
-  /// Smallest remaining credit across outbound links; -1 = unlimited (no
-  /// credit window configured on any link).
-  std::int64_t credits = -1;
-  /// True while the hive advertises its degraded (reduced) credit window.
-  bool degraded = false;
+  /// Pressure, overload, cost and size signals (instrument/signals.h).
+  HiveSignals signals;
 
   std::vector<BeeMetricsSample> bees;
 
   void encode(ByteWriter& w) const {
     w.u32(hive);
     w.i64(at);
-    w.varint(hive_cells);
     e2e_latency.encode(w);
     transport.encode(w);
-    w.varint(migration_aborts);
-    w.u32(partitions_active);
-    w.f64(pressure);
-    w.varint(runq_depth);
-    w.varint(runq_hwm);
-    w.varint(drained_window);
-    w.varint(egress_hwm);
-    w.varint(cost_us);
-    w.varint(shed_total);
-    w.varint(stalled_frames);
-    w.i64(credits);
-    w.boolean(degraded);
+    encode_signals(w, signals);
     encode_vector(w, bees);
   }
   static LocalMetricsReport decode(ByteReader& r) {
     LocalMetricsReport rep;
     rep.hive = r.u32();
     rep.at = r.i64();
-    rep.hive_cells = r.varint();
     rep.e2e_latency = LatencyHistogram::decode(r);
     rep.transport = TransportCounters::decode(r);
-    rep.migration_aborts = r.varint();
-    rep.partitions_active = r.u32();
-    rep.pressure = r.f64();
-    rep.runq_depth = r.varint();
-    rep.runq_hwm = r.varint();
-    rep.drained_window = r.varint();
-    rep.egress_hwm = r.varint();
-    rep.cost_us = r.varint();
-    rep.shed_total = r.varint();
-    rep.stalled_frames = r.varint();
-    rep.credits = r.i64();
-    rep.degraded = r.boolean();
+    rep.signals = decode_signals(r);
     rep.bees = decode_vector<BeeMetricsSample>(r);
     return rep;
   }

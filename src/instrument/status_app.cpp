@@ -30,6 +30,35 @@ void append_json_ring(std::string& out, const TimeSeriesRing& ring) {
   out += "]";
 }
 
+/// Builds a StatusReport from a scan over the status dicts: the query
+/// handler's transaction or a status bee's store.
+template <typename Scan>
+StatusReport assemble_report(const Scan& scan, TimePoint at,
+                             std::uint64_t token) {
+  StatusReport report;
+  report.token = token;
+  report.at = at;
+  scan(StatusApp::kHivesDict, [&report](const std::string&, const Bytes& v) {
+    report.hives.push_back(decode_from_bytes<HiveStatus>(v));
+  });
+  scan(StatusApp::kBeesDict, [&report](const std::string&, const Bytes& v) {
+    report.bees.push_back(decode_from_bytes<BeeStatus>(v));
+  });
+  scan(StatusApp::kMetaDict, [&report](const std::string&, const Bytes& v) {
+    report.suspected.push_back(decode_from_bytes<HiveSuspected>(v).hive);
+  });
+  std::sort(report.hives.begin(), report.hives.end(),
+            [](const HiveStatus& a, const HiveStatus& b) {
+              return a.hive < b.hive;
+            });
+  std::sort(report.bees.begin(), report.bees.end(),
+            [](const BeeStatus& a, const BeeStatus& b) {
+              return a.bee < b.bee;
+            });
+  std::sort(report.suspected.begin(), report.suspected.end());
+  return report;
+}
+
 }  // namespace
 
 StatusApp::StatusApp(StatusAppConfig config) : App("platform.status") {
@@ -49,42 +78,20 @@ StatusApp::StatusApp(StatusAppConfig config) : App("platform.status") {
         const std::string hive_key = std::to_string(report.hive);
 
         std::uint64_t window_msgs = 0;
-        std::uint64_t queue_depth = 0;
         for (const BeeMetricsSample& s : report.bees) {
           window_msgs += s.msgs_in;
-          queue_depth += s.holdback;
         }
 
         HiveStatus hs =
             ctx.state().get_as<HiveStatus>(hives, hive_key).value_or(
                 HiveStatus{});
         if (hs.at == 0) hs.msgs_window = TimeSeriesRing(config.ring_windows);
-        const TimePoint prev_at = hs.at;
-        const std::uint64_t prev_shed = hs.shed;
         hs.hive = report.hive;
         hs.at = report.at;
-        hs.bees = report.bees.size();
-        hs.cells = report.hive_cells;
-        hs.queue_depth = queue_depth;
         hs.e2e_p50_us = report.e2e_latency.p50();
         hs.e2e_p99_us = report.e2e_latency.p99();
         hs.transport = report.transport;
-        hs.migration_aborts = report.migration_aborts;
-        hs.partitions_active = report.partitions_active;
-        hs.pressure = report.pressure;
-        hs.cost_us = report.cost_us;
-        // Shed rate: delta against the previous folded report for this hive.
-        if (prev_at > 0 && report.at > prev_at &&
-            report.shed_total >= prev_shed) {
-          hs.shed_per_s = static_cast<double>(report.shed_total - prev_shed) *
-                          1e6 / static_cast<double>(report.at - prev_at);
-        } else {
-          hs.shed_per_s = 0.0;
-        }
-        hs.shed = report.shed_total;
-        hs.credits = report.credits;
-        hs.stalled = report.stalled_frames;
-        hs.degraded = report.degraded;
+        hs.signals = report.signals;
         hs.suspected = ctx.state()
                            .get_as<HiveSuspected>(std::string(kMetaDict),
                                                   suspected_key(report.hive))
@@ -159,70 +166,22 @@ StatusApp::StatusApp(StatusAppConfig config) : App("platform.status") {
   on<StatusQuery>(
       [](const StatusQuery&) { return status_cells(); },
       [](AppContext& ctx, const StatusQuery& q) {
-        StatusReport report;
-        report.token = q.token;
-        report.at = ctx.now();
-        ctx.state().for_each(
-            std::string(kHivesDict),
-            [&report](const std::string&, const Bytes& value) {
-              report.hives.push_back(decode_from_bytes<HiveStatus>(value));
-            });
-        ctx.state().for_each(
-            std::string(kBeesDict),
-            [&report](const std::string&, const Bytes& value) {
-              report.bees.push_back(decode_from_bytes<BeeStatus>(value));
-            });
-        ctx.state().for_each(
-            std::string(kMetaDict),
-            [&report](const std::string&, const Bytes& value) {
-              report.suspected.push_back(
-                  decode_from_bytes<HiveSuspected>(value).hive);
-            });
-        std::sort(report.hives.begin(), report.hives.end(),
-                  [](const HiveStatus& a, const HiveStatus& b) {
-                    return a.hive < b.hive;
-                  });
-        std::sort(report.bees.begin(), report.bees.end(),
-                  [](const BeeStatus& a, const BeeStatus& b) {
-                    return a.bee < b.bee;
-                  });
-        std::sort(report.suspected.begin(), report.suspected.end());
-        ctx.emit(std::move(report));
+        ctx.emit(assemble_report(
+            [&ctx](std::string_view dict, const auto& fn) {
+              ctx.state().for_each(dict, fn);
+            },
+            ctx.now(), q.token));
       });
 }
 
 StatusReport StatusApp::report_from_store(const StateStore& store,
                                           TimePoint at,
                                           std::uint64_t token) {
-  StatusReport report;
-  report.token = token;
-  report.at = at;
-  if (const Dict* d = store.find_dict(kHivesDict)) {
-    d->for_each([&report](const std::string&, const Bytes& value) {
-      report.hives.push_back(decode_from_bytes<HiveStatus>(value));
-    });
-  }
-  if (const Dict* d = store.find_dict(kBeesDict)) {
-    d->for_each([&report](const std::string&, const Bytes& value) {
-      report.bees.push_back(decode_from_bytes<BeeStatus>(value));
-    });
-  }
-  if (const Dict* d = store.find_dict(kMetaDict)) {
-    d->for_each([&report](const std::string&, const Bytes& value) {
-      report.suspected.push_back(
-          decode_from_bytes<HiveSuspected>(value).hive);
-    });
-  }
-  std::sort(report.hives.begin(), report.hives.end(),
-            [](const HiveStatus& a, const HiveStatus& b) {
-              return a.hive < b.hive;
-            });
-  std::sort(report.bees.begin(), report.bees.end(),
-            [](const BeeStatus& a, const BeeStatus& b) {
-              return a.bee < b.bee;
-            });
-  std::sort(report.suspected.begin(), report.suspected.end());
-  return report;
+  return assemble_report(
+      [&store](std::string_view dict, const auto& fn) {
+        if (const Dict* d = store.find_dict(dict)) d->for_each(fn);
+      },
+      at, token);
 }
 
 std::string StatusReport::to_json() const {
@@ -235,24 +194,12 @@ std::string StatusReport::to_json() const {
     first = false;
     out += "    {\"hive\": " + std::to_string(h.hive) +
            ", \"at\": " + std::to_string(h.at) +
-           ", \"bees\": " + std::to_string(h.bees) +
-           ", \"cells\": " + std::to_string(h.cells) +
-           ", \"queue_depth\": " + std::to_string(h.queue_depth) +
            ", \"e2e_p50_us\": " + std::to_string(h.e2e_p50_us) +
            ", \"e2e_p99_us\": " + std::to_string(h.e2e_p99_us) +
            ", \"retransmits\": " + std::to_string(h.transport.retransmits) +
-           ", \"migration_aborts\": " + std::to_string(h.migration_aborts) +
-           ", \"partitions_active\": " +
-           std::to_string(h.partitions_active) +
-           ", \"suspected\": " + (h.suspected ? "true" : "false") +
-           ", \"pressure\": " + std::to_string(h.pressure) +
-           ", \"cost_us\": " + std::to_string(h.cost_us) +
-           ", \"shed\": " + std::to_string(h.shed) +
-           ", \"shed_per_s\": " + std::to_string(h.shed_per_s) +
-           ", \"credits\": " + std::to_string(h.credits) +
-           ", \"stalled\": " + std::to_string(h.stalled) +
-           ", \"degraded\": " + (h.degraded ? "true" : "false") +
-           ", \"msgs_window\": ";
+           ", \"suspected\": " + (h.suspected ? "true" : "false");
+    append_signals_json(out, h.signals);
+    out += ", \"msgs_window\": ";
     append_json_ring(out, h.msgs_window);
     out += "}";
   }

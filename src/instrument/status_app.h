@@ -39,70 +39,34 @@ struct HiveStatus {
 
   HiveId hive = 0;
   TimePoint at = 0;  ///< timestamp of the latest folded report
-  std::uint64_t bees = 0;
-  std::uint64_t cells = 0;
-  std::uint64_t queue_depth = 0;  ///< held-back messages across local bees
   std::uint64_t e2e_p50_us = 0;
   std::uint64_t e2e_p99_us = 0;
   TransportCounters transport;
-  std::uint64_t migration_aborts = 0;
-  std::uint32_t partitions_active = 0;
   bool suspected = false;
-  /// Queue-pressure score from the hive's latest report (DESIGN.md §9).
-  double pressure = 0.0;
-  /// Profiler estimate of handler CPU microseconds over the last window.
-  std::uint64_t cost_us = 0;
-  // -- Overload control (DESIGN.md §10) --
-  std::uint64_t shed = 0;   ///< lifetime messages/frames shed by policy
-  double shed_per_s = 0.0;  ///< shed rate between the last two reports
-  /// Smallest remaining credit across outbound links (-1 = no credited link).
-  std::int64_t credits = -1;
-  std::uint64_t stalled = 0;  ///< frames parked awaiting credit
-  bool degraded = false;      ///< hive advertises reduced credit
+  /// The signals of the hive's latest report, as sent.
+  HiveSignals signals;
   /// Messages received per reporting window, last N windows.
   TimeSeriesRing msgs_window;
 
   void encode(ByteWriter& w) const {
     w.u32(hive);
     w.i64(at);
-    w.varint(bees);
-    w.varint(cells);
-    w.varint(queue_depth);
     w.varint(e2e_p50_us);
     w.varint(e2e_p99_us);
     transport.encode(w);
-    w.varint(migration_aborts);
-    w.u32(partitions_active);
     w.boolean(suspected);
-    w.f64(pressure);
-    w.varint(cost_us);
-    w.varint(shed);
-    w.f64(shed_per_s);
-    w.i64(credits);
-    w.varint(stalled);
-    w.boolean(degraded);
+    encode_signals(w, signals);
     msgs_window.encode(w);
   }
   static HiveStatus decode(ByteReader& r) {
     HiveStatus s;
     s.hive = r.u32();
     s.at = r.i64();
-    s.bees = r.varint();
-    s.cells = r.varint();
-    s.queue_depth = r.varint();
     s.e2e_p50_us = r.varint();
     s.e2e_p99_us = r.varint();
     s.transport = TransportCounters::decode(r);
-    s.migration_aborts = r.varint();
-    s.partitions_active = r.u32();
     s.suspected = r.boolean();
-    s.pressure = r.f64();
-    s.cost_us = r.varint();
-    s.shed = r.varint();
-    s.shed_per_s = r.f64();
-    s.credits = r.i64();
-    s.stalled = r.varint();
-    s.degraded = r.boolean();
+    s.signals = decode_signals(r);
     s.msgs_window = TimeSeriesRing::decode(r);
     return s;
   }

@@ -56,13 +56,13 @@ TEST(LocalMetricsReportMsg, CodecRoundTrip) {
   LocalMetricsReport r;
   r.hive = 11;
   r.at = 5 * kSecond;
-  r.hive_cells = 30;
+  r.signals.cells = 30;
   r.bees.resize(3);
   r.bees[1].msgs_in = 9;
   auto back = decode_from_bytes<LocalMetricsReport>(encode_to_bytes(r));
   EXPECT_EQ(back.hive, 11u);
   EXPECT_EQ(back.at, 5 * kSecond);
-  EXPECT_EQ(back.hive_cells, 30u);
+  EXPECT_EQ(back.signals.cells, 30.0);
   ASSERT_EQ(back.bees.size(), 3u);
   EXPECT_EQ(back.bees[1].msgs_in, 9u);
 }

@@ -635,7 +635,7 @@ TEST(ClusterIntrospection, StatusQueryReturnsPerHiveAndPerBeeRows) {
   double windowed_msgs = 0.0;
   for (const HiveStatus& hs : report->hives) {
     EXPECT_GT(hs.at, 0);
-    EXPECT_GE(hs.bees, 1u);  // at least the platform bees
+    EXPECT_GE(hs.signals.bees, 1.0);  // at least the platform bees
     EXPECT_GE(hs.msgs_window.size(), 1u);  // rate ring populated
     for (const auto& s : hs.msgs_window.snapshot()) windowed_msgs += s.value;
   }

@@ -337,10 +337,10 @@ TEST(QueuePressure, ReportCarriesPressureAndHiveHealthReflectsIt) {
   const HiveHealth& h = report.hives[0];
   EXPECT_EQ(h.hive, 0u);
   EXPECT_FALSE(h.suspected);
-  EXPECT_GE(h.pressure, 0.0);
-  EXPECT_LT(h.pressure, 1.0);
+  EXPECT_GE(h.signals.pressure, 0.0);
+  EXPECT_LT(h.signals.pressure, 1.0);
   // The sim drained everything, so the last window's pressure is low.
-  EXPECT_LT(h.pressure, 0.5);
+  EXPECT_LT(h.signals.pressure, 0.5);
   EXPECT_GT(h.score(), 50.0);
 
   const std::string json = sim.health_json();
@@ -359,15 +359,15 @@ TEST(HealthScore, HealthyHiveScoresFull) {
 
 TEST(HealthScore, DeductionsStackAndClampToZero) {
   HiveHealth h;
-  h.pressure = 0.5;
+  h.signals.pressure = 0.5;
   EXPECT_NEAR(h.score(), 100.0 - 40.0 * 0.5, 1e-9);
 
   h.suspected = true;
   EXPECT_NEAR(h.score(), 100.0 - 40.0 * 0.5 - 20.0, 1e-9);
 
-  h.pressure = 1.0;
-  h.retransmit_rate = 1.0;
-  h.handler_p99_us = 100'000'000;  // 100s p99
+  h.signals.pressure = 1.0;
+  h.signals.retransmit_rate = 1.0;
+  h.signals.handler_p99_us = 100'000'000;  // 100s p99
   EXPECT_DOUBLE_EQ(h.score(), 0.0);  // never negative
 }
 
@@ -378,7 +378,7 @@ TEST(HealthScore, ReportMinScoreAndRenderings) {
   good.hive = 0;
   HiveHealth bad;
   bad.hive = 1;
-  bad.pressure = 0.9;
+  bad.signals.pressure = 0.9;
   bad.suspected = true;
   report.hives = {good, bad};
 

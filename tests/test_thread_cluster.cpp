@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -214,6 +215,61 @@ TEST_F(ThreadClusterTest, MeterSeesCrossHiveTraffic) {
   EXPECT_GT(cluster.meter().total_bytes(), 0u);
   EXPECT_EQ(counter_value(cluster, "x"), 2);
   cluster.stop();
+}
+
+TEST_F(ThreadClusterTest, HealthScrapeRacesMetricsReports) {
+  // The HTTP export path: a scrape thread reads every hive's health
+  // snapshot, both renderings and the /metrics text while the hive loops
+  // serve traffic and rewrite the snapshot every millisecond.
+  ThreadClusterConfig config;
+  config.n_hives = 2;
+  config.hive.metrics_period = kMillisecond;
+  ThreadCluster cluster(config, apps_);
+  cluster.start();
+
+  std::atomic<bool> done{false};
+  std::atomic<bool> saw_bees{false};
+  std::size_t scrapes = 0;
+  std::thread scraper([&] {
+    while (!done.load()) {
+      const HealthReport report = cluster.health();
+      ASSERT_EQ(report.hives.size(), 2u);
+      for (const HiveHealth& h : report.hives) {
+        EXPECT_GE(h.signals.pressure, 0.0);
+        EXPECT_LT(h.signals.pressure, 1.0);
+        if (h.signals.bees > 0.0) saw_bees.store(true);
+      }
+      EXPECT_NE(report.to_text().find("hive 1"), std::string::npos);
+      EXPECT_NE(cluster.health_json().find("\"pressure\""),
+                std::string::npos);
+      EXPECT_NE(cluster.metrics()->prometheus_text().find("beehive_pressure"),
+                std::string::npos);
+      ++scrapes;
+    }
+  });
+
+  constexpr std::uint64_t kMessages = 2000;
+  for (std::uint64_t i = 0; i < kMessages; ++i) {
+    inject(cluster, static_cast<HiveId>(i % 2),
+           Incr{"k" + std::to_string(i % 16), 1});
+  }
+  const auto handled = [&cluster] {
+    return cluster.hive(0).counters().handler_runs.get() +
+           cluster.hive(1).counters().handler_runs.get();
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while ((handled() < kMessages || !saw_bees.load()) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  done.store(true);
+  scraper.join();
+  cluster.stop();
+
+  EXPECT_GE(handled(), kMessages);
+  EXPECT_TRUE(saw_bees.load()) << "no report reached the health snapshot";
+  EXPECT_GT(scrapes, 0u);
 }
 
 // -- The run loop: quiescence, watermark, pinning ---------------------------

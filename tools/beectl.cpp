@@ -22,7 +22,9 @@
 //
 // Standalone on purpose: plain POSIX sockets and a ~150-line JSON reader,
 // no link against the beehive library, so the binary works against any
-// reachable exposition port.
+// reachable exposition port. It shares only the header-only signal table
+// (instrument/signals.h), so hive rows are read by the same keys the
+// server writes.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -41,7 +43,14 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "instrument/signals.h"
+
 namespace {
+
+using beehive::HiveSignal;
+using beehive::HiveSignals;
+using beehive::kHiveSignals;
+using beehive::SignalKind;
 
 // ---------------------------------------------------------------------------
 // Minimal JSON: parses the subset the beehive endpoints emit (objects,
@@ -254,18 +263,32 @@ struct Options {
 
 struct HiveRow {
   std::uint64_t hive = 0;
-  double score = 100.0;
-  double pressure = 0.0;
-  double retx = 0.0;
-  std::uint64_t p99_us = 0;
-  std::uint64_t runq = 0;
-  std::uint64_t queue = 0;
-  std::uint64_t cost_us = 0;
-  double shed_per_s = 0.0;  ///< overload sheds per second, last window
-  long long credits = -1;   ///< tightest remaining link credit (-1 = unlimited)
-  bool degraded = false;
+  double score = 100.0;  ///< only /health.json carries a score
   bool suspected = false;
+  HiveSignals signals;
 };
+
+/// The hive rows of /health.json or of its /status.json fallback: both
+/// documents carry every kHiveSignals key.
+std::vector<HiveRow> read_hive_rows(const Json& root) {
+  std::vector<HiveRow> rows;
+  const Json* arr = root.find("hives");
+  if (arr == nullptr || arr->kind != Json::Kind::kArray) return rows;
+  for (const Json& h : arr->items) {
+    HiveRow row;
+    row.hive = static_cast<std::uint64_t>(h.number("hive"));
+    row.score = h.number("score", 100.0);
+    row.suspected = h.boolean("suspected");
+    for (const HiveSignal& sig : kHiveSignals) {
+      const std::string key(sig.key);
+      double& v = row.signals.*sig.field;
+      v = sig.kind == SignalKind::kFlag ? (h.boolean(key) ? 1.0 : 0.0)
+                                        : h.number(key, v);
+    }
+    rows.push_back(row);
+  }
+  return rows;
+}
 
 struct ShardRow {
   std::uint64_t shard = 0;
@@ -334,27 +357,7 @@ std::size_t render_frame(const Options& opt, bool clear_screen) {
           shards.push_back(row);
         }
       }
-      if (const Json* arr = root.find("hives");
-          arr != nullptr && arr->kind == Json::Kind::kArray) {
-        for (const Json& h : arr->items) {
-          HiveRow row;
-          row.hive = static_cast<std::uint64_t>(h.number("hive"));
-          row.score = h.number("score", 100.0);
-          row.pressure = h.number("pressure");
-          row.retx = h.number("retransmit_rate");
-          row.p99_us = static_cast<std::uint64_t>(h.number("handler_p99_us"));
-          row.runq = static_cast<std::uint64_t>(h.number("runq_depth"));
-          row.queue = static_cast<std::uint64_t>(h.number("queue_depth"));
-          row.cost_us =
-              static_cast<std::uint64_t>(h.number("cost_us_window"));
-          row.shed_per_s = h.number("shed_per_s");
-          row.credits = static_cast<long long>(h.number("credits", -1.0));
-          row.degraded = h.boolean("degraded");
-          row.suspected = h.boolean("suspected");
-          hive_pressure[row.hive] = row.pressure;
-          hives.push_back(row);
-        }
-      }
+      hives = read_hive_rows(root);
     }
   }
 
@@ -384,30 +387,12 @@ std::size_t render_frame(const Options& opt, bool clear_screen) {
           bees.push_back(row);
         }
       }
-      // Health endpoint down (older server / detached): fall back to the
-      // status report's hive rows so the view still shows something.
-      if (hives.empty()) {
-        if (const Json* arr = root.find("hives");
-            arr != nullptr && arr->kind == Json::Kind::kArray) {
-          for (const Json& h : arr->items) {
-            HiveRow row;
-            row.hive = static_cast<std::uint64_t>(h.number("hive"));
-            row.pressure = h.number("pressure");
-            row.p99_us =
-                static_cast<std::uint64_t>(h.number("e2e_p99_us"));
-            row.queue = static_cast<std::uint64_t>(h.number("queue_depth"));
-            row.cost_us = static_cast<std::uint64_t>(h.number("cost_us"));
-            row.shed_per_s = h.number("shed_per_s");
-            row.credits = static_cast<long long>(h.number("credits", -1.0));
-            row.degraded = h.boolean("degraded");
-            row.suspected = h.boolean("suspected");
-            hive_pressure[row.hive] = row.pressure;
-            hives.push_back(row);
-          }
-        }
-      }
+      // Health endpoint down (detached): fall back to the status report's
+      // hive rows, which carry the same signals but no score.
+      if (hives.empty()) hives = read_hive_rows(root);
     }
   }
+  for (const HiveRow& h : hives) hive_pressure[h.hive] = h.signals.pressure;
 
   std::sort(hives.begin(), hives.end(),
             [](const HiveRow& a, const HiveRow& b) {
@@ -440,22 +425,21 @@ std::size_t render_frame(const Options& opt, bool clear_screen) {
               "SCORE", "PRESSURE", "RETX", "P99_US", "RUNQ", "QUEUE",
               "COST_US", "SHED/S", "CREDITS", "");
   for (const HiveRow& h : hives) {
+    const HiveSignals& sig = h.signals;
     char credits[24];
-    if (h.credits < 0) {
+    if (sig.credits < 0) {
       std::snprintf(credits, sizeof(credits), "%8s", "-");
     } else {
-      std::snprintf(credits, sizeof(credits), "%8lld", h.credits);
+      std::snprintf(credits, sizeof(credits), "%8.0f", sig.credits);
     }
     std::string flags;
-    if (h.degraded) flags += "DEGRADED";
+    if (sig.degraded != 0.0) flags += "DEGRADED";
     if (h.suspected) flags += flags.empty() ? "SUSPECTED" : " SUSPECTED";
-    std::printf("%-5llu %7.1f %9.3f %8.3f %9llu %6llu %6llu %10llu "
+    std::printf("%-5llu %7.1f %9.3f %8.3f %9.0f %6.0f %6.0f %10.0f "
                 "%8.1f %s %s\n",
-                static_cast<unsigned long long>(h.hive), h.score, h.pressure,
-                h.retx, static_cast<unsigned long long>(h.p99_us),
-                static_cast<unsigned long long>(h.runq),
-                static_cast<unsigned long long>(h.queue),
-                static_cast<unsigned long long>(h.cost_us), h.shed_per_s,
+                static_cast<unsigned long long>(h.hive), h.score,
+                sig.pressure, sig.retransmit_rate, sig.handler_p99_us,
+                sig.runq_depth, sig.queue_depth, sig.cost_us, sig.shed_per_s,
                 credits, flags.c_str());
   }
   if (hives.empty()) std::printf("  (no hive rows yet)\n");
