@@ -1,6 +1,7 @@
-// Microbenchmarks of the platform's hot paths: codec throughput, Map
-// evaluation + registry resolution, end-to-end message dispatch, state
-// transactions, and state snapshots (the unit of migration cost).
+// Microbenchmarks of the platform's hot paths: codec throughput, state
+// transactions, state snapshots (the unit of migration cost), metrics
+// cells, and dispatch cost as the cell population grows. Per-message
+// dispatch on the local and remote routes is timed by micro_dispatch.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -112,74 +113,6 @@ void BM_StateSnapshot(benchmark::State& state) {
 }
 BENCHMARK(BM_StateSnapshot)->Arg(1)->Arg(10)->Arg(100);
 
-// ---------------------------------------------------------------------------
-// End-to-end dispatch on a live single-hive cluster
-// ---------------------------------------------------------------------------
-
-void BM_LocalDispatch(benchmark::State& state) {
-  AppSet apps;
-  apps.emplace<CounterApp>();
-  ClusterConfig config;
-  config.n_hives = 1;
-  config.hive.metrics_period = 0;
-  SimCluster sim(config, apps);
-  sim.start();
-  std::uint64_t n = 0;
-  for (auto _ : state) {
-    sim.hive(0).inject(
-        MessageEnvelope::make(Incr{"k", 1}, 0, kNoBee, 0, sim.now()));
-    sim.run_to_idle();
-    ++n;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_LocalDispatch);
-
-void BM_RemoteDispatch(benchmark::State& state) {
-  AppSet apps;
-  apps.emplace<CounterApp>();
-  ClusterConfig config;
-  config.n_hives = 2;
-  config.hive.metrics_period = 0;
-  SimCluster sim(config, apps);
-  sim.start();
-  // Bee lives on hive 0; inject at hive 1 so every message crosses.
-  sim.hive(0).inject(
-      MessageEnvelope::make(Incr{"k", 1}, 0, kNoBee, 0, sim.now()));
-  sim.run_to_idle();
-  std::uint64_t n = 0;
-  for (auto _ : state) {
-    sim.hive(1).inject(
-        MessageEnvelope::make(Incr{"k", 1}, 0, kNoBee, 1, sim.now()));
-    sim.run_to_idle();
-    ++n;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_RemoteDispatch);
-
-void BM_LocalDispatchTraced(benchmark::State& state) {
-  // Same as BM_LocalDispatch with span recording on: the delta is the
-  // tracing overhead per message.
-  AppSet apps;
-  apps.emplace<CounterApp>();
-  ClusterConfig config;
-  config.n_hives = 1;
-  config.hive.metrics_period = 0;
-  config.tracing = true;
-  SimCluster sim(config, apps);
-  sim.start();
-  std::uint64_t n = 0;
-  for (auto _ : state) {
-    sim.hive(0).inject(
-        MessageEnvelope::make(Incr{"k", 1}, 0, kNoBee, 0, sim.now()));
-    sim.run_to_idle();
-    ++n;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_LocalDispatchTraced);
-
 void BM_HistogramRecord(benchmark::State& state) {
   LatencyHistogram h;
   Duration v = 1;
@@ -254,6 +187,10 @@ void BM_PrometheusScrape(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
 }
 BENCHMARK(BM_PrometheusScrape)->Arg(4)->Arg(40);
+
+// ---------------------------------------------------------------------------
+// Dispatch on a live 4-hive cluster as the cell population grows
+// ---------------------------------------------------------------------------
 
 void BM_DispatchFanout(benchmark::State& state) {
   // Cost of one injected message as the number of distinct cells grows:

@@ -32,10 +32,6 @@
 // local-vs-spans reports the PR-1 span-recording cost (off by default).
 // `--traced` restricts the run to just these.
 //
-// A fifth series, `local_batched`, drives the same route through
-// Hive::inject_batch (batched handler activation, DESIGN.md §12) and is
-// compared against `local` by the CI perf-smoke job.
-//
 // `--pin N` pins the benchmark to core N (Linux) so the numbers aren't
 // blurred by the scheduler migrating the process mid-rep — the measurement
 // analogue of HiveConfig::pin_cpu on the threaded runtime.
@@ -119,53 +115,6 @@ RunResult run_local(std::size_t n_messages, bool profiler) {
   if (delivered != n_messages) {
     throw std::runtime_error("local: delivered " + std::to_string(delivered) +
                              " of " + std::to_string(n_messages));
-  }
-  RunResult r;
-  r.delivered = delivered;
-  r.msgs_per_sec = static_cast<double>(delivered) / secs;
-  r.allocs_per_msg = static_cast<double>(allocs) / delivered;
-  return r;
-}
-
-/// run_local through the batched ingress (DESIGN.md §12): the same route,
-/// but messages arrive kInjectBatch at a time via Hive::inject_batch, so
-/// runs that hit the dispatch memo share one activation (validation, bind,
-/// policy, counters once per run; Map and the transaction still per
-/// message). The A/B against `local` prices batched handler activation.
-RunResult run_local_batched(std::size_t n_messages, bool profiler) {
-  constexpr std::size_t kInjectBatch = 256;
-  AppSet apps;
-  apps.emplace<CounterApp>();
-  SimCluster sim(base_config(1, profiler), apps);
-  sim.start();
-
-  MessageEnvelope msg =
-      MessageEnvelope::make(Incr{"k0", 1}, 0, kNoBee, 0, sim.now());
-  // The batch is built once and re-submitted: inject_batch borrows the
-  // envelopes, so the loop measures batched dispatch, not construction.
-  std::vector<MessageEnvelope> batch(kInjectBatch, msg);
-  for (std::size_t i = 0; i < kWarmup; i += kInjectBatch) {
-    sim.hive(0).inject_batch(batch);
-  }
-  sim.run_to_idle();
-
-  const std::uint64_t runs_before = sim.hive(0).counters().handler_runs;
-  const std::uint64_t allocs_before = testing::allocation_count();
-  const std::size_t n_batches = n_messages / kInjectBatch;
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < n_batches; ++i) {
-    sim.hive(0).inject_batch(batch);
-  }
-  sim.run_to_idle();
-  const double secs = seconds_since(t0);
-  const std::uint64_t allocs = testing::allocation_count() - allocs_before;
-
-  const std::uint64_t delivered =
-      sim.hive(0).counters().handler_runs - runs_before;
-  if (delivered != n_batches * kInjectBatch) {
-    throw std::runtime_error(
-        "local_batched: delivered " + std::to_string(delivered) + " of " +
-        std::to_string(n_batches * kInjectBatch));
   }
   RunResult r;
   r.delivered = delivered;
@@ -385,12 +334,9 @@ int run(int argc, char** argv) {
   // plain local are fair; --bounded / --traced restrict the run to just
   // that pair.
   std::vector<RunResult> local_off, local_on, remote_off, remote_on;
-  std::vector<RunResult> local_bat, local_bnd, local_spn, local_trc;
+  std::vector<RunResult> local_bnd, local_spn, local_trc;
   for (std::size_t rep = 0; rep < reps; ++rep) {
     local_off.push_back(run_local(n_messages, /*profiler=*/false));
-    if (!bounded_only && !traced_only) {
-      local_bat.push_back(run_local_batched(n_messages, /*profiler=*/false));
-    }
     if (!traced_only) {
       local_bnd.push_back(run_local_bounded(n_messages, /*profiler=*/false));
     }
@@ -411,20 +357,6 @@ int run(int argc, char** argv) {
 
   bench::JsonReport report("micro_dispatch");
   report_group(report, "local", local);
-
-  if (!bounded_only && !traced_only) {
-    const RunResult localbat = median_by_throughput(std::move(local_bat));
-    print_result("local+batched", localbat);
-    // Negative overhead = batching is a speedup; reported from the same
-    // convention so the CI comparator can reuse its threshold logic.
-    const double batch_gain = -overhead_pct(local, localbat);
-    std::printf("batched activation gain (median of %zu reps): "
-                "local %+.2f%%\n",
-                reps, batch_gain);
-    report_group(report, "local_batched", localbat);
-    report.integer("batch_gain", "reps", reps);
-    report.number("batch_gain", "local_pct", batch_gain);
-  }
 
   if (!traced_only) {
     const RunResult localb = median_by_throughput(std::move(local_bnd));

@@ -11,7 +11,6 @@
 //               sheds and the credit gauge pinned at 0.
 //   shed-newest the stalled queue tail-drops app batches past the stall
 //               limit. Expect a monotone shed_total and no producer stall.
-//   shed-oldest head-drop variant: freshest data survives.
 //
 // Control frames always queue, under every policy.
 //
@@ -23,8 +22,7 @@
 //    "shed_total":..., "credits_min":..., "stalled_max":...,
 //    "rss_idle_mb":..., "rss_peak_mb":...}
 //
-// Usage: overload_demo [--policy block|shed-newest|shed-oldest]
-//                      [--seconds N]
+// Usage: overload_demo [--policy block|shed-newest] [--seconds N]
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -90,8 +88,8 @@ int run(int argc, char** argv) {
       if (seconds <= 0) seconds = 1;
     } else {
       std::fprintf(stderr,
-                   "usage: overload_demo [--policy "
-                   "block|shed-newest|shed-oldest] [--seconds N]\n");
+                   "usage: overload_demo [--policy block|shed-newest] "
+                   "[--seconds N]\n");
       return 2;
     }
   }

@@ -86,19 +86,6 @@ void RegistryService::attach_client(Client* client) {
   clients_.push_back(client);
 }
 
-void RegistryService::set_lease(Duration duration, Duration grace) {
-  lease_duration_.store(duration, std::memory_order_relaxed);
-  lease_grace_.store(grace, std::memory_order_relaxed);
-}
-
-Duration RegistryService::lease_duration() const {
-  return lease_duration_.load(std::memory_order_relaxed);
-}
-
-Duration RegistryService::lease_grace() const {
-  return lease_grace_.load(std::memory_order_relaxed);
-}
-
 // -- Shard routing -----------------------------------------------------------
 
 std::uint32_t RegistryService::shard_of_cell(AppId app,
@@ -338,48 +325,6 @@ void RegistryService::invalidate_cachers_locked(Shard& home,
   home.cachers.erase(it);
 }
 
-void RegistryService::grant_leases_locked(std::uint64_t mask,
-                                          std::uint32_t primary, TimePoint now,
-                                          ResolveOutcome* out) {
-  const Duration duration = lease_duration_.load(std::memory_order_relaxed);
-  for_each_shard(mask, [&](std::uint32_t s) {
-    Shard& sh = *shards_[s];
-    const TimePoint expiry = now + duration;
-    if (expiry > sh.lease_expiry.load(std::memory_order_relaxed)) {
-      sh.lease_expiry.store(expiry, std::memory_order_relaxed);
-    }
-    if (out != nullptr && s == primary) {
-      out->lease_term = sh.lease_term.load(std::memory_order_relaxed);
-      out->lease_expiry = sh.lease_expiry.load(std::memory_order_relaxed);
-    }
-  });
-}
-
-std::vector<RegistryService::LeaseGrant> RegistryService::lease_snapshot(
-    std::uint64_t shard_mask, TimePoint now) {
-  shard_mask &= all_mask();
-  std::vector<LeaseGrant> grants;
-  MaskGuard guard(*this, shard_mask);
-  const Duration duration = lease_duration_.load(std::memory_order_relaxed);
-  for_each_shard(shard_mask, [&](std::uint32_t s) {
-    Shard& sh = *shards_[s];
-    const TimePoint expiry = now + duration;
-    if (expiry > sh.lease_expiry.load(std::memory_order_relaxed)) {
-      sh.lease_expiry.store(expiry, std::memory_order_relaxed);
-    }
-    grants.push_back({s, sh.lease_term.load(std::memory_order_relaxed),
-                      sh.lease_expiry.load(std::memory_order_relaxed)});
-  });
-  return grants;
-}
-
-std::uint64_t RegistryService::expire_shard_lease(std::size_t shard) {
-  if (shard >= shards_.size()) return 0;
-  Shard& sh = *shards_[shard];
-  std::lock_guard lock(sh.mutex);
-  return sh.lease_term.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
 RegistryShardStats RegistryService::shard_stats(std::size_t shard) const {
   RegistryShardStats st;
   if (shard >= shards_.size()) return st;
@@ -389,8 +334,6 @@ RegistryShardStats RegistryService::shard_stats(std::size_t shard) const {
   st.lock_wait_ns = sh.lock_wait_ns.load(std::memory_order_relaxed);
   st.invalidations = sh.invalidations.load(std::memory_order_relaxed);
   st.resolves = sh.resolves.load(std::memory_order_relaxed);
-  st.lease_term = sh.lease_term.load(std::memory_order_relaxed);
-  st.lease_expiry = sh.lease_expiry.load(std::memory_order_relaxed);
   return st;
 }
 
@@ -583,7 +526,6 @@ ResolveOutcome RegistryService::resolve_or_create(AppId app,
     }
 
     out.shard = primary;
-    grant_leases_locked(need, primary, now, &out);
     bill_rpc(requester, kRpcRequestBase + encoded_cells_size(cells), now);
     return out;
   }
@@ -721,8 +663,6 @@ RegistryService::Client::Client(RegistryService& service, HiveId self)
     : service_(service), self_(self) {
   const std::size_t n = service_.shard_count();
   memos_.resize(n + 1);  // slot n memoizes cross-shard sets (global stamp)
-  lease_term_.assign(n, 0);
-  lease_expiry_.assign(n, 0);
   shard_versions_ = std::make_unique<std::atomic<std::uint64_t>[]>(n);
   service_.attach_client(this);
 }
@@ -755,50 +695,6 @@ void RegistryService::Client::invalidate(BeeId bee, std::uint64_t shard_mask) {
   // Cell entries pointing at `bee` become stale but harmless: a lookup
   // only counts as a hit when the bee's location is also cached, so the
   // next resolve falls through to the master and overwrites them.
-}
-
-void RegistryService::Client::purge_shard_locked(std::uint32_t shard) {
-  for (auto it = cell_to_bee_.begin(); it != cell_to_bee_.end();) {
-    if (service_.shard_of_cell(it->first.app, it->first.cell) == shard) {
-      it = cell_to_bee_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  bump_shard_locked(shard);
-  ++cache_version_;
-}
-
-void RegistryService::Client::apply_lease_locked(std::uint32_t shard,
-                                                 std::uint64_t term,
-                                                 TimePoint expiry) {
-  if (term == 0) return;
-  if (lease_term_[shard] != 0 && lease_term_[shard] != term) {
-    // Shard failover: every assignment resolved against the old term is
-    // suspect. Purge just this shard's entries — the others' leases and
-    // memos are independent.
-    purge_shard_locked(shard);
-  }
-  lease_term_[shard] = term;
-  if (expiry > lease_expiry_[shard]) lease_expiry_[shard] = expiry;
-}
-
-RegistryService::Client::LeaseState RegistryService::Client::lease_state_locked(
-    std::uint64_t mask, TimePoint now) const {
-  LeaseState worst = LeaseState::kFresh;
-  Duration grace = -1;  // fetched lazily: fresh leases never need it
-  for (std::uint32_t s = 0; s < service_.shard_count(); ++s) {
-    if ((mask & RegistryService::bit(s)) == 0) continue;
-    if (lease_term_[s] == 0) return LeaseState::kDead;  // never leased
-    if (now <= lease_expiry_[s]) continue;
-    if (grace < 0) grace = service_.lease_grace();
-    if (now <= lease_expiry_[s] + grace) {
-      worst = LeaseState::kStale;
-    } else {
-      return LeaseState::kDead;
-    }
-  }
-  return worst;
 }
 
 std::optional<ResolveOutcome> RegistryService::Client::try_cache_locked(
@@ -882,63 +778,33 @@ ResolveOutcome RegistryService::Client::resolve_or_create(AppId app,
                                                           bool pinned,
                                                           TimePoint now) {
   const std::uint32_t primary = service_.shard_of(app, cells);
-  std::uint64_t mask = 0;
-  for (const CellKey& cell : cells) {
-    mask |= RegistryService::bit(service_.shard_of_cell(app, cell));
-  }
-  std::optional<ResolveOutcome> cached;
-  LeaseState lease = LeaseState::kFresh;
   {
     std::lock_guard lock(mutex_);
-    cached = try_cache_locked(app, cells, primary);
-    if (cached.has_value()) {
-      lease = lease_state_locked(mask, now);
-      if (lease == LeaseState::kFresh) {
-        ++hits_;
-        return *cached;
-      }
+    if (std::optional<ResolveOutcome> cached =
+            try_cache_locked(app, cells, primary)) {
+      ++hits_;
+      return *cached;
     }
-    // Expired-lease revalidation goes to the master like any other miss.
     ++misses_;
   }
 
   if (!rpc_admitted(RegistryService::kRpcRequestBase + encoded_cells_size(cells),
                     now)) {
-    if (cached.has_value() && lease == LeaseState::kStale) {
-      // Jeopardy: the master is unreachable but we are inside the grace
-      // window — keep serving the last known assignment (Chubby §2.8).
-      std::lock_guard lock(mutex_);
-      ++stale_serves_;
-      return *cached;
-    }
     return ResolveOutcome{};  // bee == kNoBee signals the failure
   }
 
   ResolveOutcome out =
       service_.resolve_or_create(app, cells, self_, pinned, now);
-  std::vector<LeaseGrant> grants;
-  if (primary == RegistryService::kAllShards) {
-    // Cross-shard sets carry no primary lease in the outcome; pull the
-    // grants for every involved shard (rides on the resolve RPC).
-    grants = service_.lease_snapshot(mask, now);
+  std::uint64_t mask = 0;
+  for (const CellKey& cell : cells) {
+    mask |= RegistryService::bit(service_.shard_of_cell(app, cell));
   }
 
   std::lock_guard lock(mutex_);
-  // Leases first: a term change purges the shard's stale entries BEFORE
-  // this fill installs fresh ones, so the revalidating resolve itself
-  // stays cached.
-  if (primary != RegistryService::kAllShards) {
-    apply_lease_locked(primary, out.lease_term, out.lease_expiry);
-  } else {
-    for (const LeaseGrant& grant : grants) {
-      apply_lease_locked(grant.shard, grant.term, grant.expires_at);
-    }
-  }
   for (const CellKey& cell : cells) cell_to_bee_[{app, cell}] = out.bee;
   bee_hive_[out.bee] = out.hive;
   std::uint64_t& expected = bee_expected_[out.bee];
   if (out.transfers_expected > expected) expected = out.transfers_expected;
-  if (cached.has_value()) ++lease_renewals_;
   // Conservative: the fill may supersede resolutions memoized against the
   // involved shards (e.g. this resolve merged their owner away).
   for_each_shard(mask, [&](std::uint32_t s) { bump_shard_locked(s); });

@@ -5,9 +5,11 @@
 // authoritative RegistryService logically hosted on one hive (hive 0 by
 // default), fronted on every hive by a RegistryClient that keeps a
 // write-through cache of ownership. As in Chubby, the master invalidates
-// client caches when ownership changes. All RPC and invalidation traffic is
-// accounted on the control channel, so registry cost is visible in the
-// Figure 4 bandwidth numbers.
+// client caches when ownership changes; the service runs in-process, so
+// every invalidation reaches its client synchronously and a cached
+// assignment stays valid until one arrives. All RPC and invalidation
+// traffic is accounted on the control channel, so registry cost is visible
+// in the Figure 4 bandwidth numbers.
 //
 // The registry is the single arbiter of the platform's core invariant:
 // every cell is owned by exactly one live bee, and any two cell sets that
@@ -19,18 +21,14 @@
 // -- Control-plane scale (DESIGN.md §13) ------------------------------------
 // The service is internally partitioned into N independent shards by
 // cell-key hash. Each shard owns its own mutex, ownership tables, bee
-// records (a bee is "homed" in the shard of the cells it was created for),
-// cacher lists and lease state, so resolves against disjoint key ranges
-// never contend. The public API is unchanged: a thin router computes the
-// set of shards an operation touches and locks exactly those, in ascending
-// index order; when the decision turns out to involve bees homed elsewhere
-// (a cross-shard merge), the router releases everything and retries with
-// the expanded set — the classic lock-coupling restart, which single-shard
-// steady-state traffic never pays. Each shard also grants leases
-// (term + expiry): clients may serve cached assignments of a shard while
-// they hold an unexpired lease on it, even through registry suspicion
-// windows; a term bump (failover) forces per-shard revalidation without
-// touching the other shards' caches.
+// records (a bee is "homed" in the shard of the cells it was created for)
+// and cacher lists, so resolves against disjoint key ranges never contend.
+// The public API is unchanged: a thin router computes the set of shards an
+// operation touches and locks exactly those, in ascending index order;
+// when the decision turns out to involve bees homed elsewhere (a
+// cross-shard merge), the router releases everything and retries with the
+// expanded set — the classic lock-coupling restart, which single-shard
+// steady-state traffic never pays.
 #pragma once
 
 #include <array>
@@ -88,10 +86,6 @@ struct ResolveOutcome {
   /// set spans shards). Stamped by the service so clients and the hive
   /// dispatch memo can validate per shard instead of globally.
   std::uint32_t shard = 0;
-  /// Lease of the primary shard at decision time (term 0 when the set
-  /// spans shards — the client pulls a full snapshot instead).
-  std::uint64_t lease_term = 0;
-  TimePoint lease_expiry = 0;
 };
 
 /// One shard's contention/throughput counters, for /metrics and beectl.
@@ -101,8 +95,6 @@ struct RegistryShardStats {
   std::uint64_t lock_wait_ns = 0;   ///< total time spent waiting for the lock
   std::uint64_t invalidations = 0;  ///< cache-invalidation events issued
   std::uint64_t resolves = 0;       ///< resolve decisions anchored here
-  std::uint64_t lease_term = 0;     ///< current lease term
-  TimePoint lease_expiry = 0;       ///< latest granted lease expiry
 };
 
 class RegistryService {
@@ -201,36 +193,6 @@ class RegistryService {
   std::uint32_t shard_of(AppId app, const CellSet& cells) const;
   RegistryShardStats shard_stats(std::size_t shard) const;
 
-  // -- Leases ----------------------------------------------------------------
-  // Each shard grants (term, expiry) leases on successful RPCs. Clients
-  // serve cached assignments of a shard while its lease is fresh; once it
-  // expires they revalidate (one RPC), and inside the grace window they may
-  // keep serving stale data when the master is unreachable — the Chubby
-  // "jeopardy" behavior that keeps assignments valid across suspicion
-  // windows. Defaults are deliberately long so leases are inert unless a
-  // deployment opts into shorter terms.
-
-  static constexpr Duration kDefaultLeaseDuration = 3600 * kSecond;
-
-  void set_lease(Duration duration, Duration grace);
-  Duration lease_duration() const;
-  Duration lease_grace() const;
-
-  struct LeaseGrant {
-    std::uint32_t shard = 0;
-    std::uint64_t term = 0;
-    TimePoint expires_at = 0;
-  };
-  /// Current leases of every shard in `shard_mask` (bit i = shard i),
-  /// extending each to now + lease_duration. The client calls this after a
-  /// multi-shard resolve; billing rode on the resolve RPC itself.
-  std::vector<LeaseGrant> lease_snapshot(std::uint64_t shard_mask,
-                                         TimePoint now);
-  /// Failover hook (tests, chaos): bumps the shard's lease term so every
-  /// client must revalidate that shard — and only that shard — on its next
-  /// fill. Returns the new term.
-  std::uint64_t expire_shard_lease(std::size_t shard);
-
   // -- Fault injection (lossy RPC channel) ---------------------------------
 
   /// Installed by the cluster runtime: decides whether one RPC attempt
@@ -275,9 +237,6 @@ class RegistryService {
     std::unordered_map<BeeId, BeeRecord> bees;  ///< records homed here
     // Which client hives have each homed bee cached (invalidation fan-out).
     std::unordered_map<BeeId, std::unordered_set<HiveId>> cachers;
-    // Lease state; written under mutex, atomics so scrapes never block.
-    std::atomic<std::uint64_t> lease_term{1};
-    std::atomic<TimePoint> lease_expiry{0};
     // Contention stats (atomics: read lock-free by shard_stats()).
     std::atomic<std::uint64_t> ops{0};
     std::atomic<std::uint64_t> lock_waits{0};
@@ -339,10 +298,6 @@ class RegistryService {
   /// `home` must be the (locked) shard `rec` is homed in.
   void invalidate_cachers_locked(Shard& home, const BeeRecord& rec,
                                  TimePoint now);
-  /// Extends the lease of every shard in `mask`; fills the outcome's
-  /// primary-lease fields from `primary` when it is a single shard.
-  void grant_leases_locked(std::uint64_t mask, std::uint32_t primary,
-                           TimePoint now, ResolveOutcome* out);
   /// Record lookup + callback under the bee's home shard lock; returns
   /// false for unknown ids. The workhorse of all single-bee operations.
   bool with_bee(BeeId bee, const std::function<void(Shard&, BeeRecord&)>& fn);
@@ -382,16 +337,12 @@ class RegistryService {
   std::atomic<bool> has_placement_hook_{false};
   RpcFaultHook rpc_fault_hook_;
   std::vector<Client*> clients_;
-  /// Atomic so every resolve can read the lease config without touching
-  /// a global mutex (set_lease is rare; torn pairs are impossible since
-  /// each field is individually atomic and readers tolerate either
-  /// ordering of a duration/grace update).
-  std::atomic<Duration> lease_duration_{kDefaultLeaseDuration};
-  std::atomic<Duration> lease_grace_{kDefaultLeaseDuration};
 };
 
 /// Per-hive front end with a Chubby-style cache. Lookups served from the
-/// cache cost nothing on the control channel; misses RPC to the master.
+/// cache cost nothing on the control channel; misses RPC to the master. A
+/// cached entry has no expiry: it is served until the master's
+/// invalidation (a merge or migration of its bee) removes it.
 ///
 /// Under a lossy channel (RegistryService::set_rpc_fault_hook) every miss
 /// RPC is retried up to kMaxRpcAttempts times; when a whole round is lost
@@ -462,11 +413,6 @@ class RegistryService::Client {
   /// Lookups that failed outright (all attempts lost, or fast-failed
   /// inside a backoff window).
   std::uint64_t rpc_failures() const { return rpc_failures_; }
-  /// Lease machinery: revalidation RPCs forced by lease expiry, and hits
-  /// served from stale cache inside the grace window while the master was
-  /// unreachable (Chubby's jeopardy).
-  std::uint64_t lease_renewals() const { return lease_renewals_; }
-  std::uint64_t stale_serves() const { return stale_serves_; }
 
  private:
   friend class RegistryService;
@@ -503,18 +449,10 @@ class RegistryService::Client {
     ResolveOutcome out;
   };
 
-  enum class LeaseState { kFresh, kStale, kDead };
-
   /// Cache lookup + memo maintenance; client mutex held.
   std::optional<ResolveOutcome> try_cache_locked(AppId app,
                                                  const CellSet& cells,
                                                  std::uint32_t primary);
-  /// Weakest lease across the shards in `mask`; client mutex held.
-  LeaseState lease_state_locked(std::uint64_t mask, TimePoint now) const;
-  void apply_lease_locked(std::uint32_t shard, std::uint64_t term,
-                          TimePoint expiry);
-  /// Drops every cached entry resolved against `shard` (term change).
-  void purge_shard_locked(std::uint32_t shard);
   void bump_shard_locked(std::uint32_t shard);
 
   RegistryService& service_;
@@ -527,9 +465,6 @@ class RegistryService::Client {
   // entry, or messages could slip past in-flight merge transfers.
   std::unordered_map<BeeId, std::uint64_t> bee_expected_;
   std::vector<ResolveMemo> memos_;  ///< one per service shard
-  // Client-held leases, indexed by shard; written under mutex_.
-  std::vector<std::uint64_t> lease_term_;
-  std::vector<TimePoint> lease_expiry_;
   /// Atomic (not plain) solely for the lock-free stamp readers; all
   /// writes still happen under mutex_.
   std::unique_ptr<std::atomic<std::uint64_t>[]> shard_versions_;
@@ -538,8 +473,6 @@ class RegistryService::Client {
   std::uint64_t misses_ = 0;
   std::uint64_t rpc_retries_ = 0;
   std::uint64_t rpc_failures_ = 0;
-  std::uint64_t lease_renewals_ = 0;
-  std::uint64_t stale_serves_ = 0;
   TimePoint backoff_until_ = 0;
   Duration backoff_ = kBackoffInitial;
 };

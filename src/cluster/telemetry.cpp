@@ -59,7 +59,7 @@ std::vector<RegistryShardHealth> registry_shard_health(
   for (std::uint32_t s = 0; s < registry.shard_count(); ++s) {
     const RegistryShardStats stats = registry.shard_stats(s);
     rows.push_back({s, stats.ops, stats.lock_waits, stats.lock_wait_ns / 1000,
-                    stats.invalidations, stats.resolves, stats.lease_term});
+                    stats.invalidations, stats.resolves});
   }
   return rows;
 }

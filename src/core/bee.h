@@ -87,43 +87,23 @@ class Bee {
   const OverloadConfig* overload() const { return overload_; }
   void set_overload(const OverloadConfig* config) { overload_ = config; }
 
-  enum class HoldOutcome : std::uint8_t {
-    kHeld,     ///< message queued (possibly over-limit under kBlockSender)
-    kShedNew,  ///< the incoming message was dropped
-    kShedOld,  ///< an older held message was dropped to admit this one
-  };
-
   /// Holds `env` subject to the mailbox bound `oc` (which the caller has
-  /// already found exceeded). `is_priority(MsgTypeId)` classifies messages
-  /// that must never be shed; the caller accounts for sheds.
+  /// already found exceeded). Returns false when `env` itself was shed —
+  /// the only message a shed ever drops, so the caller accounts the shed
+  /// against `env`. `is_priority(MsgTypeId)` classifies messages that must
+  /// never be shed.
   template <typename PriorityFn>
-  HoldOutcome hold_bounded(MessageEnvelope env, const OverloadConfig& oc,
-                           PriorityFn&& is_priority) {
-    // Priority traffic always lands, whatever the policy.
-    if (is_priority(env.type())) {
+  bool hold_bounded(MessageEnvelope env, const OverloadConfig& oc,
+                    PriorityFn&& is_priority) {
+    // Priority traffic always lands, whatever the policy. kBlockSender
+    // never sheds; the hive raises its saturation flag instead and
+    // upstream admission control stops the producer.
+    if (is_priority(env.type()) ||
+        oc.policy == OverloadPolicy::kBlockSender) {
       hold(std::move(env));
-      return HoldOutcome::kHeld;
+      return true;
     }
-    switch (oc.policy) {
-      case OverloadPolicy::kBlockSender:
-        // Never shed; the hive raises its saturation flag instead and
-        // upstream admission control stops the producer.
-        hold(std::move(env));
-        return HoldOutcome::kHeld;
-      case OverloadPolicy::kShedNewest:
-        return HoldOutcome::kShedNew;
-      case OverloadPolicy::kShedOldest:
-        for (auto it = holdback_.begin(); it != holdback_.end(); ++it) {
-          if (!is_priority(it->type())) {
-            holdback_.erase(it);
-            hold(std::move(env));
-            return HoldOutcome::kShedOld;
-          }
-        }
-        // Everything held is priority: shed the (non-priority) newcomer.
-        return HoldOutcome::kShedNew;
-    }
-    return HoldOutcome::kShedNew;
+    return false;  // kShedNewest: tail drop
   }
 
   bool migrating() const { return migrating_; }

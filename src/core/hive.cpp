@@ -205,51 +205,6 @@ void Hive::inject(MessageEnvelope env) {
   route(env);
 }
 
-void Hive::inject_batch(std::span<MessageEnvelope> batch) {
-  if (batch.empty()) return;
-  counters_.injected.bump(batch.size());
-  std::size_t i = 0;
-  while (i < batch.size()) {
-    // Batched activation: open a memoized run when the head of the batch
-    // hits the dispatch memo, then feed consecutive messages through the
-    // cached route under one bind. Epoch revalidation stays per message
-    // (two counter compares — a handler can merge or migrate mid-batch)
-    // and Map runs per message as the correctness guard; everything else
-    // the memo amortizes is paid once per run.
-    if (memo_.valid && !memo_in_use_ && memo_.type == batch[i].type() &&
-        bees_epoch_ == memo_.bees_epoch &&
-        registry_client_.stamp_valid(memo_.registry_stamp)) {
-      std::uint64_t n = 0;
-      memo_in_use_ = true;
-      while (i < batch.size() && memo_.valid &&
-             batch[i].type() == memo_.type &&
-             bees_epoch_ == memo_.bees_epoch &&
-             registry_client_.stamp_valid(memo_.registry_stamp)) {
-        MessageEnvelope& env = batch[i];
-        CellSet cells = memo_.binding->map(env);
-        if (!(cells == memo_.cells)) break;
-        ensure_trace(env);
-        trace_span(SpanKind::kIngress, env, kNoBee);
-        trace_span(SpanKind::kRegistryResolve, env, memo_.bee->id(), id_);
-        deliver_local(*memo_.bee, env, memo_.transfers_expected, &memo_.cells,
-                      &memo_.bound);
-        ++i;
-        ++n;
-      }
-      memo_in_use_ = false;
-      counters_.routed_local.bump(n);
-      if (n > 0) continue;
-    }
-    // This message missed the memo (or invalidated it): full route, one
-    // message, then try to re-open a run on the next one.
-    MessageEnvelope& env = batch[i];
-    ensure_trace(env);
-    trace_span(SpanKind::kIngress, env, kNoBee);
-    route(env);
-    ++i;
-  }
-}
-
 void Hive::ensure_trace(MessageEnvelope& env) {
   if (env.trace_id() != 0) return;
   // Root ids are minted deterministically — (hive+1) tag over a per-hive
@@ -429,9 +384,7 @@ void Hive::deliver_local(Bee& bee, const MessageEnvelope& env,
     const OverloadConfig* oc = bee.overload();
     if (oc != nullptr && oc->bounded &&
         bee.holdback_size() >= oc->mailbox_limit) {
-      const Bee::HoldOutcome out =
-          bee.hold_bounded(env, *oc, &Hive::is_priority_type);
-      if (out != Bee::HoldOutcome::kHeld) {
+      if (!bee.hold_bounded(env, *oc, &Hive::is_priority_type)) {
         ++counters_.shed_total;
         // A mailbox shed terminates the message's causal chain: record the
         // terminal span and let the tail sampler retain the trace (sheds

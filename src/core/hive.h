@@ -18,7 +18,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -119,17 +118,6 @@ class Hive {
   /// Entry point for messages arriving over IO channels (drivers, tests,
   /// benches). Routed exactly like paper §3's "Life of a Message".
   void inject(MessageEnvelope env);
-
-  /// Batched ingress (shared-nothing datapath, DESIGN.md §12): routes every
-  /// envelope exactly as inject() would, in order, but hands runs of
-  /// consecutive messages that hit the dispatch memo to the bee as one
-  /// activation — the memo's epoch validation, handler bind, AccessPolicy
-  /// setup and ingress counter updates are paid once per run instead of
-  /// once per message. Map still runs per message (its result depends on
-  /// the payload) and every message keeps its own transaction, so handler
-  /// atomicity, FIFO order and determinism are unchanged. The envelopes
-  /// are borrowed, not copied — callers may reuse the batch.
-  void inject_batch(std::span<MessageEnvelope> batch);
 
   /// Entry point for frames from other hives.
   void on_wire(std::string_view frame);

@@ -25,16 +25,12 @@ enum class OverloadPolicy : std::uint8_t {
   /// Drop the newly arriving message/frame once the bound is hit (tail
   /// drop). Freshest data is lost first; the backlog keeps its head.
   kShedNewest,
-  /// Drop the oldest queued message/frame to admit the new one (head
-  /// drop). The backlog stays fresh; stale work is lost first.
-  kShedOldest,
 };
 
 constexpr std::string_view to_string(OverloadPolicy p) {
   switch (p) {
     case OverloadPolicy::kBlockSender: return "block";
     case OverloadPolicy::kShedNewest: return "shed-newest";
-    case OverloadPolicy::kShedOldest: return "shed-oldest";
   }
   return "?";
 }
@@ -43,7 +39,6 @@ inline std::optional<OverloadPolicy> overload_policy_from_string(
     std::string_view s) {
   if (s == "block") return OverloadPolicy::kBlockSender;
   if (s == "shed-newest") return OverloadPolicy::kShedNewest;
-  if (s == "shed-oldest") return OverloadPolicy::kShedOldest;
   return std::nullopt;
 }
 

@@ -141,39 +141,13 @@ void ReliableTransport::enqueue_stalled(HiveId to, Peer& peer, Bytes inner) {
     queue_frame(std::move(inner));
     return;
   }
-  switch (config_.overload) {
-    case OverloadPolicy::kBlockSender:
-      break;  // handled above
-    case OverloadPolicy::kShedNewest:
-      // Tail drop — but only pure app-message batches; control frames
-      // always queue.
-      if (frame_is_sheddable(inner)) {
-        note_shed(to);
-        return;
-      }
-      queue_frame(std::move(inner));
-      break;
-    case OverloadPolicy::kShedOldest: {
-      // Head drop: evict the oldest sheddable frame to admit the new one.
-      for (auto it = peer.stalled.begin(); it != peer.stalled.end(); ++it) {
-        if (frame_is_sheddable(it->frame)) {
-          peer.stalled.erase(it);
-          stalled_now_.fetch_sub(1, std::memory_order_relaxed);
-          note_shed(to);
-          queue_frame(std::move(inner));
-          return;
-        }
-      }
-      // Nothing old is sheddable (all control): shed the newcomer if it
-      // is, otherwise queue it — control traffic is never lost here.
-      if (frame_is_sheddable(inner)) {
-        note_shed(to);
-        return;
-      }
-      queue_frame(std::move(inner));
-      break;
-    }
+  // kShedNewest: tail drop — but only pure app-message batches; control
+  // frames always queue.
+  if (frame_is_sheddable(inner)) {
+    note_shed(to);
+    return;
   }
+  queue_frame(std::move(inner));
 }
 
 void ReliableTransport::drain_stalled(HiveId to, Peer& peer) {

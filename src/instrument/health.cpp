@@ -61,8 +61,7 @@ std::string HealthReport::to_json() const {
            ", \"lock_waits\": " + std::to_string(s.lock_waits) +
            ", \"lock_wait_us\": " + std::to_string(s.lock_wait_us) +
            ", \"invalidations\": " + std::to_string(s.invalidations) +
-           ", \"resolves\": " + std::to_string(s.resolves) +
-           ", \"lease_term\": " + std::to_string(s.lease_term) + "}";
+           ", \"resolves\": " + std::to_string(s.resolves) + "}";
   }
   out += "\n  ]\n}\n";
   return out;

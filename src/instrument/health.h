@@ -42,7 +42,6 @@ struct RegistryShardHealth {
   std::uint64_t lock_wait_us = 0;
   std::uint64_t invalidations = 0;
   std::uint64_t resolves = 0;
-  std::uint64_t lease_term = 0;
 };
 
 struct HealthReport {

@@ -52,8 +52,8 @@ class Counter {
   /// hive's Counters are written solely by its loop thread); concurrent
   /// readers still see untorn, monotonic values. Saves the locked-op cost
   /// on the per-message dispatch path.
-  void bump(std::uint64_t n = 1) {
-    v_.store(v_.load(std::memory_order_relaxed) + n,
+  void bump() {
+    v_.store(v_.load(std::memory_order_relaxed) + 1,
              std::memory_order_relaxed);
   }
 

@@ -1,12 +1,14 @@
 // Tests for end-to-end overload control (DESIGN.md §10): credit-based
 // flow control on the reliable transport (window advertisement, sender
-// stalls, FIFO across stalls), bounded mailboxes with per-app shed/block/
-// shed-oldest policies, graceful degradation (reduced credit advertisement +
+// stalls, FIFO across stalls), bounded mailboxes with per-app block/shed
+// policies, graceful degradation (reduced credit advertisement +
 // placement veto), and the determinism property — a seeded run under
 // backpressure AND fault injection is bit-identical across repeats.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
+#include <set>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -70,9 +72,8 @@ void pin_to_hive_1(SimCluster& sim) {
 // ---------------------------------------------------------------------------
 
 TEST(OverloadPolicyNames, RoundTrip) {
-  for (OverloadPolicy p : {OverloadPolicy::kBlockSender,
-                           OverloadPolicy::kShedNewest,
-                           OverloadPolicy::kShedOldest}) {
+  for (OverloadPolicy p :
+       {OverloadPolicy::kBlockSender, OverloadPolicy::kShedNewest}) {
     auto back = overload_policy_from_string(to_string(p));
     ASSERT_TRUE(back.has_value());
     EXPECT_EQ(*back, p);
@@ -106,8 +107,7 @@ TEST(BoundedMailbox, BlockSenderHoldsPastTheLimit) {
   Bee bee(1, 1);
   const OverloadConfig oc{true, 2, OverloadPolicy::kBlockSender};
   for (std::uint32_t i = 0; i < 2; ++i) bee.hold(seq_env(i));
-  EXPECT_EQ(bee.hold_bounded(seq_env(2), oc, is_priority),
-            Bee::HoldOutcome::kHeld);
+  EXPECT_TRUE(bee.hold_bounded(seq_env(2), oc, is_priority));
   EXPECT_EQ(bee.holdback_size(), 3u) << "kBlockSender never sheds";
 }
 
@@ -115,46 +115,88 @@ TEST(BoundedMailbox, ShedNewestDropsTheIncomingMessage) {
   Bee bee(1, 1);
   const OverloadConfig oc{true, 2, OverloadPolicy::kShedNewest};
   for (std::uint32_t i = 0; i < 2; ++i) bee.hold(seq_env(i));
-  EXPECT_EQ(bee.hold_bounded(seq_env(2), oc, is_priority),
-            Bee::HoldOutcome::kShedNew);
+  EXPECT_FALSE(bee.hold_bounded(seq_env(2), oc, is_priority));
   EXPECT_EQ(bee.holdback_size(), 2u);
   // The survivors are the oldest messages.
   auto held = bee.take_holdback();
   EXPECT_EQ(held.front().as<SeqMsg>().seq, 0u);
 }
 
-TEST(BoundedMailbox, ShedOldestEvictsTheHeadToAdmitTheTail) {
-  Bee bee(1, 1);
-  const OverloadConfig oc{true, 2, OverloadPolicy::kShedOldest};
-  for (std::uint32_t i = 0; i < 2; ++i) bee.hold(seq_env(i));
-  EXPECT_EQ(bee.hold_bounded(seq_env(2), oc, is_priority),
-            Bee::HoldOutcome::kShedOld);
-  auto held = bee.take_holdback();
-  ASSERT_EQ(held.size(), 2u);
-  EXPECT_EQ(held.front().as<SeqMsg>().seq, 1u);
-  EXPECT_EQ(held.back().as<SeqMsg>().seq, 2u);
-}
-
 TEST(BoundedMailbox, PriorityMessagesNeverShedUnderAnyPolicy) {
-  for (OverloadPolicy p : {OverloadPolicy::kShedNewest,
-                           OverloadPolicy::kShedOldest,
-                           OverloadPolicy::kBlockSender}) {
+  for (OverloadPolicy p :
+       {OverloadPolicy::kShedNewest, OverloadPolicy::kBlockSender}) {
     Bee bee(1, 1);
     const OverloadConfig oc{true, 1, p};
     bee.hold(seq_env(0));
-    EXPECT_EQ(bee.hold_bounded(priority_env(), oc, is_priority),
-              Bee::HoldOutcome::kHeld)
+    EXPECT_TRUE(bee.hold_bounded(priority_env(), oc, is_priority))
         << "policy " << to_string(p);
     EXPECT_EQ(bee.holdback_size(), 2u);
   }
-  // kShedOldest with an all-priority holdback sheds the non-priority
-  // newcomer instead of evicting protected traffic.
-  Bee bee(1, 1);
-  const OverloadConfig oc{true, 1, OverloadPolicy::kShedOldest};
-  bee.hold(priority_env());
-  EXPECT_EQ(bee.hold_bounded(seq_env(0), oc, is_priority),
-            Bee::HoldOutcome::kShedNew);
-  EXPECT_EQ(bee.holdback_size(), 1u);
+}
+
+TEST(BoundedMailbox, LiveShedCarriesTheDroppedMessagesTrace) {
+  // A migrating bee is frozen, so its mailbox fills; past the limit
+  // kShedNewest drops the newcomer, and the kShed span must carry that
+  // newcomer's trace (DESIGN.md §11), never a held message's.
+  constexpr std::uint64_t kLimit = 4;
+  constexpr std::uint64_t kExtra = 3;
+  constexpr std::uint64_t kFirstTrace = 1000;
+  AppSet apps;
+  CounterApp& app = apps.emplace<CounterApp>();
+  app.set_overload({.bounded = true,
+                    .mailbox_limit = kLimit,
+                    .policy = OverloadPolicy::kShedNewest});
+  ClusterConfig cfg;
+  cfg.n_hives = 2;
+  cfg.hive.metrics_period = 0;
+  cfg.tracing = true;
+  SimCluster sim(cfg, apps);
+  sim.start();
+  sim.hive(0).inject(
+      MessageEnvelope::make(Incr{"k", 1}, 0, kNoBee, 0, sim.now()));
+  sim.run_to_idle();
+  const std::vector<BeeRecord> bees = sim.registry().live_bees();
+  ASSERT_EQ(bees.size(), 1u);
+  ASSERT_EQ(bees.front().hive, 0u);
+
+  // begin_migration freezes the bee at once; without advancing the sim,
+  // every message lands in its mailbox or is shed.
+  sim.hive(0).request_migration(bees.front().id, 1);
+  for (std::uint64_t i = 0; i < kLimit + kExtra; ++i) {
+    MessageEnvelope env =
+        MessageEnvelope::make(Incr{"k", 1}, 0, kNoBee, 0, sim.now());
+    env.set_trace(kFirstTrace + i, 0, sim.now());
+    sim.hive(0).inject(std::move(env));
+  }
+  EXPECT_EQ(sim.hive(0).counters().shed_total, kExtra);
+  std::multiset<std::uint64_t> newest;
+  for (std::uint64_t i = kLimit; i < kLimit + kExtra; ++i) {
+    newest.insert(kFirstTrace + i);
+  }
+  const auto shed_traces = [&sim] {
+    std::multiset<std::uint64_t> ids;
+    for (const TraceEvent& e : sim.trace_events()) {
+      if (e.kind == SpanKind::kShed) ids.insert(e.trace_id);
+    }
+    return ids;
+  };
+  EXPECT_EQ(shed_traces(), newest);
+
+  // The held messages follow the bee and run on the target hive; their
+  // traces carry no shed.
+  sim.run_to_idle();
+  EXPECT_EQ(sim.registry().hive_of(bees.front().id), std::optional<HiveId>(1));
+  std::set<std::uint64_t> handled_on_target;
+  for (const TraceEvent& e : sim.trace_events()) {
+    if (e.kind == SpanKind::kHandlerEnd && e.hive == 1) {
+      handled_on_target.insert(e.trace_id);
+    }
+  }
+  for (std::uint64_t i = 0; i < kLimit; ++i) {
+    EXPECT_TRUE(handled_on_target.contains(kFirstTrace + i))
+        << "trace " << kFirstTrace + i;
+  }
+  EXPECT_EQ(shed_traces(), newest);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 // Tests for the partitioned registry (DESIGN.md §13): shard routing,
-// cross-shard cache-invalidation isolation, lease terms, determinism of
-// the sharded path against the single-shard path under seeded fault
-// injection, and full-vs-incremental placement equivalence.
+// cross-shard cache-invalidation isolation, cache validity by invalidation
+// alone, determinism of the sharded path against the single-shard path
+// under seeded fault injection, and full-vs-incremental placement
+// equivalence.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -266,112 +267,36 @@ TEST(RegistryShards, ShardedAgreesWithUnshardedUnderSeededFaults) {
 }
 
 // ---------------------------------------------------------------------------
-// Leases
+// Cache validity: invalidation, not time
 // ---------------------------------------------------------------------------
 
-TEST(RegistryShards, LeaseExpiryForcesRevalidation) {
+TEST(RegistryShards, CachedAssignmentIsServedUntilInvalidated) {
   RegistryService reg(4, nullptr, 0, 8);
-  reg.set_lease(10 * kSecond, 5 * kSecond);
   RegistryService::Client client(reg, 1);
-  const CellSet cells = one("leased");
+  const CellSet cells = one("cached");
   const auto out = client.resolve_or_create(kApp, cells, false, 0);
   ASSERT_NE(out.bee, kNoBee);
-  EXPECT_GT(out.lease_term, 0u);
-  EXPECT_EQ(out.lease_expiry, 10 * kSecond);
+  ASSERT_NE(out.hive, 2u);
 
-  // Within the lease: cache hit, no renewal.
-  client.resolve_or_create(kApp, cells, false, 5 * kSecond);
-  EXPECT_EQ(client.lease_renewals(), 0u);
-  EXPECT_EQ(client.cache_hits(), 1u);
-
-  // Past expiry (but master reachable): one revalidation RPC renews it,
-  // and the entry itself was still correct.
-  const auto renewed =
-      client.resolve_or_create(kApp, cells, false, 11 * kSecond);
-  EXPECT_EQ(renewed.bee, out.bee);
-  EXPECT_EQ(client.lease_renewals(), 1u);
-
-  // Renewal extended the lease: hits serve again.
-  const std::uint64_t hits = client.cache_hits();
-  client.resolve_or_create(kApp, cells, false, 12 * kSecond);
-  EXPECT_EQ(client.cache_hits(), hits + 1);
-}
-
-TEST(RegistryShards, StaleServeInsideGraceWhenMasterUnreachable) {
-  RegistryService reg(4, nullptr, 0, 8);
-  reg.set_lease(10 * kSecond, 60 * kSecond);
-  RegistryService::Client client(reg, 1);
-
-  // Fill the cache while the master is reachable.
-  const auto out = client.resolve_or_create(kApp, one("jeopardy"), false, 0);
-  ASSERT_NE(out.bee, kNoBee);
-
-  // Master unreachable + lease expired but inside grace: serve stale.
+  // Three hours later, with every RPC to the master lost, the cached
+  // assignment is still served: only an invalidation retires it.
+  constexpr TimePoint kLater = 3 * 3600 * kSecond;
   reg.set_rpc_fault_hook([](HiveId) { return true; });
-  const auto stale =
-      client.resolve_or_create(kApp, one("jeopardy"), false, 20 * kSecond);
-  EXPECT_EQ(stale.bee, out.bee);
-  EXPECT_GE(client.stale_serves(), 1u);
-
-  // Past the grace window the assignment is dead: the lookup fails rather
-  // than serving arbitrarily old data.
-  const auto dead =
-      client.resolve_or_create(kApp, one("jeopardy"), false, 80 * kSecond);
-  EXPECT_EQ(dead.bee, kNoBee);
-}
-
-TEST(RegistryShards, TermBumpPurgesOnlyThatShard) {
-  RegistryService reg(4, nullptr, 0, 8);
-  reg.set_lease(10 * kSecond, 3600 * kSecond);
-  RegistryService::Client client(reg, 1);
-
-  // Two keys on shard A, two on shard B.
-  const auto keys = keys_on_distinct_shards(reg, 2);
-  const std::uint32_t shard_a = reg.shard_of_cell(kApp, {"d", keys[0]});
-  const std::uint32_t shard_b = reg.shard_of_cell(kApp, {"d", keys[1]});
-  std::string a2, b2;
-  for (int i = 0; a2.empty() || b2.empty(); ++i) {
-    ASSERT_LT(i, 10'000);
-    const std::string key = "x" + std::to_string(i);
-    const std::uint32_t s = reg.shard_of_cell(kApp, {"d", key});
-    if (s == shard_a && a2.empty()) a2 = key;
-    if (s == shard_b && b2.empty()) b2 = key;
-  }
-  const auto out_a1 = client.resolve_or_create(kApp, one(keys[0]), false, 0);
-  const auto out_a2 = client.resolve_or_create(kApp, one(a2), false, 0);
-  const auto out_b1 = client.resolve_or_create(kApp, one(keys[1]), false, 0);
-  const auto out_b2 = client.resolve_or_create(kApp, one(b2), false, 0);
-
-  // Failover of shard A: bump its term. The client learns about it on its
-  // next fill against A (lease expiry forces one at t=20s).
-  reg.expire_shard_lease(shard_a);
-  const auto re_a1 =
-      client.resolve_or_create(kApp, one(keys[0]), false, 20 * kSecond);
-  const auto re_b1 =
-      client.resolve_or_create(kApp, one(keys[1]), false, 20 * kSecond);
-  EXPECT_EQ(re_a1.bee, out_a1.bee);
-  EXPECT_EQ(re_b1.bee, out_b1.bee);
-  EXPECT_EQ(client.lease_renewals(), 2u);
-
-  // The term change purged shard A's other cached entry; shard B's
-  // revalidation saw an unchanged term and kept everything.
-  const std::uint64_t hits = client.cache_hits();
   const std::uint64_t misses = client.cache_misses();
-  const auto re_b2 =
-      client.resolve_or_create(kApp, one(b2), false, 21 * kSecond);
-  EXPECT_EQ(re_b2.bee, out_b2.bee);
-  EXPECT_EQ(client.cache_hits(), hits + 1);
+  const auto later = client.resolve_or_create(kApp, cells, false, kLater);
+  EXPECT_EQ(later.bee, out.bee);
+  EXPECT_EQ(later.hive, out.hive);
   EXPECT_EQ(client.cache_misses(), misses);
-  const auto re_a2 =
-      client.resolve_or_create(kApp, one(a2), false, 21 * kSecond);
-  EXPECT_EQ(re_a2.bee, out_a2.bee);
-  EXPECT_EQ(client.cache_misses(), misses + 1);
+  EXPECT_EQ(client.rpc_failures(), 0u);
 
-  // And the revalidating resolve itself survived its own purge: a1 serves
-  // from cache now that the lease is fresh again.
-  const std::uint64_t hits2 = client.cache_hits();
-  client.resolve_or_create(kApp, one(keys[0]), false, 22 * kSecond);
-  EXPECT_EQ(client.cache_hits(), hits2 + 1);
+  // An ownership write invalidates the entry: the next lookup misses and
+  // sees the new hive.
+  reg.set_rpc_fault_hook(nullptr);
+  reg.move_bee(out.bee, 2, kLater);
+  const auto moved = client.resolve_or_create(kApp, cells, false, kLater);
+  EXPECT_EQ(client.cache_misses(), misses + 1);
+  EXPECT_EQ(moved.bee, out.bee);
+  EXPECT_EQ(moved.hive, 2u);
 }
 
 // ---------------------------------------------------------------------------

@@ -296,7 +296,6 @@ struct ShardRow {
   std::uint64_t lock_waits = 0;
   std::uint64_t lock_wait_us = 0;
   std::uint64_t invalidations = 0;
-  std::uint64_t lease_term = 0;
 };
 
 struct BeeRow {
@@ -352,8 +351,6 @@ std::size_t render_frame(const Options& opt, bool clear_screen) {
               static_cast<std::uint64_t>(s.number("lock_wait_us"));
           row.invalidations =
               static_cast<std::uint64_t>(s.number("invalidations"));
-          row.lease_term =
-              static_cast<std::uint64_t>(s.number("lease_term"));
           shards.push_back(row);
         }
       }
@@ -447,16 +444,15 @@ std::size_t render_frame(const Options& opt, bool clear_screen) {
   if (!shards.empty()) {
     // Registry contention by shard (DESIGN.md §13): a single hot shard
     // (lock waits piling up) is the signal to re-hash or raise the count.
-    std::printf("\n%-5s %12s %8s %10s %8s %6s\n", "SHARD", "OPS", "LOCKW",
-                "WAIT_US", "INVAL", "LEASE");
+    std::printf("\n%-5s %12s %8s %10s %8s\n", "SHARD", "OPS", "LOCKW",
+                "WAIT_US", "INVAL");
     for (const ShardRow& s : shards) {
-      std::printf("%-5llu %12llu %8llu %10llu %8llu %6llu\n",
+      std::printf("%-5llu %12llu %8llu %10llu %8llu\n",
                   static_cast<unsigned long long>(s.shard),
                   static_cast<unsigned long long>(s.ops),
                   static_cast<unsigned long long>(s.lock_waits),
                   static_cast<unsigned long long>(s.lock_wait_us),
-                  static_cast<unsigned long long>(s.invalidations),
-                  static_cast<unsigned long long>(s.lease_term));
+                  static_cast<unsigned long long>(s.invalidations));
     }
   }
 
