@@ -3,7 +3,10 @@
 // Measures the platform's per-message cost on the two steady-state routes
 // of paper §3's "Life of a Message":
 //   local  — a 1-hive cluster where every injected message maps to a cell
-//            owned by a local bee (resolve + deliver + handler, no wire);
+//            owned by a local bee (resolve + deliver + handler, no wire).
+//            Every message carries one key; `local_64keys` runs the same
+//            route with each message's key drawn uniformly from 64, so
+//            consecutive messages rarely share cells;
 //   remote — a 2-hive cluster with placement pinned to hive 1 while the
 //            driver injects on hive 0, so every message pays resolve +
 //            envelope serialization + frame + delivery on the far side.
@@ -52,6 +55,7 @@
 #include "cluster/sim.h"
 #include "tests/alloc_counter.h"
 #include "tests/test_helpers.h"
+#include "util/rng.h"
 
 #if defined(__linux__)
 #include <pthread.h>
@@ -67,6 +71,8 @@ using testing::Incr;
 
 constexpr std::size_t kWarmup = 10'000;
 constexpr std::size_t kBatch = 4096;  // bounds the sim event queue (remote)
+constexpr std::size_t kManyKeys = 64;  // the local_64keys series
+constexpr std::uint64_t kKeySeed = 42;
 
 struct RunResult {
   double msgs_per_sec = 0;
@@ -88,111 +94,53 @@ ClusterConfig base_config(std::size_t n_hives, bool profiler) {
   return cfg;
 }
 
-/// One hive, one key: every message resolves to a local bee. The envelope
-/// is built once and re-injected, so the loop measures dispatch + handler
-/// cost, not message construction.
-RunResult run_local(std::size_t n_messages, bool profiler) {
-  AppSet apps;
-  apps.emplace<CounterApp>();
-  SimCluster sim(base_config(1, profiler), apps);
-  sim.start();
-
-  MessageEnvelope msg =
-      MessageEnvelope::make(Incr{"k0", 1}, 0, kNoBee, 0, sim.now());
-  for (std::size_t i = 0; i < kWarmup; ++i) sim.hive(0).inject(msg);
-  sim.run_to_idle();
-
-  const std::uint64_t runs_before = sim.hive(0).counters().handler_runs;
-  const std::uint64_t allocs_before = testing::allocation_count();
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < n_messages; ++i) sim.hive(0).inject(msg);
-  sim.run_to_idle();
-  const double secs = seconds_since(t0);
-  const std::uint64_t allocs = testing::allocation_count() - allocs_before;
-
-  const std::uint64_t delivered =
-      sim.hive(0).counters().handler_runs - runs_before;
-  if (delivered != n_messages) {
-    throw std::runtime_error("local: delivered " + std::to_string(delivered) +
-                             " of " + std::to_string(n_messages));
-  }
-  RunResult r;
-  r.delivered = delivered;
-  r.msgs_per_sec = static_cast<double>(delivered) / secs;
-  r.allocs_per_msg = static_cast<double>(allocs) / delivered;
-  return r;
-}
-
-/// run_local with overload control armed (DESIGN.md §10): the app carries a
-/// bounded mailbox and the transport a credit window, so every message pays
-/// whatever the bound/credit bookkeeping costs on the local fast path — the
-/// A/B against run_local is the price of turning `--bounded` on.
-RunResult run_local_bounded(std::size_t n_messages, bool profiler) {
-  AppSet apps;
-  CounterApp& app = apps.emplace<CounterApp>();
-  app.set_overload({.bounded = true,
-                    .mailbox_limit = 1024,
-                    .policy = OverloadPolicy::kShedNewest});
-  ClusterConfig cfg = base_config(1, profiler);
+ClusterConfig bounded_config() {
+  ClusterConfig cfg = base_config(1, false);
   cfg.hive.transport.credit_window = 8;
-  SimCluster sim(cfg, apps);
-  sim.start();
-
-  MessageEnvelope msg =
-      MessageEnvelope::make(Incr{"k0", 1}, 0, kNoBee, 0, sim.now());
-  for (std::size_t i = 0; i < kWarmup; ++i) sim.hive(0).inject(msg);
-  sim.run_to_idle();
-
-  const std::uint64_t runs_before = sim.hive(0).counters().handler_runs;
-  const std::uint64_t allocs_before = testing::allocation_count();
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < n_messages; ++i) sim.hive(0).inject(msg);
-  sim.run_to_idle();
-  const double secs = seconds_since(t0);
-  const std::uint64_t allocs = testing::allocation_count() - allocs_before;
-
-  const std::uint64_t delivered =
-      sim.hive(0).counters().handler_runs - runs_before;
-  if (delivered != n_messages) {
-    throw std::runtime_error("local_bounded: delivered " +
-                             std::to_string(delivered) + " of " +
-                             std::to_string(n_messages));
-  }
-  RunResult r;
-  r.delivered = delivered;
-  r.msgs_per_sec = static_cast<double>(delivered) / secs;
-  r.allocs_per_msg = static_cast<double>(allocs) / delivered;
-  return r;
+  return cfg;
 }
 
-/// run_local with span recording on, and optionally the tail sampler
-/// armed on top (DESIGN.md §11). With the sampler armed every message
-/// additionally pays the note_trace_end fast path; nothing is ever
-/// retained (virtual-time e2e is far below the 20ms threshold), so the
-/// A/B of with_tail=true against with_tail=false isolates the always-on
-/// cost of tail sampling — the number the ≤3% budget gates. (Span
-/// recording itself — 4 ring writes per local message — is PR-1
-/// machinery, costs ~10-15% on this microbench, and is off by default;
-/// its cost is reported separately as tracing_overhead.)
-RunResult run_local_traced(std::size_t n_messages, bool profiler,
-                           bool with_tail) {
-  AppSet apps;
-  apps.emplace<CounterApp>();
-  ClusterConfig cfg = base_config(1, profiler);
+ClusterConfig traced_config(bool with_tail) {
+  ClusterConfig cfg = base_config(1, false);
   cfg.tracing = true;
   cfg.tail.enabled = with_tail;  // default latency threshold (20ms)
+  return cfg;
+}
+
+/// One hive: every message resolves to a local bee. One envelope per key is
+/// built up front and re-injected, so the loop measures dispatch + handler
+/// cost, not message construction. With one key every message carries the
+/// same cells; with more, each message's key is drawn uniformly from a
+/// fixed-seed generator (like the end-to-end learning-switch workload's
+/// random switch choice), so consecutive messages rarely repeat. The
+/// warm-up visits every key, so the measured loop creates no bees.
+RunResult run_local(const char* label, const ClusterConfig& cfg,
+                    const OverloadConfig& overload, std::size_t n_keys,
+                    std::size_t n_messages) {
+  AppSet apps;
+  apps.emplace<CounterApp>().set_overload(overload);
   SimCluster sim(cfg, apps);
   sim.start();
 
-  MessageEnvelope msg =
-      MessageEnvelope::make(Incr{"k0", 1}, 0, kNoBee, 0, sim.now());
-  for (std::size_t i = 0; i < kWarmup; ++i) sim.hive(0).inject(msg);
+  std::vector<MessageEnvelope> msgs;
+  for (std::size_t k = 0; k < n_keys; ++k) {
+    msgs.push_back(MessageEnvelope::make(Incr{"k" + std::to_string(k), 1}, 0,
+                                         kNoBee, 0, sim.now()));
+  }
+  Xoshiro256 rng(kKeySeed);
+  std::vector<std::uint32_t> order(n_messages);
+  for (std::uint32_t& i : order) {
+    i = static_cast<std::uint32_t>(rng.next_below(n_keys));
+  }
+  for (std::size_t i = 0; i < kWarmup; ++i) {
+    sim.hive(0).inject(msgs[i % n_keys]);
+  }
   sim.run_to_idle();
 
   const std::uint64_t runs_before = sim.hive(0).counters().handler_runs;
   const std::uint64_t allocs_before = testing::allocation_count();
   const auto t0 = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < n_messages; ++i) sim.hive(0).inject(msg);
+  for (std::uint32_t i : order) sim.hive(0).inject(msgs[i]);
   sim.run_to_idle();
   const double secs = seconds_since(t0);
   const std::uint64_t allocs = testing::allocation_count() - allocs_before;
@@ -200,7 +148,7 @@ RunResult run_local_traced(std::size_t n_messages, bool profiler,
   const std::uint64_t delivered =
       sim.hive(0).counters().handler_runs - runs_before;
   if (delivered != n_messages) {
-    throw std::runtime_error("local_traced: delivered " +
+    throw std::runtime_error(std::string(label) + ": delivered " +
                              std::to_string(delivered) + " of " +
                              std::to_string(n_messages));
   }
@@ -333,21 +281,32 @@ int run(int argc, char** argv) {
   // and traced variants ride in the same interleave so their A/Bs against
   // plain local are fair; --bounded / --traced restrict the run to just
   // that pair.
+  const OverloadConfig unbounded;
+  const OverloadConfig bounded{.bounded = true,
+                               .mailbox_limit = 1024,
+                               .policy = OverloadPolicy::kShedNewest};
   std::vector<RunResult> local_off, local_on, remote_off, remote_on;
-  std::vector<RunResult> local_bnd, local_spn, local_trc;
+  std::vector<RunResult> local_bnd, local_spn, local_trc, local_many;
   for (std::size_t rep = 0; rep < reps; ++rep) {
-    local_off.push_back(run_local(n_messages, /*profiler=*/false));
+    local_off.push_back(run_local("local", base_config(1, false), unbounded,
+                                  1, n_messages));
     if (!traced_only) {
-      local_bnd.push_back(run_local_bounded(n_messages, /*profiler=*/false));
+      local_bnd.push_back(run_local("local_bounded", bounded_config(), bounded,
+                                    1, n_messages));
     }
     if (!bounded_only) {
-      local_spn.push_back(
-          run_local_traced(n_messages, /*profiler=*/false, /*tail=*/false));
-      local_trc.push_back(
-          run_local_traced(n_messages, /*profiler=*/false, /*tail=*/true));
+      local_spn.push_back(run_local("local_spans",
+                                    traced_config(/*with_tail=*/false),
+                                    unbounded, 1, n_messages));
+      local_trc.push_back(run_local("local_traced",
+                                    traced_config(/*with_tail=*/true),
+                                    unbounded, 1, n_messages));
     }
     if (bounded_only || traced_only) continue;
-    local_on.push_back(run_local(n_messages, /*profiler=*/true));
+    local_on.push_back(run_local("local_profiler", base_config(1, true),
+                                 unbounded, 1, n_messages));
+    local_many.push_back(run_local("local_64keys", base_config(1, false),
+                                   unbounded, kManyKeys, n_messages));
     remote_off.push_back(run_remote(n_messages, /*profiler=*/false));
     remote_on.push_back(run_remote(n_messages, /*profiler=*/true));
   }
@@ -395,10 +354,12 @@ int run(int argc, char** argv) {
 
   if (!bounded_only && !traced_only) {
     const RunResult localp = median_by_throughput(std::move(local_on));
+    const RunResult localm = median_by_throughput(std::move(local_many));
     const RunResult remote = median_by_throughput(std::move(remote_off));
     const RunResult remotep = median_by_throughput(std::move(remote_on));
 
     print_result("local+profiler", localp);
+    print_result("local_64keys", localm);
     print_result("remote", remote);
     print_result("remote+profiler", remotep);
     const double local_oh = overhead_pct(local, localp);
@@ -407,6 +368,7 @@ int run(int argc, char** argv) {
                 "remote %+.2f%%\n",
                 reps, local_oh, remote_oh);
 
+    report_group(report, "local_64keys", localm);
     report_group(report, "remote", remote);
     report_group(report, "local_profiler", localp);
     report_group(report, "remote_profiler", remotep);

@@ -7,16 +7,16 @@
 //   micro_registry --contention [--small] [--threads N] [--json PATH]
 //     Multi-threaded shard-contention sweep: T threads hammer
 //     service-level resolves over a pre-created key population at shard
-//     counts {1,2,4,8,16}, plus a client resolve-cache section. Emits
-//     BENCH_registry.json via bench_json.h (ops/s by shard count, per-shard
-//     lock-wait totals, cache hit rate) for CI's scale-smoke diff.
+//     counts {1,2,4,8,16}. Emits BENCH_registry.json via bench_json.h
+//     (ops/s by shard count, per-shard lock-wait totals) for CI's
+//     scale-smoke diff. The client resolve-cache hit rate is measured by
+//     `scale_sweep --control-plane`.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <vector>
 
 #include "bench/bench_json.h"
 #include "bench/registry_contention.h"
@@ -194,42 +194,6 @@ int run_contention_suite(int argc, char** argv) {
     report.integer(section, "lock_wait_us", r.lock_wait_us);
     report.number(section, "speedup_vs_1shard",
                   base_ops > 0.0 ? r.ops_per_sec / base_ops : 0.0);
-  }
-
-  // Client resolve-cache hit rate under a skewed (mostly-hot) workload:
-  // the number the per-shard memo stamps protect. 90% of lookups hit 64
-  // hot keys; the rest sweep the cold population and keep missing.
-  {
-    ChannelMeter meter(params.n_hives);
-    RegistryService registry(params.n_hives, &meter, 0, 8);
-    RegistryService::Client client(registry, 1);
-    std::vector<CellSet> hot;
-    for (std::size_t i = 0; i < 64; ++i) {
-      hot.push_back(CellSet::single("switches", "hot" + std::to_string(i)));
-    }
-    const std::size_t lookups = params.n_keys;
-    std::size_t cold = 0;
-    for (std::size_t i = 0; i < lookups; ++i) {
-      const CellSet& cells =
-          (i % 10 != 0) ? hot[i % hot.size()]
-                        : (++cold,
-                           CellSet::single("switches",
-                                           "cold" + std::to_string(cold)));
-      auto out = client.resolve_or_create(kApp, cells, false, 0);
-      benchmark::DoNotOptimize(out);
-    }
-    const double hit_rate =
-        static_cast<double>(client.cache_hits()) /
-        static_cast<double>(client.cache_hits() + client.cache_misses());
-    std::printf("\nresolve cache: %llu hits / %llu misses (%.1f%% hit "
-                "rate)\n",
-                static_cast<unsigned long long>(client.cache_hits()),
-                static_cast<unsigned long long>(client.cache_misses()),
-                100.0 * hit_rate);
-    report.integer("resolve_cache", "lookups", lookups);
-    report.integer("resolve_cache", "hits", client.cache_hits());
-    report.integer("resolve_cache", "misses", client.cache_misses());
-    report.number("resolve_cache", "hit_rate", hit_rate);
   }
 
   if (!report.write_file(json_path)) {

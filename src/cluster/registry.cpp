@@ -112,19 +112,6 @@ std::size_t RegistryService::filter_slot(AppId app,
   return h % dict_filter_.size();
 }
 
-std::uint32_t RegistryService::shard_of(AppId app, const CellSet& cells) const {
-  std::uint32_t primary = kAllShards;
-  for (const CellKey& cell : cells) {
-    const std::uint32_t s = shard_of_cell(app, cell);
-    if (primary == kAllShards) {
-      primary = s;
-    } else if (primary != s) {
-      return kAllShards;
-    }
-  }
-  return primary;  // kAllShards for the (unused) empty set
-}
-
 std::uint64_t RegistryService::request_mask(AppId app,
                                             const CellSet& cells) const {
   // Hashes each cell's dict once: the key-shard, the filter slot, and the
@@ -302,12 +289,6 @@ void RegistryService::invalidate_cachers_locked(Shard& home,
                                                 TimePoint now) {
   auto it = home.cachers.find(rec.id);
   if (it == home.cachers.end()) return;
-  // Clients bump only the version stamps of the shards this bee actually
-  // owned cells in, so their memos against other shards stay valid.
-  std::uint64_t shard_mask = 0;
-  for (const CellKey& cell : rec.cells) {
-    shard_mask |= bit(shard_of_cell(rec.app, cell));
-  }
   home.invalidations.fetch_add(1, std::memory_order_relaxed);
   std::vector<Client*> clients;
   {
@@ -319,7 +300,7 @@ void RegistryService::invalidate_cachers_locked(Shard& home,
       meter_->record(registry_hive_, hive, kInvalidationBytes, now);
     }
     for (Client* client : clients) {
-      if (client->self() == hive) client->invalidate(rec.id, shard_mask);
+      if (client->self() == hive) client->invalidate(rec.id);
     }
   }
   home.cachers.erase(it);
@@ -358,7 +339,6 @@ ResolveOutcome RegistryService::resolve_or_create(AppId app,
                                                   const CellSet& cells,
                                                   HiveId requester, bool pinned,
                                                   TimePoint now) {
-  const std::uint32_t primary = shard_of(app, cells);
   std::uint64_t need = request_mask(app, cells);
   // Expand-and-retry: lock the shards the request appears to touch; if
   // discovery (forwarding chains, merge losers, a freshly published
@@ -525,7 +505,6 @@ ResolveOutcome RegistryService::resolve_or_create(AppId app,
       whome.cachers[wrec.id].insert(requester);
     }
 
-    out.shard = primary;
     bill_rpc(requester, kRpcRequestBase + encoded_cells_size(cells), now);
     return out;
   }
@@ -661,57 +640,21 @@ std::size_t RegistryService::cells_on_hive(HiveId hive) const {
 
 RegistryService::Client::Client(RegistryService& service, HiveId self)
     : service_(service), self_(self) {
-  const std::size_t n = service_.shard_count();
-  memos_.resize(n + 1);  // slot n memoizes cross-shard sets (global stamp)
-  shard_versions_ = std::make_unique<std::atomic<std::uint64_t>[]>(n);
   service_.attach_client(this);
 }
 
 RegistryService::Client::~Client() = default;
 
-void RegistryService::Client::bump_shard_locked(std::uint32_t shard) {
-  shard_versions_[shard].fetch_add(1, std::memory_order_release);
-}
-
-RegistryService::Client::CacheStamp RegistryService::Client::stamp(
-    AppId app, const CellSet& cells) const {
-  // Lock-free: pure hashing plus one atomic load, so the hive dispatch
-  // memo can stamp per message without touching the client mutex.
-  CacheStamp s;
-  s.shard = service_.shard_of(app, cells);
-  s.version = s.shard == RegistryService::kAllShards
-                  ? cache_version_.load(std::memory_order_acquire)
-                  : shard_versions_[s.shard].load(std::memory_order_acquire);
-  return s;
-}
-
-void RegistryService::Client::invalidate(BeeId bee, std::uint64_t shard_mask) {
+void RegistryService::Client::invalidate(BeeId bee) {
   std::lock_guard lock(mutex_);
   bee_hive_.erase(bee);
-  // Drop memos only for the shards the bee owned cells in; resolutions
-  // memoized against other shards are untouched by this change.
-  for_each_shard(shard_mask, [&](std::uint32_t s) { bump_shard_locked(s); });
-  ++cache_version_;
   // Cell entries pointing at `bee` become stale but harmless: a lookup
   // only counts as a hit when the bee's location is also cached, so the
   // next resolve falls through to the master and overwrites them.
 }
 
 std::optional<ResolveOutcome> RegistryService::Client::try_cache_locked(
-    AppId app, const CellSet& cells, std::uint32_t primary) {
-  const bool cross = primary == RegistryService::kAllShards;
-  const std::size_t slot = cross ? service_.shard_count() : primary;
-  const std::uint64_t version =
-      cross ? cache_version_.load(std::memory_order_acquire)
-            : shard_versions_[primary].load(std::memory_order_acquire);
-  ResolveMemo& memo = memos_[slot];
-  // Fast path: exact repeat of the last resolved (app, cells) against this
-  // shard with an unchanged stamp — one version compare and a short key
-  // compare instead of per-cell key construction and three hash lookups.
-  if (memo.valid && memo.version == version && memo.app == app &&
-      memo.cells == cells) {
-    return memo.out;
-  }
+    AppId app, const CellSet& cells) {
   BeeId candidate = kNoBee;
   bool hit = !cells.empty();
   for (const CellKey& cell : cells) {
@@ -733,16 +676,10 @@ std::optional<ResolveOutcome> RegistryService::Client::try_cache_locked(
   ResolveOutcome out;
   out.bee = candidate;
   out.hive = hive_it->second;
-  out.shard = primary;
   auto exp_it = bee_expected_.find(candidate);
   if (exp_it != bee_expected_.end()) {
     out.transfers_expected = exp_it->second;
   }
-  memo.valid = true;
-  memo.version = version;
-  memo.app = app;
-  memo.cells = cells;
-  memo.out = out;
   return out;
 }
 
@@ -777,11 +714,9 @@ ResolveOutcome RegistryService::Client::resolve_or_create(AppId app,
                                                           const CellSet& cells,
                                                           bool pinned,
                                                           TimePoint now) {
-  const std::uint32_t primary = service_.shard_of(app, cells);
   {
     std::lock_guard lock(mutex_);
-    if (std::optional<ResolveOutcome> cached =
-            try_cache_locked(app, cells, primary)) {
+    if (std::optional<ResolveOutcome> cached = try_cache_locked(app, cells)) {
       ++hits_;
       return *cached;
     }
@@ -795,20 +730,12 @@ ResolveOutcome RegistryService::Client::resolve_or_create(AppId app,
 
   ResolveOutcome out =
       service_.resolve_or_create(app, cells, self_, pinned, now);
-  std::uint64_t mask = 0;
-  for (const CellKey& cell : cells) {
-    mask |= RegistryService::bit(service_.shard_of_cell(app, cell));
-  }
 
   std::lock_guard lock(mutex_);
   for (const CellKey& cell : cells) cell_to_bee_[{app, cell}] = out.bee;
   bee_hive_[out.bee] = out.hive;
   std::uint64_t& expected = bee_expected_[out.bee];
   if (out.transfers_expected > expected) expected = out.transfers_expected;
-  // Conservative: the fill may supersede resolutions memoized against the
-  // involved shards (e.g. this resolve merged their owner away).
-  for_each_shard(mask, [&](std::uint32_t s) { bump_shard_locked(s); });
-  ++cache_version_;
   return out;
 }
 
@@ -839,9 +766,6 @@ std::optional<HiveId> RegistryService::Client::hive_of(BeeId bee,
   if (hive.has_value() && live != kNoBee) {
     std::lock_guard lock(mutex_);
     bee_hive_[live] = *hive;
-    // Location-only fill: bumps the coarse global version (no shard is
-    // attributable), leaving every per-shard memo intact.
-    ++cache_version_;
   }
   return hive;
 }

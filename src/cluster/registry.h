@@ -71,9 +71,9 @@ struct ResolveOutcome {
   BeeId bee = kNoBee;
   HiveId hive = 0;
   bool created = false;
-  /// The winner's transfers_expected after this decision (0 for cache
-  /// hits, which is safe: cached cells were never re-homed — invalidation
-  /// evicts entries of merged-away bees).
+  /// The winner's transfers_expected after this decision. A cache hit
+  /// returns the largest value the master has reported to this client for
+  /// the bee, so the hit carries the fence of the decision that filled it.
   std::uint64_t transfers_expected = 0;
   /// Bees whose cells were just reassigned to `bee`; the caller must
   /// arrange state transfer (merge) from each loser into `bee`.
@@ -82,10 +82,6 @@ struct ResolveOutcome {
     HiveId hive;
   };
   std::vector<Loser> losers;
-  /// Primary registry shard of the resolved cell set (kAllShards when the
-  /// set spans shards). Stamped by the service so clients and the hive
-  /// dispatch memo can validate per shard instead of globally.
-  std::uint32_t shard = 0;
 };
 
 /// One shard's contention/throughput counters, for /metrics and beectl.
@@ -104,7 +100,7 @@ class RegistryService {
   static constexpr std::size_t kDefaultShards = 8;
   /// Shard sets are tracked as a 64-bit mask; counts are clamped to this.
   static constexpr std::size_t kMaxShards = 64;
-  /// Sentinel "spans more than one shard" value for primary-shard fields.
+  /// Sentinel shard index: home_of's answer for a bee id it does not know.
   static constexpr std::uint32_t kAllShards = 0xffffffffu;
 
   /// `meter` may be null (tests); `registry_hive` is where the service
@@ -188,9 +184,6 @@ class RegistryService {
   /// Shard owning one cell's table entry. Whole-dict cells hash to the
   /// dictionary's canonical shard (the one that also holds global owners).
   std::uint32_t shard_of_cell(AppId app, const CellKey& cell) const;
-  /// Primary shard of a cell set: the common shard when all cells agree,
-  /// kAllShards otherwise. Lock-free (pure hashing).
-  std::uint32_t shard_of(AppId app, const CellSet& cells) const;
   RegistryShardStats shard_stats(std::size_t shard) const;
 
   // -- Fault injection (lossy RPC channel) ---------------------------------
@@ -349,10 +342,6 @@ class RegistryService {
 /// the client fails the lookup (resolve outcomes report bee == kNoBee,
 /// hive_of returns nullopt) and backs off exponentially — further misses
 /// fail fast, without billing the channel, until the backoff expires.
-///
-/// The cache is version-stamped PER SHARD: an invalidation or fill against
-/// shard A bumps only A's stamp, so memoized resolutions against shard B
-/// (this client's and the hive dispatch memo's) survive untouched.
 class RegistryService::Client {
  public:
   Client(RegistryService& service, HiveId self);
@@ -372,39 +361,11 @@ class RegistryService::Client {
   /// Cached bee location; falls back to the master on a miss.
   std::optional<HiveId> hive_of(BeeId bee, TimePoint now);
 
-  /// Called by the service when ownership of `bee` changes. `shard_mask`
-  /// names the shards the bee owned cells in: only those version stamps
-  /// are bumped, so cached resolutions against other shards stay valid.
-  void invalidate(BeeId bee, std::uint64_t shard_mask);
+  /// Called by the service when ownership of `bee` changes: drops the
+  /// bee's cached location.
+  void invalidate(BeeId bee);
 
   HiveId self() const { return self_; }
-
-  /// A lock-free validity token for one resolved cell set: the version of
-  /// its primary shard (or the global version for cross-shard sets). The
-  /// hive dispatch memo stores one and revalidates per message without
-  /// taking the client mutex. A concurrent bump right after the load is
-  /// benign: it can only make the reader *discard* a still-usable memo or
-  /// act on a cache state the locked path could equally have served one
-  /// instant earlier (stale-cache forwarding already covers misroutes).
-  struct CacheStamp {
-    std::uint32_t shard = RegistryService::kAllShards;
-    std::uint64_t version = 0;
-  };
-  CacheStamp stamp(AppId app, const CellSet& cells) const;
-  bool stamp_valid(const CacheStamp& s) const {
-    return s.version == (s.shard == RegistryService::kAllShards
-                             ? cache_version()
-                             : shard_version(s.shard));
-  }
-
-  /// Monotonic version of the whole ownership cache (bumped on every
-  /// mutation of any shard); per-shard stamps are the finer-grained tool.
-  std::uint64_t cache_version() const {
-    return cache_version_.load(std::memory_order_acquire);
-  }
-  std::uint64_t shard_version(std::uint32_t shard) const {
-    return shard_versions_[shard].load(std::memory_order_acquire);
-  }
 
   std::uint64_t cache_hits() const { return hits_; }
   std::uint64_t cache_misses() const { return misses_; }
@@ -434,26 +395,9 @@ class RegistryService::Client {
     }
   };
 
-  /// Memo of the last successful cache-hit resolve against one shard.
-  /// Steady-state dispatch resolves the same (app, cells) over and over;
-  /// repeating the full hit path costs a cache-key construction plus three
-  /// hash lookups per message. A memo is valid only while its shard's
-  /// version is unchanged — every mutation against the shard bumps it, so
-  /// a merge, migration or invalidation can never serve a stale outcome —
-  /// and traffic against other shards leaves it untouched.
-  struct ResolveMemo {
-    bool valid = false;
-    std::uint64_t version = 0;
-    AppId app = 0;
-    CellSet cells;
-    ResolveOutcome out;
-  };
-
-  /// Cache lookup + memo maintenance; client mutex held.
+  /// Cache lookup; client mutex held.
   std::optional<ResolveOutcome> try_cache_locked(AppId app,
-                                                 const CellSet& cells,
-                                                 std::uint32_t primary);
-  void bump_shard_locked(std::uint32_t shard);
+                                                 const CellSet& cells);
 
   RegistryService& service_;
   HiveId self_;
@@ -464,11 +408,6 @@ class RegistryService::Client {
   // hits: a hit must carry the fence of the decision that created the
   // entry, or messages could slip past in-flight merge transfers.
   std::unordered_map<BeeId, std::uint64_t> bee_expected_;
-  std::vector<ResolveMemo> memos_;  ///< one per service shard
-  /// Atomic (not plain) solely for the lock-free stamp readers; all
-  /// writes still happen under mutex_.
-  std::unique_ptr<std::atomic<std::uint64_t>[]> shard_versions_;
-  std::atomic<std::uint64_t> cache_version_{0};
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t rpc_retries_ = 0;

@@ -230,17 +230,6 @@ class AppSet {
     }
   }
 
-  /// Number of apps subscribed to `type`. The dispatch memo installs only
-  /// for single-subscriber types (cold path: runs once per memo install,
-  /// never per message).
-  std::size_t subscriber_count(MsgTypeId type) const {
-    std::size_t n = 0;
-    for (const auto& app : apps_) {
-      if (app->binding_for(type) != nullptr) ++n;
-    }
-    return n;
-  }
-
   const std::vector<std::unique_ptr<App>>& apps() const { return apps_; }
   std::size_t size() const { return apps_.size(); }
 

@@ -229,7 +229,6 @@ bool Hive::e2e_eligible(const MessageEnvelope& env) {
 // ---------------------------------------------------------------------------
 
 void Hive::route(const MessageEnvelope& env) {
-  if (memo_.valid && memo_.type == env.type() && route_memoized(env)) return;
   apps_.for_each_subscriber(
       env.type(), [&](App& app, const HandlerBinding& binding) {
         if (binding.kind == HandlerBinding::Kind::kForeachLocal) {
@@ -238,45 +237,6 @@ void Hive::route(const MessageEnvelope& env) {
           dispatch_mapped(app, binding, env);
         }
       });
-}
-
-bool Hive::route_memoized(const MessageEnvelope& env) {
-  if (bees_epoch_ != memo_.bees_epoch ||
-      !registry_client_.stamp_valid(memo_.registry_stamp)) {
-    memo_.valid = false;  // a merge/migration/invalidation happened: rebuild
-    return false;
-  }
-  // Map still runs per message (its result depends on the payload); only
-  // when it reproduces the memoized cells is the cached route usable.
-  CellSet cells = memo_.binding->map(env);
-  if (!(cells == memo_.cells)) return false;
-  trace_span(SpanKind::kRegistryResolve, env, memo_.bee->id(), id_);
-  counters_.routed_local.bump();
-  const bool outer = !memo_in_use_;
-  memo_in_use_ = true;
-  deliver_local(*memo_.bee, env, memo_.transfers_expected, &memo_.cells,
-                &memo_.bound);
-  if (outer) memo_in_use_ = false;
-  return true;
-}
-
-void Hive::maybe_install_memo(App& app, const HandlerBinding& binding,
-                              CellSet cells, const ResolveOutcome& out) {
-  if (memo_in_use_) return;  // a live handler borrows the current memo
-  if (binding.kind != HandlerBinding::Kind::kMapped) return;
-  if (apps_.subscriber_count(binding.msg_type) != 1) return;
-  Bee* bee = find_bee(out.bee);
-  if (bee == nullptr) return;
-  memo_.valid = true;
-  memo_.type = binding.msg_type;
-  memo_.binding = &binding;
-  memo_.cells = std::move(cells);
-  memo_.registry_stamp = registry_client_.stamp(app.id(), memo_.cells);
-  memo_.bees_epoch = bees_epoch_;
-  memo_.bee = bee;
-  memo_.transfers_expected = out.transfers_expected;
-  memo_.bound.handle = &binding.handle;
-  memo_.bound.policy = AccessPolicy::cells_view(memo_.cells);
 }
 
 void Hive::dispatch_mapped(App& app, const HandlerBinding& binding,
@@ -307,9 +267,6 @@ void Hive::dispatch_mapped(App& app, const HandlerBinding& binding,
   // `cells` is borrowed down the synchronous delivery chain so the local
   // path binds the handler's access policy without a second Map run.
   deliver(out.bee, app.id(), out.hive, env, out.transfers_expected, &cells);
-  if (out.hive == id_ && out.losers.empty() && !out.created) {
-    maybe_install_memo(app, binding, std::move(cells), out);
-  }
 }
 
 void Hive::dispatch_foreach_local(AppId app, const std::string& dict,
@@ -367,8 +324,7 @@ void Hive::deliver(BeeId bee, AppId app, HiveId hive,
 }
 
 void Hive::deliver_local(Bee& bee, const MessageEnvelope& env,
-                         std::uint64_t min_transfers, const CellSet* mapped,
-                         const Bound* pre) {
+                         std::uint64_t min_transfers, const CellSet* mapped) {
   bee.note_required_transfers(min_transfers);
   bee.note_receive(env.from_bee(), env.from_hive(), env.wire_size(),
                    /*count_provenance=*/!env.is<TimerTick>(), env.type());
@@ -408,23 +364,17 @@ void Hive::deliver_local(Bee& bee, const MessageEnvelope& env,
     bee.hold(env);
     return;
   }
-  process(bee, env, mapped, pre);
+  process(bee, env, mapped);
 }
 
 void Hive::process(Bee& bee, const MessageEnvelope& env,
-                   const CellSet* mapped, const Bound* pre) {
-  // `pre` is the dispatch memo's already-bound handler+policy; without it,
-  // bind here (the bound policy lives on this frame, so the transaction
-  // borrows it either way — no AccessPolicy copies on any path).
-  std::optional<Bound> bound_storage;
-  const Bound* bound = pre;
-  if (bound == nullptr) {
-    App* app = apps_.find(bee.app());
-    assert(app != nullptr && "bee refers to unknown app");
-    bound_storage = bind(*app, env, mapped);
-    if (!bound_storage) return;
-    bound = &*bound_storage;
-  }
+                   const CellSet* mapped) {
+  // The bound policy lives on this frame and the transaction borrows it:
+  // no AccessPolicy copies on any path.
+  App* app = apps_.find(bee.app());
+  assert(app != nullptr && "bee refers to unknown app");
+  const std::optional<Bound> bound = bind(*app, env, mapped);
+  if (!bound) return;
 
   counters_.handler_runs.bump();
   bee.window().handler_invocations += 1;
@@ -483,17 +433,12 @@ void Hive::process(Bee& bee, const MessageEnvelope& env,
       if (e2e < 0) e2e = 0;
       config_.tracer->note_trace_end(env.trace_id(), e2e, /*errored=*/true);
     }
-    // Failure path only: resolve the app name for diagnostics (the hot
-    // path above no longer needs the App object at all).
-    const App* app = apps_.find(bee.app());
-    const std::string app_name =
-        app != nullptr ? app->name() : std::to_string(bee.app());
     if (config_.recorder != nullptr) {
-      config_.recorder->note(id_, "handler failure app=" + app_name +
+      config_.recorder->note(id_, "handler failure app=" + app->name() +
                                       " bee=" + to_string_bee(bee.id()) +
                                       ": " + e.what());
     }
-    BH_WARN << "handler failure in app " << app_name << " on hive " << id_
+    BH_WARN << "handler failure in app " << app->name() << " on hive " << id_
             << ": " << e.what();
     return;
   }
@@ -637,7 +582,6 @@ Bee& Hive::ensure_local_bee(BeeId id, AppId app) {
   auto it = bees_.find(id);
   if (it == bees_.end()) {
     it = bees_.emplace(id, std::make_unique<Bee>(id, app)).first;
-    ++bees_epoch_;
     // Point the bee at its app's mailbox bound (immutable deployment
     // config on the shared AppSet) so the hold path needs no app lookup.
     if (const App* a = apps_.find(app)) {

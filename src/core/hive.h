@@ -249,38 +249,15 @@ class Hive {
                std::uint64_t min_transfers, const CellSet* mapped = nullptr);
   void deliver_local(Bee& bee, const MessageEnvelope& env,
                      std::uint64_t min_transfers = 0,
-                     const CellSet* mapped = nullptr,
-                     const Bound* pre = nullptr);
+                     const CellSet* mapped = nullptr);
 
-  /// Runs the bound handler for one message on a local bee, inside a
-  /// transaction; flushes emissions and migration orders on commit. `pre`
-  /// is an already-bound handler+policy (the dispatch memo's); when null
-  /// the handler is bound here.
+  /// Binds and runs the handler for one message on a local bee, inside a
+  /// transaction; flushes emissions and migration orders on commit.
   void process(Bee& bee, const MessageEnvelope& env,
-               const CellSet* mapped = nullptr, const Bound* pre = nullptr);
+               const CellSet* mapped = nullptr);
 
   std::optional<Bound> bind(App& app, const MessageEnvelope& env,
                             const CellSet* mapped = nullptr) const;
-
-  // -- Dispatch memo (the shared-nothing fast path, DESIGN.md §12) ---------
-  // Steady-state dispatch repeats one route: same message type, same Map
-  // result, same live bee, unchanged registry cache. The memo caches the
-  // entire route→resolve→bind outcome of the last such delivery; a repeat
-  // revalidates with two counter compares plus one Map run and CellSet
-  // compare, then jumps straight to deliver_local with the memoized
-  // handler and a policy borrowing the memoized cells. Every bee-table
-  // mutation bumps `bees_epoch_` and every registry-cache mutation bumps
-  // the version stamp of the shard it touched, so merges, migrations and
-  // invalidations can never serve a stale route — while writes against
-  // OTHER registry shards leave the memo valid (per-shard CacheStamp).
-
-  /// Attempts the memoized route; returns false (and may invalidate the
-  /// memo) when the slow path must run.
-  bool route_memoized(const MessageEnvelope& env);
-  /// Installs the memo after a successful local delivery, when the type
-  /// has exactly one mapped subscriber and the resolve was clean.
-  void maybe_install_memo(App& app, const HandlerBinding& binding,
-                          CellSet cells, const ResolveOutcome& out);
 
   Bee& ensure_local_bee(BeeId id, AppId app);
 
@@ -378,26 +355,6 @@ class Hive {
   RuntimeEnv& env_;
   HiveConfig config_;
   std::unordered_map<BeeId, std::unique_ptr<Bee>> bees_;
-  /// Bumped on every bees_ insert/erase; memoized Bee* are valid only
-  /// while it is unchanged.
-  std::uint64_t bees_epoch_ = 0;
-  struct DispatchMemo {
-    bool valid = false;
-    MsgTypeId type = 0;
-    const HandlerBinding* binding = nullptr;
-    CellSet cells;  ///< the Map result the memo was built on
-    /// Per-shard registry stamp: only writes against the shard this route
-    /// resolved on invalidate the memo (lock-free check per message).
-    RegistryService::Client::CacheStamp registry_stamp;
-    std::uint64_t bees_epoch = 0;
-    Bee* bee = nullptr;
-    std::uint64_t transfers_expected = 0;
-    Bound bound;  ///< bound.policy borrows `cells`
-  };
-  DispatchMemo memo_;
-  /// True while a handler runs under the memo's borrowed policy; blocks
-  /// reentrant slow-path dispatches from overwriting the memo under it.
-  bool memo_in_use_ = false;
   struct Replica {
     AppId app = 0;
     StateStore store;

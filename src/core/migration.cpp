@@ -47,7 +47,6 @@ void Hive::handle_merge_cmd(const MergeCmdFrame& frame) {
     // ship from here — just retire the local shell and re-route its queue.
     held = it->second->take_holdback();
     bees_.erase(it);
-    ++bees_epoch_;
     for (MessageEnvelope& env : held) {
       deliver(frame.winner, frame.app, frame.winner_hive, env,
               frame.winner_expected);
@@ -59,7 +58,6 @@ void Hive::handle_merge_cmd(const MergeCmdFrame& frame) {
     held = it->second->take_holdback();
     loser_applied = it->second->transfers_applied();
     bees_.erase(it);
-    ++bees_epoch_;
   } else {
     // The loser was never instantiated here (its cells were registered but
     // no message reached it yet): ship an empty store. No transfer ever
@@ -254,7 +252,6 @@ void Hive::complete_migration(BeeId bee_id) {
                                       bee.migration_target()});
   }
   bees_.erase(it);
-  ++bees_epoch_;
 
   auto hive = registry_client_.hive_of(bee_id, env_.now());
   if (!hive.has_value()) {

@@ -214,7 +214,12 @@ TEST(DispatchBatching, SameSeedDeterministicUnderFaults) {
 // Single-Map dispatch
 // ---------------------------------------------------------------------------
 
-TEST(SingleMapDispatch, LocalDeliveryRunsMapOnce) {
+/// Parameter: how many keys the injected messages cycle through. One key
+/// repeats the same cells on every message; two alternating keys ("k0",
+/// "k1") change them on every message.
+class SingleMapLocalDispatch : public ::testing::TestWithParam<int> {};
+
+TEST_P(SingleMapLocalDispatch, LocalDeliveryRunsMapOnce) {
   std::atomic<std::uint64_t> map_calls{0};
   AppSet apps;
   apps.emplace<CountingMapApp>(&map_calls);
@@ -224,10 +229,11 @@ TEST(SingleMapDispatch, LocalDeliveryRunsMapOnce) {
   SimCluster sim(cfg, apps);
   sim.start();
 
+  const int n_keys = GetParam();
   constexpr int kN = 100;
   for (int i = 0; i < kN; ++i) {
-    sim.hive(0).inject(
-        MessageEnvelope::make(Incr{"k0", 1}, 0, kNoBee, 0, sim.now()));
+    sim.hive(0).inject(MessageEnvelope::make(
+        Incr{"k" + std::to_string(i % n_keys), 1}, 0, kNoBee, 0, sim.now()));
   }
   sim.run_to_idle();
 
@@ -236,6 +242,11 @@ TEST(SingleMapDispatch, LocalDeliveryRunsMapOnce) {
       << "the dispatch Map result must be reused for the handler's access "
          "policy, not recomputed at bind time";
 }
+
+INSTANTIATE_TEST_SUITE_P(Keys, SingleMapLocalDispatch, ::testing::Values(1, 2),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return std::to_string(info.param);
+                         });
 
 TEST(SingleMapDispatch, RemoteDeliveryRunsMapOncePerHive) {
   std::atomic<std::uint64_t> map_calls{0};

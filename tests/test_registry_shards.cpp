@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -65,17 +66,6 @@ TEST(RegistryShards, ShardOfCellIsStableAndInRange) {
   }
 }
 
-TEST(RegistryShards, PrimaryShardOfCrossShardSetIsSentinel) {
-  RegistryService reg(4, nullptr, 0, 8);
-  const auto keys = keys_on_distinct_shards(reg, 2);
-  CellSet cross;
-  cross.insert({"d", keys[0]});
-  cross.insert({"d", keys[1]});
-  EXPECT_EQ(reg.shard_of(kApp, cross), RegistryService::kAllShards);
-  EXPECT_EQ(reg.shard_of(kApp, one(keys[0])),
-            reg.shard_of_cell(kApp, {"d", keys[0]}));
-}
-
 TEST(RegistryShards, OpsAndResolvesCountPerShard) {
   RegistryService reg(4, nullptr, 0, 8);
   const auto keys = keys_on_distinct_shards(reg, 2);
@@ -91,7 +81,7 @@ TEST(RegistryShards, OpsAndResolvesCountPerShard) {
 // Cross-shard cache isolation (the tentpole property)
 // ---------------------------------------------------------------------------
 
-TEST(RegistryShards, WriteToOneShardKeepsOtherShardsMemoValid) {
+TEST(RegistryShards, WriteToOneShardKeepsOtherShardsCached) {
   RegistryService reg(4, nullptr, 0, 8);
   RegistryService::Client client(reg, 1);
   const auto keys = keys_on_distinct_shards(reg, 2);
@@ -102,34 +92,30 @@ TEST(RegistryShards, WriteToOneShardKeepsOtherShardsMemoValid) {
   const auto out_b = client.resolve_or_create(kApp, cells_b, false, 0);
   ASSERT_NE(out_a.bee, kNoBee);
   ASSERT_NE(out_b.bee, kNoBee);
-  ASSERT_NE(out_a.shard, out_b.shard);
-
-  const auto stamp_a = client.stamp(kApp, cells_a);
-  const auto stamp_b = client.stamp(kApp, cells_b);
-  EXPECT_TRUE(client.stamp_valid(stamp_a));
-  EXPECT_TRUE(client.stamp_valid(stamp_b));
-  const std::uint64_t version_a = client.shard_version(out_a.shard);
 
   // Ownership write against B's shard: move B's bee to another hive.
   reg.move_bee(out_b.bee, 3, 0);
 
-  // B's stamp is dead, A's stamp and version are untouched.
-  EXPECT_FALSE(client.stamp_valid(stamp_b));
-  EXPECT_TRUE(client.stamp_valid(stamp_a));
-  EXPECT_EQ(client.shard_version(out_a.shard), version_a);
-
-  // And A still serves from cache: hits grow, misses do not.
+  // A still serves from cache: hits grow, misses do not.
   const std::uint64_t hits = client.cache_hits();
   const std::uint64_t misses = client.cache_misses();
   const auto again = client.resolve_or_create(kApp, cells_a, false, 0);
   EXPECT_EQ(again.bee, out_a.bee);
   EXPECT_EQ(client.cache_hits(), hits + 1);
   EXPECT_EQ(client.cache_misses(), misses);
+
+  // B's cached location was invalidated: its next lookup goes to the
+  // master and learns the new hive.
+  const auto moved = client.resolve_or_create(kApp, cells_b, false, 0);
+  EXPECT_EQ(moved.bee, out_b.bee);
+  EXPECT_EQ(moved.hive, 3u);
+  EXPECT_EQ(client.cache_hits(), hits + 1);
+  EXPECT_EQ(client.cache_misses(), misses + 1);
 }
 
-TEST(RegistryShards, PerShardMemosSurviveAlternation) {
-  // The memo is per shard: alternating between two cell sets on different
-  // shards must not thrash a single memo slot.
+TEST(RegistryShards, AlternatingShardsKeepHittingTheCache) {
+  // The cache keeps every resolved cell set, not just the last one:
+  // alternating between two cell sets on different shards never misses.
   RegistryService reg(4, nullptr, 0, 8);
   RegistryService::Client client(reg, 1);
   const auto keys = keys_on_distinct_shards(reg, 2);
@@ -150,20 +136,13 @@ TEST(RegistryShards, CrossShardMergeCollocatesAndInvalidatesBothShards) {
   const auto keys = keys_on_distinct_shards(reg, 2);
   const auto out_a = client.resolve_or_create(kApp, one(keys[0]), false, 0);
   const auto out_b = client.resolve_or_create(kApp, one(keys[1]), false, 0);
-  const auto stamp_a = client.stamp(kApp, one(keys[0]));
-  const auto stamp_b = client.stamp(kApp, one(keys[1]));
 
   CellSet both;
   both.insert({"d", keys[0]});
   both.insert({"d", keys[1]});
   const auto merged = client.resolve_or_create(kApp, both, false, 0);
   ASSERT_NE(merged.bee, kNoBee);
-  EXPECT_EQ(merged.shard, RegistryService::kAllShards);
   EXPECT_EQ(merged.losers.size(), 1u);
-
-  // The merge reassigned cells in both shards: both stamps die.
-  EXPECT_FALSE(client.stamp_valid(stamp_a));
-  EXPECT_FALSE(client.stamp_valid(stamp_b));
 
   // All three cell sets now resolve to the same (collocated) bee.
   EXPECT_EQ(client.resolve_or_create(kApp, one(keys[0]), false, 0).bee,
@@ -172,6 +151,13 @@ TEST(RegistryShards, CrossShardMergeCollocatesAndInvalidatesBothShards) {
             merged.bee);
   const bool winner_was_a = merged.bee == out_a.bee;
   EXPECT_TRUE(winner_was_a || merged.bee == out_b.bee);
+
+  // The merge invalidated the loser's cached location: looking the loser
+  // up again misses and follows the master's forwarding to the winner.
+  const BeeId loser = winner_was_a ? out_b.bee : out_a.bee;
+  const std::uint64_t misses = client.cache_misses();
+  EXPECT_EQ(client.hive_of(loser, 0), std::optional<HiveId>(merged.hive));
+  EXPECT_EQ(client.cache_misses(), misses + 1);
 }
 
 TEST(RegistryShards, WholeDictAbsorbsKeysAcrossAllShards) {
