@@ -6,7 +6,9 @@
 //            owned by a local bee (resolve + deliver + handler, no wire).
 //            Every message carries one key; `local_64keys` runs the same
 //            route with each message's key drawn uniformly from 64, so
-//            consecutive messages rarely share cells;
+//            consecutive messages rarely share cells, and `local_emit`
+//            sends a query whose handler emits one reply to a sink bee on
+//            the same hive (two handler runs and one outbox hop each);
 //   remote — a 2-hive cluster with placement pinned to hive 1 while the
 //            driver injects on hive 0, so every message pays resolve +
 //            envelope serialization + frame + delivery on the far side.
@@ -66,8 +68,10 @@ namespace beehive {
 namespace {
 
 using testing::CounterApp;
+using testing::CounterQuery;
 using testing::I64;
 using testing::Incr;
+using testing::NoopSinkApp;
 
 constexpr std::size_t kWarmup = 10'000;
 constexpr std::size_t kBatch = 4096;  // bounds the sim event queue (remote)
@@ -113,19 +117,26 @@ ClusterConfig traced_config(bool with_tail) {
 /// same cells; with more, each message's key is drawn uniformly from a
 /// fixed-seed generator (like the end-to-end learning-switch workload's
 /// random switch choice), so consecutive messages rarely repeat. The
-/// warm-up visits every key, so the measured loop creates no bees.
+/// warm-up visits every key, so the measured loop creates no bees. With
+/// `emit`, each message is a CounterQuery instead of an Incr: its handler
+/// emits one CounterValue to a no-op sink bee, so a message costs two
+/// handler runs.
 RunResult run_local(const char* label, const ClusterConfig& cfg,
                     const OverloadConfig& overload, std::size_t n_keys,
-                    std::size_t n_messages) {
+                    std::size_t n_messages, bool emit = false) {
   AppSet apps;
   apps.emplace<CounterApp>().set_overload(overload);
+  if (emit) apps.emplace<NoopSinkApp>();
   SimCluster sim(cfg, apps);
   sim.start();
 
   std::vector<MessageEnvelope> msgs;
   for (std::size_t k = 0; k < n_keys; ++k) {
-    msgs.push_back(MessageEnvelope::make(Incr{"k" + std::to_string(k), 1}, 0,
-                                         kNoBee, 0, sim.now()));
+    const std::string key = "k" + std::to_string(k);
+    msgs.push_back(emit ? MessageEnvelope::make(CounterQuery{key}, 0, kNoBee,
+                                                0, sim.now())
+                        : MessageEnvelope::make(Incr{key, 1}, 0, kNoBee, 0,
+                                                sim.now()));
   }
   Xoshiro256 rng(kKeySeed);
   std::vector<std::uint32_t> order(n_messages);
@@ -146,7 +157,7 @@ RunResult run_local(const char* label, const ClusterConfig& cfg,
   const std::uint64_t allocs = testing::allocation_count() - allocs_before;
 
   const std::uint64_t delivered =
-      sim.hive(0).counters().handler_runs - runs_before;
+      (sim.hive(0).counters().handler_runs - runs_before) / (emit ? 2 : 1);
   if (delivered != n_messages) {
     throw std::runtime_error(std::string(label) + ": delivered " +
                              std::to_string(delivered) + " of " +
@@ -287,6 +298,7 @@ int run(int argc, char** argv) {
                                .policy = OverloadPolicy::kShedNewest};
   std::vector<RunResult> local_off, local_on, remote_off, remote_on;
   std::vector<RunResult> local_bnd, local_spn, local_trc, local_many;
+  std::vector<RunResult> local_emit;
   for (std::size_t rep = 0; rep < reps; ++rep) {
     local_off.push_back(run_local("local", base_config(1, false), unbounded,
                                   1, n_messages));
@@ -307,6 +319,8 @@ int run(int argc, char** argv) {
                                  unbounded, 1, n_messages));
     local_many.push_back(run_local("local_64keys", base_config(1, false),
                                    unbounded, kManyKeys, n_messages));
+    local_emit.push_back(run_local("local_emit", base_config(1, false),
+                                   unbounded, 1, n_messages, /*emit=*/true));
     remote_off.push_back(run_remote(n_messages, /*profiler=*/false));
     remote_on.push_back(run_remote(n_messages, /*profiler=*/true));
   }
@@ -355,11 +369,13 @@ int run(int argc, char** argv) {
   if (!bounded_only && !traced_only) {
     const RunResult localp = median_by_throughput(std::move(local_on));
     const RunResult localm = median_by_throughput(std::move(local_many));
+    const RunResult locale = median_by_throughput(std::move(local_emit));
     const RunResult remote = median_by_throughput(std::move(remote_off));
     const RunResult remotep = median_by_throughput(std::move(remote_on));
 
     print_result("local+profiler", localp);
     print_result("local_64keys", localm);
+    print_result("local_emit", locale);
     print_result("remote", remote);
     print_result("remote+profiler", remotep);
     const double local_oh = overhead_pct(local, localp);
@@ -369,6 +385,7 @@ int run(int argc, char** argv) {
                 reps, local_oh, remote_oh);
 
     report_group(report, "local_64keys", localm);
+    report_group(report, "local_emit", locale);
     report_group(report, "remote", remote);
     report_group(report, "local_profiler", localp);
     report_group(report, "remote_profiler", remotep);

@@ -69,8 +69,8 @@ void SimCluster::schedule_after(HiveId hive, Duration delay,
     q.depth += 1;
     if (q.depth > q.hwm) q.hwm = q.depth;
   }
-  // A crashed hive's pending callbacks (timers, deferred emissions) must
-  // not run: check liveness at fire time, not at scheduling time.
+  // A crashed hive's pending callbacks (timers, flushes) must not run:
+  // check liveness at fire time, not at scheduling time.
   events_.push(Event{now_ + delay, next_seq_++,
                      [this, hive, f = std::move(fn)]() {
                        if (hive < queues_.size()) {

@@ -1,8 +1,8 @@
 // Deterministic discrete-event cluster simulator.
 //
 // All hives of the simulated control plane execute in one thread under a
-// single virtual clock: timers, frame deliveries and deferred emission
-// dispatches are events in one priority queue ordered by (time, sequence).
+// single virtual clock: timers, frame deliveries and end-of-turn
+// flushes are events in one priority queue ordered by (time, sequence).
 // Two runs with the same configuration and seed produce bit-identical
 // traffic matrices and bandwidth series — the property every bench in
 // bench/ relies on. The paper's own evaluation "simulated a cluster of 40

@@ -482,16 +482,14 @@ void Hive::process(Bee& bee, const MessageEnvelope& env,
 
   replicate_txn(bee, ctx.state());
 
-  // Flush emissions. Routing is deferred by dispatch_delay so that long
-  // emission chains are iterative events, not recursion, and so a message
-  // emitted "now" is observably later than its cause.
+  // Emissions wait in the outbox; the end-of-turn flush routes them.
   for (MessageEnvelope& out : ctx.emitted()) {
     out.inherit_trace(env);
     bee.note_emit(env.type(), out.type(), out.wire_size());
     trace_span(SpanKind::kEnqueue, out, bee.id());
-    env_.schedule_after(id_, config_.dispatch_delay,
-                        [this, m = std::move(out)]() { route_deferred(m); });
+    outbox_.push_back(std::move(out));
   }
+  if (!ctx.emitted().empty()) schedule_flush();
   for (auto [target_bee, to_hive] : ctx.migration_orders()) {
     request_migration(target_bee, to_hive);
   }
@@ -535,11 +533,6 @@ void Hive::record_decisions(const MessageEnvelope& env,
       BH_DEBUG << line;
     }
   }
-}
-
-void Hive::route_deferred(const MessageEnvelope& env) {
-  trace_span(SpanKind::kDequeue, env, env.from_bee());
-  route(env);
 }
 
 std::optional<Hive::Bound> Hive::bind(App& app, const MessageEnvelope& env,
@@ -627,18 +620,30 @@ void Hive::append_egress(HiveId to, std::string_view frame) {
   if (egress_pending_ > egress_hwm_window_) {
     egress_hwm_window_ = egress_pending_;
   }
-  if (!egress_scheduled_) {
-    egress_scheduled_ = true;
-    // +0 delay: the flush runs after every event of the current loop turn
-    // has appended its frames, so one turn's fan-out to a destination rides
-    // one wire unit. Captures only `this` — small enough that the closure
-    // itself does not allocate.
-    env_.schedule_after(id_, 0, [this]() { flush_egress(); });
-  }
+  schedule_flush();
 }
 
-void Hive::flush_egress() {
-  egress_scheduled_ = false;
+void Hive::schedule_flush() {
+  if (flush_scheduled_) return;
+  flush_scheduled_ = true;
+  // +0 delay: the flush runs after every event of the current loop turn
+  // has emitted and appended, so one turn's fan-out to a destination rides
+  // one wire unit. Captures only `this` — small enough that the closure
+  // itself does not allocate.
+  env_.schedule_after(id_, 0, [this]() { flush(); });
+}
+
+void Hive::flush() {
+  // Emissions the routing below makes land in the emptied outbox and wait
+  // for the next flush: a local ping-pong cannot starve posted work.
+  outbox_.swap(routing_);
+  for (const MessageEnvelope& m : routing_) {
+    trace_span(SpanKind::kDequeue, m, m.from_bee());
+    route(m);
+  }
+  routing_.clear();
+  flush_scheduled_ = false;
+  if (!outbox_.empty()) schedule_flush();
   egress_pending_ = 0;
   for (std::size_t i = 0; i < egress_.size(); ++i) {
     Egress& e = egress_[i];
@@ -919,8 +924,8 @@ void Hive::report_metrics() {
 
   // Queue pressure: how much work is waiting relative to how much the hive
   // got through this window. backlog counts the run queue, messages held
-  // behind transfer fences, and frames parked in egress buffers; the +1
-  // keeps an idle hive at exactly 0.
+  // behind transfer fences, emissions in the outbox and frames parked in
+  // egress buffers; the +1 keeps an idle hive at exactly 0.
   const QueueStats qs = env_.queue_stats(id_);
   sig.runq_depth = static_cast<double>(qs.depth);
   sig.runq_hwm = static_cast<double>(qs.hwm);
@@ -930,7 +935,7 @@ void Hive::report_metrics() {
   sig.egress_hwm = static_cast<double>(egress_hwm_window_);
   egress_hwm_window_ = egress_pending_;
   const double backlog = sig.runq_depth + sig.queue_depth +
-                         static_cast<double>(egress_pending_);
+                         static_cast<double>(outbox_.size() + egress_pending_);
   sig.pressure = backlog / (backlog + sig.drained_window + 1.0);
 
   // Overload accounting (DESIGN.md §10): total sheds (mailbox + link) and

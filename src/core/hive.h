@@ -51,9 +51,6 @@ struct HiveConfig {
   HiveId timer_master = 0;
   /// Stop firing timers after this time (sim runs bounded experiments).
   TimePoint timers_until = kTimeInfinity;
-  /// Delay between a handler emitting a message and its routing — models
-  /// queueing and keeps emission chains iterative instead of recursive.
-  Duration dispatch_delay = 20 * kMicrosecond;
   /// Replicate every bee's committed state to a neighbour hive (paper §7
   /// future work: fault tolerance). Enables SimCluster::fail_hive recovery.
   bool replication = false;
@@ -252,7 +249,7 @@ class Hive {
                      const CellSet* mapped = nullptr);
 
   /// Binds and runs the handler for one message on a local bee, inside a
-  /// transaction; flushes emissions and migration orders on commit.
+  /// transaction; on commit, queues emissions and issues migration orders.
   void process(Bee& bee, const MessageEnvelope& env,
                const CellSet* mapped = nullptr);
 
@@ -261,19 +258,21 @@ class Hive {
 
   Bee& ensure_local_bee(BeeId id, AppId app);
 
-  // -- Batched frame egress -------------------------------------------------
-  // Outbound frames are not shipped one by one: they accumulate in a
+  // -- End-of-turn flush ----------------------------------------------------
+  // One +0 event per loop turn, armed by the turn's first emission or
+  // outbound frame, routes the outbox in emission order, then ships the
+  // egress batches (DESIGN.md §8). Outbound frames accumulate in a
   // per-destination buffer and leave as a single FrameKind::kBatch wire
-  // unit when the flush event (scheduled at +0 on first append) runs at the
-  // end of the current loop turn. One batch pays the fault-plan decision,
-  // the channel-meter update, the delivery closure and the target's queue
-  // handoff once for every frame it carries. The reliable transport sits
-  // below the batcher, so retransmission and dedup are also per-batch.
+  // unit. One batch pays the fault-plan decision, the channel-meter
+  // update, the delivery closure and the target's queue handoff once for
+  // every frame it carries. The reliable transport sits below the
+  // batcher, so retransmission and dedup are also per-batch.
 
   /// Queues one already-serialized frame for `to` and arms the flush.
   void send_frame(HiveId to, Bytes frame);
   void append_egress(HiveId to, std::string_view frame);
-  void flush_egress();
+  void schedule_flush();
+  void flush();
   /// Serializes an AppMsgFrame for `env` straight into the egress buffer
   /// through the reusable scratch writers — no per-message allocation.
   void send_app_msg(HiveId to, BeeId bee, AppId app,
@@ -292,8 +291,6 @@ class Hive {
                                       env.trace_id(), id_, bee,
                                       env.from_app(), env.type(), aux, aux2});
   }
-  /// Deferred-emission hop: records the dequeue span, then routes.
-  void route_deferred(const MessageEnvelope& env);
   /// True when a terminal handler of this message should count toward the
   /// end-to-end latency histogram.
   static bool e2e_eligible(const MessageEnvelope& env);
@@ -379,7 +376,11 @@ class Hive {
     std::uint32_t count = 0;
   };
   std::vector<Egress> egress_;
-  bool egress_scheduled_ = false;
+  bool flush_scheduled_ = false;
+  /// Emissions awaiting the flush, and the batch the flush is routing. The
+  /// flush swaps them, so both keep their capacity.
+  std::vector<MessageEnvelope> outbox_;
+  std::vector<MessageEnvelope> routing_;
   /// Frames sitting in egress buffers right now, and the window's
   /// high-watermark of that count (pressure inputs; reset at report time).
   std::uint64_t egress_pending_ = 0;

@@ -232,7 +232,7 @@ void walk_critical(AssembledTrace& t, std::size_t term,
     if (deq < 0) break;
     attribute_hop(t, spans[deq].hive, ev.hive, spans[deq].at, ev.at, links);
     t.critical.push_back(static_cast<std::size_t>(deq));
-    // The matching enqueue (same emitting hive + bee): the dispatch delay
+    // The matching enqueue (same emitting hive + bee): the outbox wait
     // between them is queue time.
     const TraceEvent& dq = spans[deq];
     const std::ptrdiff_t enq =

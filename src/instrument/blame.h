@@ -26,7 +26,7 @@
 namespace beehive {
 
 /// Wall-time attribution buckets for one trace's critical path, in
-/// microseconds. `queue` covers dispatch delay, holdback waits and
+/// microseconds. `queue` covers outbox waits, holdback waits and
 /// receiver-side queueing; `serialize` is dequeue-to-wire time not
 /// explained by stalls or retransmits (egress batching + encoding).
 struct TraceBlame {

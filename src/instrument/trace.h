@@ -24,8 +24,8 @@ namespace beehive {
 
 enum class SpanKind : std::uint8_t {
   kIngress = 1,       ///< Message entered the platform on an IO channel.
-  kEnqueue = 2,       ///< Emission buffered for deferred routing.
-  kDequeue = 3,       ///< Deferred emission picked up for routing.
+  kEnqueue = 2,       ///< Emission moved to the hive's outbox.
+  kDequeue = 3,       ///< Emission routed by the end-of-turn flush.
   kRegistryResolve = 4,  ///< Map cells resolved to a bee (aux = owner hive).
   kHandlerStart = 5,  ///< Handler invocation began on a bee.
   kHandlerEnd = 6,    ///< Handler returned (aux = emitted count, aux2 = 1

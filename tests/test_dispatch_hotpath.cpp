@@ -1,8 +1,8 @@
 // Tests for the dispatch hot path: batched frame egress (coalescing,
 // per-link FIFO, span pairing, determinism under faults), the single-Map
 // dispatch contract, untrusted-length clamps, the threaded runtime's
-// condition-variable quiescence, and allocation budgets for the local and
-// remote steady-state routes.
+// condition-variable quiescence, and allocation budgets for the local,
+// local-emission and remote steady-state routes.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -22,8 +22,10 @@ namespace beehive {
 namespace {
 
 using testing::CounterApp;
+using testing::CounterQuery;
 using testing::I64;
 using testing::Incr;
+using testing::NoopSinkApp;
 
 // ---------------------------------------------------------------------------
 // Test apps
@@ -403,6 +405,46 @@ TEST(DispatchAllocs, BoundedLocalSteadyStateIsAllocationFree) {
   EXPECT_EQ(allocs, 0u)
       << "bounded mailboxes and credit bookkeeping must add zero "
          "allocations per message on the warmed local path";
+}
+
+TEST(DispatchAllocs, LocalEmissionWithinTwoAllocsPerMessage) {
+  // Each query's handler emits one CounterValue to a sink bee on the same
+  // hive. What the emission may cost is its body and the first push into
+  // the handler's emission buffer; the outbox hop to the sink is free.
+  AppSet apps;
+  apps.emplace<CounterApp>();
+  apps.emplace<NoopSinkApp>();
+  ClusterConfig cfg;
+  cfg.n_hives = 1;
+  cfg.hive.metrics_period = 0;
+  SimCluster sim(cfg, apps);
+  sim.start();
+
+  constexpr std::uint64_t kN = 5000;
+  const MessageEnvelope query =
+      MessageEnvelope::make(CounterQuery{"k0"}, 0, kNoBee, 0, sim.now());
+  const auto burst = [&sim, &query] {
+    for (std::uint64_t i = 0; i < kN; ++i) sim.hive(0).inject(query);
+    sim.run_to_idle();
+  };
+  // The outbox and the vector the flush swaps it with each grow to the
+  // burst size in one flush.
+  burst();
+  burst();
+
+  const std::uint64_t runs_before = sim.hive(0).counters().handler_runs;
+  const std::uint64_t before = testing::allocation_count();
+  burst();
+  const std::uint64_t allocs = testing::allocation_count() - before;
+
+  ASSERT_EQ(sim.hive(0).counters().handler_runs - runs_before, 2 * kN)
+      << "every query and every emitted value must run a handler";
+  // A burst schedules one flush event; the simulator's event wrapper may
+  // allocate for it.
+  constexpr std::uint64_t kPerBurst = 4;
+  EXPECT_LE(allocs, 2 * kN + kPerBurst)
+      << "a local emission must cost at most 2 allocations per message; got "
+      << allocs << " allocs for " << kN << " queries";
 }
 
 TEST(DispatchAllocs, RemoteSteadyStateWithinTwoAllocsPerMessage) {

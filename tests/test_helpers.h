@@ -188,4 +188,15 @@ class SinkApp : public App {
   }
 };
 
+/// Sink that takes every CounterValue on one bee and does nothing with it:
+/// the far end of an emitting handler, costing only its dispatch.
+class NoopSinkApp : public App {
+ public:
+  NoopSinkApp() : App("test.noop_sink") {
+    on<CounterValue>(
+        [](const CounterValue&) { return CellSet::single("noop", "all"); },
+        [](AppContext&, const CounterValue&) {});
+  }
+};
+
 }  // namespace beehive::testing

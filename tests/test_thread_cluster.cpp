@@ -526,6 +526,44 @@ class SeqLogApp : public App {
   }
 };
 
+/// Asks source `src`'s bee to emit Numbered{src, first} .. {src, first+n-1}.
+struct Burst {
+  static constexpr std::string_view kTypeName = "test.burst";
+  std::uint32_t src = 0;
+  std::uint64_t first = 0;
+  std::uint32_t n = 0;
+
+  void encode(ByteWriter& w) const {
+    w.u32(src);
+    w.u64(first);
+    w.u32(n);
+  }
+  static Burst decode(ByteReader& r) {
+    Burst m;
+    m.src = r.u32();
+    m.first = r.u64();
+    m.n = r.u32();
+    return m;
+  }
+};
+
+/// One source bee per `src` (a cell per source); each Burst it handles
+/// emits its run of Numbered messages in sequence order.
+class BurstApp : public App {
+ public:
+  BurstApp() : App("test.burst") {
+    on<Burst>(
+        [](const Burst& m) {
+          return CellSet::single("src", std::to_string(m.src));
+        },
+        [](AppContext& ctx, const Burst& m) {
+          for (std::uint32_t i = 0; i < m.n; ++i) {
+            ctx.emit(Numbered{m.src, m.first + i});
+          }
+        });
+  }
+};
+
 TEST_F(ThreadClusterFifo, FramesKeepPerLinkOrderWithoutReliableTransport) {
   // Three source hives each emit numbered messages to one bee pinned on a
   // fourth hive, with the reliable transport off: nothing but the run
@@ -572,6 +610,66 @@ TEST_F(ThreadClusterFifo, FramesKeepPerLinkOrderWithoutReliableTransport) {
     ASSERT_EQ(log[src].size(), kPerSource) << "link " << src << " lost";
     for (std::uint64_t i = 0; i < kPerSource; ++i) {
       ASSERT_EQ(log[src][i], i) << "link " << src << " reordered";
+    }
+  }
+}
+
+TEST_F(ThreadClusterFifo, EmissionsKeepEmissionOrderLocalAndAcrossHives) {
+  // One source bee per hive turns each Burst into eight Numbered emissions
+  // to one sink bee on hive 2: hive 0's and hive 1's cross a hive boundary,
+  // hive 2's stay local. Driver threads post the bursts unpaced, so the
+  // flushes that route the emissions interleave with ingress and frames.
+  // Each source's messages must reach the sink in the order its handlers
+  // emitted them.
+  constexpr HiveId kSinkHive = 2;
+  constexpr std::uint32_t kSources = 3;
+  constexpr std::uint64_t kBursts = 400;
+  constexpr std::uint32_t kPerBurst = 8;
+  // log[kSources] holds the message that creates the sink.
+  std::vector<std::vector<std::uint64_t>> log(kSources + 1);
+  AppSet apps;
+  apps.emplace<SeqLogApp>(&log);
+  apps.emplace<BurstApp>();
+  ThreadClusterConfig config;
+  config.n_hives = kSources;
+  config.hive.metrics_period = 0;
+  ThreadCluster cluster(config, apps);
+  cluster.start();
+  // The first message for a cell creates its bee where it was injected.
+  cluster.post(kSinkHive, [&cluster] {
+    cluster.hive(kSinkHive).inject(MessageEnvelope::make(
+        Numbered{kSources, 0}, 0, kNoBee, kSinkHive, cluster.now()));
+  });
+  cluster.wait_idle();
+  ASSERT_EQ(log[kSources].size(), 1u);
+
+  std::vector<std::thread> drivers;
+  for (HiveId src = 0; src < kSources; ++src) {
+    drivers.emplace_back([&cluster, src] {
+      for (std::uint64_t b = 0; b < kBursts; ++b) {
+        cluster.post(src, [&cluster, src, b] {
+          cluster.hive(src).inject(MessageEnvelope::make(
+              Burst{src, b * kPerBurst, kPerBurst}, 0, kNoBee, src,
+              cluster.now()));
+        });
+      }
+    });
+  }
+  for (auto& t : drivers) t.join();
+  cluster.wait_idle();
+  std::vector<std::uint64_t> remote(kSources);
+  for (HiveId src = 0; src < kSources; ++src) {
+    remote[src] = cluster.hive(src).counters().routed_remote;
+  }
+  cluster.stop();
+
+  constexpr std::uint64_t kPerSource = kBursts * kPerBurst;
+  for (std::uint32_t src = 0; src < kSources; ++src) {
+    EXPECT_EQ(remote[src], src == kSinkHive ? 0 : kPerSource)
+        << "source " << src << " is not on hive " << src;
+    ASSERT_EQ(log[src].size(), kPerSource) << "source " << src << " lost";
+    for (std::uint64_t i = 0; i < kPerSource; ++i) {
+      ASSERT_EQ(log[src][i], i) << "source " << src << " reordered";
     }
   }
 }
