@@ -23,7 +23,7 @@ HostLocationApp::HostLocationApp(std::size_t n_buckets)
         HostBucket bucket =
             ctx.state().get_as<HostBucket>(dict, key).value_or(HostBucket{});
         bucket.upsert(m.mac, m.sw, m.port);
-        ctx.state().put_as(dict, key, bucket);
+        ctx.state().put_as(dict, key, std::move(bucket));
       });
 
   on<HostUnregister>(
@@ -35,7 +35,7 @@ HostLocationApp::HostLocationApp(std::size_t n_buckets)
         auto bucket = ctx.state().get_as<HostBucket>(dict, key);
         if (!bucket) return;
         if (bucket->remove(m.mac)) {
-          ctx.state().put_as(dict, key, *bucket);
+          ctx.state().put_as(dict, key, std::move(*bucket));
         }
       });
 

@@ -141,7 +141,9 @@ struct HostBucket {
   static HostBucket decode(ByteReader& r) {
     HostBucket b;
     std::uint64_t n = r.varint();
-    b.entries.reserve(n);
+    b.entries.reserve(reserve_bound(
+        n, r,
+        sizeof(std::uint64_t) + sizeof(std::uint32_t) + sizeof(std::uint16_t)));
     for (std::uint64_t i = 0; i < n; ++i) {
       HostBucket::Entry e;
       e.mac = r.u64();

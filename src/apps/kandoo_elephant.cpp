@@ -20,7 +20,7 @@ ElephantDetectorApp::ElephantDetectorApp(KandooConfig config)
         if (ctx.state().contains(dict, switch_key(m.sw))) return;
         FlowSeriesEntry entry;
         entry.sw = m.sw;
-        ctx.state().put_as(dict, switch_key(m.sw), entry);
+        ctx.state().put_as(dict, switch_key(m.sw), std::move(entry));
       });
 
   // Frequent local polling: Kandoo's whole point is that this heavy
@@ -61,7 +61,7 @@ ElephantDetectorApp::ElephantDetectorApp(KandooConfig config)
             entry->unflag(stat.flow);
           }
         }
-        ctx.state().put_as(dict, switch_key(m.sw), *entry);
+        ctx.state().put_as(dict, switch_key(m.sw), std::move(*entry));
       });
 }
 

@@ -19,9 +19,10 @@ LearningSwitchApp::LearningSwitchApp() : App("learning_switch") {
                              .value_or(MacTable{});
         table.learn(m.src_mac, m.in_port);
         const MacTable::Entry* known = table.find(m.dst_mac);
-        ctx.state().put_as(dict, switch_key(m.sw), table);
-        ctx.emit(PacketOut{m.sw, m.dst_mac,
-                           known != nullptr ? known->port : kFloodPort});
+        const std::uint16_t out_port =
+            known != nullptr ? known->port : kFloodPort;
+        ctx.state().put_as(dict, switch_key(m.sw), std::move(table));
+        ctx.emit(PacketOut{m.sw, m.dst_mac, out_port});
       });
 }
 

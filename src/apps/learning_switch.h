@@ -53,7 +53,8 @@ struct MacTable {
   static MacTable decode(ByteReader& r) {
     MacTable t;
     std::uint64_t n = r.varint();
-    t.entries.reserve(n);
+    t.entries.reserve(
+        reserve_bound(n, r, sizeof(std::uint64_t) + sizeof(std::uint16_t)));
     for (std::uint64_t i = 0; i < n; ++i) {
       MacTable::Entry e;
       e.mac = r.u64();

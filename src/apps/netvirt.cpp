@@ -16,7 +16,7 @@ NetVirtApp::NetVirtApp() : App("netvirt") {
         if (ctx.state().contains(dict, vn_key(m.vn))) return;
         VnState state;
         state.vn = m.vn;
-        ctx.state().put_as(dict, vn_key(m.vn), state);
+        ctx.state().put_as(dict, vn_key(m.vn), std::move(state));
       });
 
   on<VnAttach>(
@@ -40,7 +40,7 @@ NetVirtApp::NetVirtApp() : App("netvirt") {
           }
         }
         state->endpoints.push_back(m);
-        ctx.state().put_as(dict, vn_key(m.vn), *state);
+        ctx.state().put_as(dict, vn_key(m.vn), std::move(*state));
       });
 
   on<VnDetach>(
@@ -53,7 +53,7 @@ NetVirtApp::NetVirtApp() : App("netvirt") {
         std::erase_if(state->endpoints, [&m](const VnAttach& e) {
           return e.sw == m.sw && e.mac == m.mac;
         });
-        ctx.state().put_as(dict, vn_key(m.vn), *state);
+        ctx.state().put_as(dict, vn_key(m.vn), std::move(*state));
       });
 }
 

@@ -18,7 +18,7 @@ NibApp::NibApp() : App("nib") {
                            .value_or(NibNode{});
         node.id = m.node;
         node.set_attr(m.attr, m.value);
-        ctx.state().put_as(dict, node_key(m.node), node);
+        ctx.state().put_as(dict, node_key(m.node), std::move(node));
       });
 
   on<NibLinkAdd>(
@@ -31,7 +31,7 @@ NibApp::NibApp() : App("nib") {
                            .value_or(NibNode{});
         node.id = m.from;
         node.add_neighbor(m.to);
-        ctx.state().put_as(dict, node_key(m.from), node);
+        ctx.state().put_as(dict, node_key(m.from), std::move(node));
       });
 
   on<NibQuery>(

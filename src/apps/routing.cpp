@@ -18,7 +18,7 @@ RoutingApp::RoutingApp() : App("routing") {
             ctx.state().get_as<PrefixTable>(dict, key).value_or(
                 PrefixTable{});
         table.upsert(m);
-        ctx.state().put_as(dict, key, table);
+        ctx.state().put_as(dict, key, std::move(table));
       });
 
   on<RouteWithdraw>(
@@ -30,7 +30,7 @@ RoutingApp::RoutingApp() : App("routing") {
         auto table = ctx.state().get_as<PrefixTable>(dict, key);
         if (!table) return;
         if (table->remove(m.prefix, m.mask_len)) {
-          ctx.state().put_as(dict, key, *table);
+          ctx.state().put_as(dict, key, std::move(*table));
         }
       });
 

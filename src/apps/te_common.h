@@ -55,7 +55,7 @@ struct FlowSeriesEntry {
     e.samples = r.u32();
     e.latest = decode_vector<FlowStat>(r);
     std::uint64_t n = r.varint();
-    e.flagged.reserve(n);
+    e.flagged.reserve(reserve_bound(n, r, sizeof(std::uint32_t)));
     for (std::uint64_t i = 0; i < n; ++i) e.flagged.push_back(r.u32());
     return e;
   }

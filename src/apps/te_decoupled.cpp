@@ -19,7 +19,7 @@ TEDecoupledApp::TEDecoupledApp(TEConfig config) : App("te.decoupled") {
         if (ctx.state().contains(S, switch_key(m.sw))) return;
         FlowSeriesEntry entry;
         entry.sw = m.sw;
-        ctx.state().put_as(S, switch_key(m.sw), entry);
+        ctx.state().put_as(S, switch_key(m.sw), std::move(entry));
       });
 
   // Topology feeds Route's bee: link keys intersect Route's (T, "*").
@@ -54,7 +54,7 @@ TEDecoupledApp::TEDecoupledApp(TEConfig config) : App("te.decoupled") {
             entry->unflag(stat.flow);  // hysteresis: re-arm the alarm
           }
         }
-        ctx.state().put_as(S, switch_key(m.sw), *entry);
+        ctx.state().put_as(S, switch_key(m.sw), std::move(*entry));
       });
 
   // Query — unchanged.

@@ -18,7 +18,7 @@ TENaiveApp::TENaiveApp(TEConfig config) : App("te.naive") {
         if (ctx.state().contains(S, switch_key(m.sw))) return;
         FlowSeriesEntry entry;
         entry.sw = m.sw;
-        ctx.state().put_as(S, switch_key(m.sw), entry);
+        ctx.state().put_as(S, switch_key(m.sw), std::move(entry));
       });
 
   // Topology: links land in T. Each key intersects Route's (T, "*"), so
@@ -41,7 +41,7 @@ TENaiveApp::TENaiveApp(TEConfig config) : App("te.naive") {
         if (!entry) return;  // stats for a switch we never initialized
         entry->latest = m.stats;
         entry->samples += 1;
-        ctx.state().put_as(S, switch_key(m.sw), *entry);
+        ctx.state().put_as(S, switch_key(m.sw), std::move(*entry));
       });
 
   // Query: on TimeOut(1s), foreach switch in S.
@@ -87,7 +87,8 @@ TENaiveApp::TENaiveApp(TEConfig config) : App("te.naive") {
               if (dirty) updated.push_back(std::move(entry));
             });
         for (FlowSeriesEntry& entry : updated) {
-          ctx.state().put_as(S, switch_key(entry.sw), entry);
+          const std::string key = switch_key(entry.sw);
+          ctx.state().put_as(S, key, std::move(entry));
         }
         std::uint32_t path = 1;
         for (const Change& c : to_reroute) {

@@ -18,6 +18,7 @@ Hive::Hive(HiveId id, const AppSet& apps, RegistryService& registry,
       env_(env),
       config_(config),
       profiler_(config.profiler) {
+  txn_scratch_.redo_values = replicating();
   if (config_.transport.enabled) {
     transport_ =
         std::make_unique<ReliableTransport>(id_, env_, config_.transport);
@@ -389,8 +390,11 @@ void Hive::process(Bee& bee, const MessageEnvelope& env,
   // reentrant handler already holds it. `busy_reset` is declared before ctx
   // so the flag clears only after the transaction (which may roll back
   // through the scratch) is destroyed.
-  Txn::Scratch* scratch = nullptr;
-  if (!txn_scratch_busy_) {
+  Txn::Scratch reentrant_scratch;
+  Txn::Scratch* scratch = &reentrant_scratch;
+  if (txn_scratch_busy_) {
+    reentrant_scratch.redo_values = txn_scratch_.redo_values;
+  } else {
     txn_scratch_busy_ = true;
     scratch = &txn_scratch_;
   }
@@ -399,7 +403,7 @@ void Hive::process(Bee& bee, const MessageEnvelope& env,
     ~BusyReset() {
       if (flag != nullptr) *flag = false;
     }
-  } busy_reset{scratch != nullptr ? &txn_scratch_busy_ : nullptr};
+  } busy_reset{scratch == &txn_scratch_ ? &txn_scratch_busy_ : nullptr};
   AppContext ctx(bee.store(), &bound->policy, bee.app(), bee.id(),
                  id_, started, env.type(), scratch);
   TraceLogScope log_scope(env.trace_id(), env.causal_depth());

@@ -318,6 +318,9 @@ class Hive {
   void abort_migration(Bee& bee);
 
   // Replication (no-ops when config_.replication is off).
+  bool replicating() const {
+    return config_.replication && config_.n_hives >= 2;
+  }
   void replicate_txn(const Bee& bee, const Txn& txn);
   void replicate_snapshot(const Bee& bee);
 
@@ -394,7 +397,8 @@ class Hive {
   ByteWriter payload_scratch_;
   /// Reusable undo/redo log storage for handler transactions. Guarded by
   /// `txn_scratch_busy_`: a reentrant process() (a handler that injects
-  /// synchronously) falls back to transaction-owned logs.
+  /// synchronously) falls back to a scratch of its own. Its redo records
+  /// carry values only when the hive replicates.
   Txn::Scratch txn_scratch_;
   bool txn_scratch_busy_ = false;
 

@@ -17,7 +17,7 @@
 namespace beehive {
 
 void Hive::replicate_txn(const Bee& bee, const Txn& txn) {
-  if (!config_.replication || config_.n_hives < 2) return;
+  if (!replicating()) return;
   if (txn.writes().empty()) return;
   HiveId target = replica_target_of(id_);
   if (target == id_) return;
@@ -33,7 +33,7 @@ void Hive::replicate_txn(const Bee& bee, const Txn& txn) {
 }
 
 void Hive::replicate_snapshot(const Bee& bee) {
-  if (!config_.replication || config_.n_hives < 2) return;
+  if (!replicating()) return;
   HiveId target = replica_target_of(id_);
   if (target == id_) return;
   ReplicaSnapshotFrame frame;

@@ -197,11 +197,9 @@ struct ReplicaTxnFrame {
     f.bee = r.u64();
     f.app = r.u32();
     std::uint64_t n = r.varint();
-    // Untrusted count: clamp the pre-reserve to what the buffer could
-    // possibly hold (>= 4 bytes per write) so a corrupt frame cannot
-    // trigger a huge allocation before the decode loop underruns.
-    f.writes.reserve(static_cast<std::size_t>(
-        std::min<std::uint64_t>(n, r.remaining() / 4)));
+    // A write takes at least 4 bytes: two string lengths, a flag and a
+    // value length.
+    f.writes.reserve(reserve_bound(n, r, 4));
     for (std::uint64_t i = 0; i < n; ++i) {
       Write wr;
       wr.dict = r.str();

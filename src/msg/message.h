@@ -35,7 +35,7 @@ class MessageEnvelope {
     m.from_bee_ = from_bee;
     m.from_hive_ = from_hive;
     m.emitted_at_ = emitted_at;
-    m.payload_size_ = static_cast<std::uint32_t>(encode_to_bytes(body).size());
+    m.payload_size_ = static_cast<std::uint32_t>(encoded_size(body));
     m.body_ = std::make_shared<const T>(std::move(body));
     return m;
   }

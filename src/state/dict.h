@@ -1,12 +1,16 @@
 // A state dictionary: the application-visible key/value container.
 //
-// Values are stored serialized (Bytes) so that a bee's entire state can be
-// snapshotted and shipped byte-for-byte during migration, and so that the
-// platform can meter state size without knowing application types. Typed
-// accessors put_as/get_as encode through the same wire codec used for
-// messages.
+// An entry keeps the value it was written with. A typed value stored by
+// put_as<T> stays a T, so a handler's read-modify-write copies and moves it
+// and never serializes it. Bytes are made only when state leaves the bee or
+// a caller asks for them: the migration snapshot, replication frames, raw
+// get/for_each and the byte_size meter encode typed entries on demand, with
+// no cached encoding, so const reads stay free of writes. Entries written
+// as bytes (raw put, snapshot and replica restores) stay bytes until a
+// handler rewrites them; get_as<T> decodes those.
 #pragma once
 
+#include <any>
 #include <functional>
 #include <map>
 #include <optional>
@@ -20,79 +24,112 @@ namespace beehive {
 
 class Dict {
  public:
+  /// One entry's value: raw bytes, or a typed object together with the
+  /// encoder of its C++ type.
+  class Value {
+   public:
+    explicit Value(Bytes raw) : raw_(std::move(raw)) {}
+
+    template <WireEncodable T>
+    explicit Value(T typed)
+        : typed_(std::move(typed)), encode_(&encode_typed<T>) {}
+
+    /// The value as a T: a copy when the entry holds a T, otherwise T
+    /// decoded from the entry's bytes. Never a cast between types.
+    template <WireEncodable T>
+    T as() const {
+      if (const T* typed = std::any_cast<T>(&typed_)) return *typed;
+      if (encode_ == nullptr) return decode_from_bytes<T>(raw_);
+      return decode_from_bytes<T>(bytes());
+    }
+
+    /// Appends the value's encoding to `w`.
+    void encode(ByteWriter& w) const {
+      if (encode_ != nullptr) {
+        encode_(typed_, w);
+      } else {
+        w.raw(raw_);
+      }
+    }
+
+    /// The value's encoding.
+    Bytes bytes() const {
+      ByteWriter w;
+      encode(w);
+      return std::move(w).take();
+    }
+
+    /// The encoding's length.
+    std::size_t size() const {
+      return encode_ == nullptr ? raw_.size() : encoded_size(*this);
+    }
+
+   private:
+    template <WireEncodable T>
+    static void encode_typed(const std::any& typed, ByteWriter& w) {
+      std::any_cast<T>(&typed)->encode(w);
+    }
+
+    std::any typed_;  ///< empty for raw entries
+    Bytes raw_;       ///< empty for typed entries
+    /// The encoder of typed_'s type; null for raw entries.
+    void (*encode_)(const std::any&, ByteWriter&) = nullptr;
+  };
+
   explicit Dict(std::string name) : name_(std::move(name)) {}
 
   const std::string& name() const { return name_; }
 
   void put(std::string_view key, Bytes value) {
-    // Transparent find first: the overwhelmingly common case on the
-    // dispatch hot path is overwriting an existing key, which must not
-    // construct a temporary std::string for the lookup.
-    auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      it->second = std::move(value);
-      return;
-    }
-    entries_.emplace(std::string(key), std::move(value));
+    replace(key, Value(std::move(value)));
   }
 
-  /// put() that also hands back the key's prior value — one tree traversal
-  /// where the transactional write path (undo capture + store) used to pay
-  /// two lookups plus a value copy.
-  std::optional<Bytes> put_and_fetch_prior(std::string_view key,
-                                           Bytes value) {
-    auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      std::optional<Bytes> prior(std::move(it->second));
-      it->second = std::move(value);
-      return prior;
-    }
-    entries_.emplace(std::string(key), std::move(value));
-    return std::nullopt;
+  template <WireEncodable T>
+  void put_as(std::string_view key, T value) {
+    replace(key, Value(std::move(value)));
   }
+
+  /// Stores `value` under `key` and hands back the entry it replaced
+  /// (nullopt when the key was new): one tree traversal for the
+  /// transactional write path's store plus undo capture.
+  std::optional<Value> replace(std::string_view key, Value value);
+
+  /// Removes `key` and hands back its entry (nullopt when absent).
+  std::optional<Value> take(std::string_view key);
+
+  /// Removes the key; returns whether it existed.
+  bool erase(std::string_view key) { return take(key).has_value(); }
 
   std::optional<Bytes> get(std::string_view key) const {
     auto it = entries_.find(key);
     if (it == entries_.end()) return std::nullopt;
-    return it->second;
+    return it->second.bytes();
   }
 
-  /// Borrowed lookup; nullptr when absent. Valid until the entry is
-  /// overwritten or erased.
-  const Bytes* get_ptr(std::string_view key) const {
+  template <WireEncodable T>
+  std::optional<T> get_as(std::string_view key) const {
     auto it = entries_.find(key);
-    return it == entries_.end() ? nullptr : &it->second;
+    if (it == entries_.end()) return std::nullopt;
+    return it->second.as<T>();
   }
 
   bool contains(std::string_view key) const {
     return entries_.find(key) != entries_.end();
   }
 
-  /// Removes the key; returns whether it existed.
-  bool erase(std::string_view key) {
-    auto it = entries_.find(key);
-    if (it == entries_.end()) return false;
-    entries_.erase(it);
-    return true;
-  }
-
-  template <WireEncodable T>
-  void put_as(std::string_view key, const T& value) {
-    put(key, encode_to_bytes(value));
-  }
-
-  template <WireEncodable T>
-  std::optional<T> get_as(std::string_view key) const {
-    auto raw = get(key);
-    if (!raw) return std::nullopt;
-    return decode_from_bytes<T>(*raw);
-  }
-
-  /// Iterates entries in key order (deterministic across runs).
+  /// Iterates entries in key order (deterministic across runs), handing
+  /// `fn` each value's encoding, valid during the call only.
   void for_each(
-      const std::function<void(const std::string&, const Bytes&)>& fn) const {
-    for (const auto& [k, v] : entries_) fn(k, v);
+      const std::function<void(const std::string&, const Bytes&)>& fn) const;
+
+  /// Iterates keys in key order, without producing values.
+  template <typename Fn>
+  void for_each_key(Fn&& fn) const {
+    for (const auto& entry : entries_) fn(entry.first);
   }
+
+  /// Moves every entry of `other` in; `other`'s entry wins on a shared key.
+  void merge_from(Dict&& other);
 
   std::size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
@@ -107,7 +144,7 @@ class Dict {
   std::string name_;
   // std::map keeps iteration deterministic; dict sizes per bee are small
   // (a bee typically owns a handful of cells).
-  std::map<std::string, Bytes, std::less<>> entries_;
+  std::map<std::string, Value, std::less<>> entries_;
 };
 
 }  // namespace beehive

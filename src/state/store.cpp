@@ -21,12 +21,7 @@ Dict* StateStore::find_dict(std::string_view name) {
 }
 
 void StateStore::merge_from(StateStore&& other) {
-  for (auto& [name, src] : other.dicts_) {
-    Dict& dst = dict(name);
-    src.for_each([&dst](const std::string& k, const Bytes& v) {
-      dst.put(k, v);
-    });
-  }
+  for (auto& [name, src] : other.dicts_) dict(name).merge_from(std::move(src));
   other.dicts_.clear();
 }
 
@@ -57,7 +52,7 @@ StateStore StateStore::from_snapshot(std::string_view data) {
 CellSet StateStore::all_cells() const {
   CellSet cells;
   for (const auto& [name, d] : dicts_) {
-    d.for_each([&cells, &name](const std::string& k, const Bytes&) {
+    d.for_each_key([&cells, &name](const std::string& k) {
       cells.insert({name, k});
     });
   }

@@ -56,23 +56,21 @@ Dict* Txn::resolve_dict_ro(std::string_view dict) const {
   return d;
 }
 
+const Dict* Txn::readable_dict(std::string_view dict,
+                               std::string_view key) const {
+  check_access(dict, key);
+  return resolve_dict_ro(dict);
+}
+
 std::optional<Bytes> Txn::get(std::string_view dict,
                               std::string_view key) const {
-  check_access(dict, key);
-  const Dict* d = resolve_dict_ro(dict);
+  const Dict* d = readable_dict(dict, key);
   if (d == nullptr) return std::nullopt;
   return d->get(key);
 }
 
-const Bytes* Txn::get_raw(std::string_view dict, std::string_view key) const {
-  check_access(dict, key);
-  const Dict* d = resolve_dict_ro(dict);
-  return d == nullptr ? nullptr : d->get_ptr(key);
-}
-
 bool Txn::contains(std::string_view dict, std::string_view key) const {
-  check_access(dict, key);
-  const Dict* d = resolve_dict_ro(dict);
+  const Dict* d = readable_dict(dict, key);
   return d != nullptr && d->contains(key);
 }
 
@@ -80,7 +78,7 @@ bool Txn::contains(std::string_view dict, std::string_view key) const {
 // string capacity, so re-recording a write in steady state is a handful of
 // assigns into retained buffers (no allocation; see Scratch).
 void Txn::append_undo(std::string_view dict, std::string_view key,
-                      std::optional<Bytes> prior) {
+                      std::optional<Dict::Value> prior) {
   auto& undo = scratch_->undo;
   if (scratch_->undo_live < undo.size()) {
     UndoEntry& u = undo[scratch_->undo_live];
@@ -94,44 +92,40 @@ void Txn::append_undo(std::string_view dict, std::string_view key,
 }
 
 void Txn::append_redo(std::string_view dict, std::string_view key,
-                      bool erased, const Bytes& value) {
+                      const Dict::Value* value) {
   auto& redo = scratch_->redo;
-  if (scratch_->redo_live < redo.size()) {
-    WriteRecord& r = redo[scratch_->redo_live];
-    r.dict.assign(dict);
-    r.key.assign(key);
-    r.erased = erased;
-    r.value = value;
+  if (scratch_->redo_live == redo.size()) redo.emplace_back();
+  WriteRecord& r = redo[scratch_->redo_live];
+  r.dict.assign(dict);
+  r.key.assign(key);
+  r.erased = value == nullptr;
+  if (scratch_->redo_values && value != nullptr) {
+    r.value = value->bytes();
   } else {
-    redo.push_back({std::string(dict), std::string(key), erased, value});
+    r.value.clear();
   }
   ++scratch_->redo_live;
 }
 
-void Txn::record_undo(std::string_view dict, std::string_view key) {
-  const Dict* d = resolve_dict_ro(dict);
-  std::optional<Bytes> prior;
-  if (d != nullptr) prior = d->get(key);
-  append_undo(dict, key, std::move(prior));
-}
-
-void Txn::put(std::string_view dict, std::string_view key, Bytes value) {
+void Txn::write(std::string_view dict, std::string_view key,
+                Dict::Value value) {
   check_access(dict, key);
   Dict& d = resolve_dict(dict);
-  // Redo keeps a copy for replication; the store takes the original. The
-  // prior value rides back out of the same tree traversal that stores the
-  // new one (undo capture used to cost a second lookup plus a copy).
-  append_redo(dict, key, /*erased=*/false, value);
-  append_undo(dict, key, d.put_and_fetch_prior(key, std::move(value)));
+  // The prior entry rides back out of the same tree traversal that stores
+  // the new one, straight into the undo log.
+  append_redo(dict, key, &value);
+  append_undo(dict, key, d.replace(key, std::move(value)));
 }
 
 bool Txn::erase(std::string_view dict, std::string_view key) {
   check_access(dict, key);
   Dict* d = resolve_dict_ro(dict);
-  if (d == nullptr || !d->contains(key)) return false;
-  record_undo(dict, key);
-  append_redo(dict, key, /*erased=*/true, {});
-  return d->erase(key);
+  if (d == nullptr) return false;
+  std::optional<Dict::Value> prior = d->take(key);
+  if (!prior) return false;
+  append_redo(dict, key, nullptr);
+  append_undo(dict, key, std::move(prior));
+  return true;
 }
 
 void Txn::for_each(
@@ -157,8 +151,13 @@ std::size_t Txn::dict_size(std::string_view dict) const {
 
 void Txn::commit() {
   committed_ = true;
-  // Retire (don't destroy) the undo entries; the redo log stays live —
-  // the platform reads it for replication through writes().
+  // Release the replaced entries now: a retired slot keeps its string
+  // capacity, but holding a whole prior value until the slot is reused
+  // would keep stale state alive in the hive's scratch. The redo log stays
+  // live — the platform reads it for replication through writes().
+  for (std::size_t i = 0; i < scratch_->undo_live; ++i) {
+    scratch_->undo[i].prior.reset();
+  }
   scratch_->undo_live = 0;
 }
 
@@ -170,7 +169,7 @@ void Txn::rollback() {
     UndoEntry& u = undo[i - 1];
     Dict& d = store_.dict(u.dict);
     if (u.prior.has_value()) {
-      d.put(u.key, std::move(*u.prior));
+      d.replace(u.key, std::move(*u.prior));
     } else {
       d.erase(u.key);
     }

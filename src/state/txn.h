@@ -8,6 +8,8 @@
 //       consistency guarantee sound; and
 //   (b) keeps an undo log so that a throwing handler leaves state
 //       untouched (the bee also discards the handler's emitted messages).
+//       The log holds each overwritten entry itself, moved out of the
+//       dictionary, so capturing it copies and encodes nothing.
 #pragma once
 
 #include <functional>
@@ -86,13 +88,15 @@ class Txn {
     std::string dict;
     std::string key;
     bool erased = false;
-    Bytes value;  ///< empty when erased
+    /// The written value's encoding when the scratch's `redo_values` is
+    /// set; empty otherwise, and when erased.
+    Bytes value;
   };
 
   struct UndoEntry {
     std::string dict;
     std::string key;
-    std::optional<Bytes> prior;  ///< nullopt = key did not exist.
+    std::optional<Dict::Value> prior;  ///< nullopt = key did not exist.
   };
 
   /// Reusable undo/redo log storage. A dispatch loop that owns one Scratch
@@ -110,6 +114,10 @@ class Txn {
     std::vector<WriteRecord> redo;
     std::size_t undo_live = 0;
     std::size_t redo_live = 0;
+    /// Whether redo records carry the written values' encodings. Only
+    /// replication reads them, so a hive sets this when it replicates and
+    /// otherwise a write neither copies nor encodes its value for the log.
+    bool redo_values = false;
   };
 
   /// `scratch` is optional external log storage; when null the transaction
@@ -144,25 +152,27 @@ class Txn {
 
   // -- Key-level access (requires the cell or whole-dict permission) ------
 
+  /// The entry's bytes; a typed entry is encoded for the call.
   std::optional<Bytes> get(std::string_view dict, std::string_view key) const;
-  /// Borrowed read: a pointer into the store, valid until the next write
-  /// touching the key. The typed accessors decode through it so the hot
-  /// path pays no value copy.
-  const Bytes* get_raw(std::string_view dict, std::string_view key) const;
   bool contains(std::string_view dict, std::string_view key) const;
-  void put(std::string_view dict, std::string_view key, Bytes value);
+  void put(std::string_view dict, std::string_view key, Bytes value) {
+    write(dict, key, Dict::Value(std::move(value)));
+  }
   bool erase(std::string_view dict, std::string_view key);
 
+  /// A copy of a T entry, or T decoded from a raw one (see Dict::Value).
   template <WireEncodable T>
   std::optional<T> get_as(std::string_view dict, std::string_view key) const {
-    const Bytes* raw = get_raw(dict, key);
-    if (raw == nullptr) return std::nullopt;
-    return decode_from_bytes<T>(*raw);
+    const Dict* d = readable_dict(dict, key);
+    if (d == nullptr) return std::nullopt;
+    return d->get_as<T>(key);
   }
 
+  /// Stores `value` as a typed entry. Pass it with std::move: the entry
+  /// takes the object itself, and nothing is encoded.
   template <WireEncodable T>
-  void put_as(std::string_view dict, std::string_view key, const T& value) {
-    put(dict, key, encode_to_bytes(value));
+  void put_as(std::string_view dict, std::string_view key, T value) {
+    write(dict, key, Dict::Value(std::move(value)));
   }
 
   // -- Whole-dictionary access (requires (dict, "*") permission) ----------
@@ -200,11 +210,15 @@ class Txn {
 
  private:
   void check_access(std::string_view dict, std::string_view key) const;
-  void record_undo(std::string_view dict, std::string_view key);
+  /// Access check plus lookup for a key-level read; null when the
+  /// dictionary does not exist.
+  const Dict* readable_dict(std::string_view dict, std::string_view key) const;
+  void write(std::string_view dict, std::string_view key, Dict::Value value);
   void append_undo(std::string_view dict, std::string_view key,
-                   std::optional<Bytes> prior);
-  void append_redo(std::string_view dict, std::string_view key, bool erased,
-                   const Bytes& value);
+                   std::optional<Dict::Value> prior);
+  /// `value` is null for an erase.
+  void append_redo(std::string_view dict, std::string_view key,
+                   const Dict::Value* value);
   /// Named-dictionary lookup with a one-entry memo: a handler touches one
   /// dictionary almost always, so repeat accesses skip the store's map.
   /// The `_ro` variant never creates the dictionary (read paths must not

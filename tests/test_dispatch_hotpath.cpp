@@ -2,16 +2,23 @@
 // per-link FIFO, span pairing, determinism under faults), the single-Map
 // dispatch contract, untrusted-length clamps, the threaded runtime's
 // condition-variable quiescence, and allocation budgets for the local,
-// local-emission and remote steady-state routes.
+// local-emission, learning-switch read-modify-write and remote
+// steady-state routes.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <set>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
+#include "apps/host_location.h"
+#include "apps/learning_switch.h"
+#include "apps/messages.h"
+#include "apps/te_common.h"
 #include "cluster/sim.h"
 #include "cluster/thread_cluster.h"
 #include "msg/codec.h"
@@ -276,16 +283,32 @@ TEST(SingleMapDispatch, RemoteDeliveryRunsMapOncePerHive) {
 // ---------------------------------------------------------------------------
 
 TEST(DecodeClamp, HugeVectorCountUnderrunsInsteadOfAllocating) {
-  ByteWriter w;
-  w.varint(std::uint64_t{1} << 60);  // claimed count, no elements follow
-  const Bytes wire = std::move(w).take();
-  ByteReader r(wire);
-  const std::uint64_t before = testing::allocation_count();
-  EXPECT_THROW(decode_vector<I64>(r), DecodeError);
-  const std::uint64_t spent = testing::allocation_count() - before;
-  // The clamp bounds the pre-reserve to the bytes actually present (~10):
-  // a corrupt count must not turn into a multi-GB allocation attempt.
-  EXPECT_LE(spent, 4u);
+  ByteWriter huge;
+  huge.varint(std::uint64_t{1} << 60);  // claimed count, no elements follow
+  ByteWriter series;                    // FlowSeriesEntry up to `flagged`
+  series.u32(7);                        // sw
+  series.u32(1);                        // samples
+  series.varint(0);                     // latest: empty
+  series.varint(std::uint64_t{1} << 60);
+  // decode_vector and the cell decoders that restore migrated and
+  // replicated state all read an untrusted count.
+  const std::vector<std::pair<Bytes, std::function<void(ByteReader&)>>>
+      inputs = {
+          {huge.bytes(), [](ByteReader& r) { decode_vector<I64>(r); }},
+          {huge.bytes(), [](ByteReader& r) { MacTable::decode(r); }},
+          {huge.bytes(), [](ByteReader& r) { HostBucket::decode(r); }},
+          {series.bytes(), [](ByteReader& r) { FlowSeriesEntry::decode(r); }},
+      };
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    SCOPED_TRACE("input " + std::to_string(i));
+    ByteReader r(inputs[i].first);
+    const std::uint64_t before = testing::allocation_count();
+    EXPECT_THROW(inputs[i].second(r), DecodeError);
+    const std::uint64_t spent = testing::allocation_count() - before;
+    // The clamp bounds the pre-reserve to the bytes actually present
+    // (~10): a corrupt count must not turn into a multi-GB allocation.
+    EXPECT_LE(spent, 4u);
+  }
 }
 
 TEST(DecodeClamp, ReplicaTxnFrameCountClamped) {
@@ -411,25 +434,76 @@ TEST(DispatchAllocs, LocalEmissionWithinTwoAllocsPerMessage) {
   // Each query's handler emits one CounterValue to a sink bee on the same
   // hive. What the emission may cost is its body and the first push into
   // the handler's emission buffer; the outbox hop to the sink is free.
+  // With the 8-char key the value encodes to 17 bytes, past the small-
+  // string buffer: sizing the payload must not allocate an encoding.
+  for (const char* key : {"k0", "counter8"}) {
+    SCOPED_TRACE(key);
+    AppSet apps;
+    apps.emplace<CounterApp>();
+    apps.emplace<NoopSinkApp>();
+    ClusterConfig cfg;
+    cfg.n_hives = 1;
+    cfg.hive.metrics_period = 0;
+    SimCluster sim(cfg, apps);
+    sim.start();
+
+    constexpr std::uint64_t kN = 5000;
+    const MessageEnvelope query =
+        MessageEnvelope::make(CounterQuery{key}, 0, kNoBee, 0, sim.now());
+    const auto burst = [&sim, &query] {
+      for (std::uint64_t i = 0; i < kN; ++i) sim.hive(0).inject(query);
+      sim.run_to_idle();
+    };
+    // The outbox and the vector the flush swaps it with each grow to the
+    // burst size in one flush.
+    burst();
+    burst();
+
+    const std::uint64_t runs_before = sim.hive(0).counters().handler_runs;
+    const std::uint64_t before = testing::allocation_count();
+    burst();
+    const std::uint64_t allocs = testing::allocation_count() - before;
+
+    ASSERT_EQ(sim.hive(0).counters().handler_runs - runs_before, 2 * kN)
+        << "every query and every emitted value must run a handler";
+    // A burst schedules one flush event; the simulator's event wrapper may
+    // allocate for it.
+    constexpr std::uint64_t kPerBurst = 4;
+    EXPECT_LE(allocs, 2 * kN + kPerBurst)
+        << "a local emission must cost at most 2 allocations per message; "
+           "got "
+        << allocs << " allocs for " << kN << " queries";
+  }
+}
+
+TEST(DispatchAllocs, LearningSwitchTableRmwWithinFourAllocsPerPacketIn) {
+  // One switch whose MAC table holds 64 hosts: every PacketIn copies the
+  // table out of its cell, learns, and moves it back in (2 allocations),
+  // then emits a PacketOut (2 more; see LocalEmissionWithinTwo...). Nothing
+  // in between may encode or decode the table.
   AppSet apps;
-  apps.emplace<CounterApp>();
-  apps.emplace<NoopSinkApp>();
+  apps.emplace<LearningSwitchApp>();
   ClusterConfig cfg;
   cfg.n_hives = 1;
   cfg.hive.metrics_period = 0;
   SimCluster sim(cfg, apps);
   sim.start();
 
-  constexpr std::uint64_t kN = 5000;
-  const MessageEnvelope query =
-      MessageEnvelope::make(CounterQuery{"k0"}, 0, kNoBee, 0, sim.now());
-  const auto burst = [&sim, &query] {
-    for (std::uint64_t i = 0; i < kN; ++i) sim.hive(0).inject(query);
+  constexpr std::uint64_t kHosts = 64;
+  std::vector<MessageEnvelope> packets;
+  for (std::uint64_t h = 0; h < kHosts; ++h) {
+    const PacketIn in{1, 0x1000 + h, 0x1000 + (h + 1) % kHosts,
+                      static_cast<std::uint16_t>(1 + h)};
+    packets.push_back(MessageEnvelope::make(in, 0, kNoBee, 0, sim.now()));
+  }
+  constexpr std::uint64_t kRounds = 50;
+  const auto burst = [&sim, &packets] {
+    for (std::uint64_t round = 0; round < kRounds; ++round) {
+      for (const MessageEnvelope& p : packets) sim.hive(0).inject(p);
+    }
     sim.run_to_idle();
   };
-  // The outbox and the vector the flush swaps it with each grow to the
-  // burst size in one flush.
-  burst();
+  burst();  // learns every host and grows the hive's buffers
   burst();
 
   const std::uint64_t runs_before = sim.hive(0).counters().handler_runs;
@@ -437,14 +511,12 @@ TEST(DispatchAllocs, LocalEmissionWithinTwoAllocsPerMessage) {
   burst();
   const std::uint64_t allocs = testing::allocation_count() - before;
 
-  ASSERT_EQ(sim.hive(0).counters().handler_runs - runs_before, 2 * kN)
-      << "every query and every emitted value must run a handler";
-  // A burst schedules one flush event; the simulator's event wrapper may
-  // allocate for it.
-  constexpr std::uint64_t kPerBurst = 4;
-  EXPECT_LE(allocs, 2 * kN + kPerBurst)
-      << "a local emission must cost at most 2 allocations per message; got "
-      << allocs << " allocs for " << kN << " queries";
+  const std::uint64_t n = kRounds * kHosts;
+  ASSERT_EQ(sim.hive(0).counters().handler_runs - runs_before, n);
+  constexpr std::uint64_t kPerBurst = 4;  // the flush event, as above
+  EXPECT_LE(allocs, 4 * n + kPerBurst)
+      << "a learning-switch PacketIn must cost at most 4 allocations; got "
+      << allocs << " allocs for " << n << " packets";
 }
 
 TEST(DispatchAllocs, RemoteSteadyStateWithinTwoAllocsPerMessage) {

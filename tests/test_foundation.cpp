@@ -22,6 +22,25 @@ using testing::CounterValue;
 using testing::I64;
 using testing::Incr;
 
+/// Eight bytes read as two u32 halves: the other type a cell holding an
+/// I64 is read as.
+struct U32Pair {
+  static constexpr std::string_view kTypeName = "test.u32_pair";
+  std::uint32_t lo = 0;
+  std::uint32_t hi = 0;
+
+  void encode(ByteWriter& w) const {
+    w.u32(lo);
+    w.u32(hi);
+  }
+  static U32Pair decode(ByteReader& r) {
+    U32Pair p;
+    p.lo = r.u32();
+    p.hi = r.u32();
+    return p;
+  }
+};
+
 // ---------------------------------------------------------------------------
 // Bytes
 // ---------------------------------------------------------------------------
@@ -267,6 +286,29 @@ TEST(Dict, TypedAccessors) {
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(v->v, 42);
   EXPECT_FALSE(d.get_as<I64>("missing").has_value());
+
+  // Every byte view of a typed entry is its encoding.
+  const Bytes encoded = encode_to_bytes(I64{42});
+  EXPECT_EQ(d.get("x"), encoded);
+  Bytes seen;
+  d.for_each([&seen](const std::string&, const Bytes& b) { seen = b; });
+  EXPECT_EQ(seen, encoded);
+  EXPECT_EQ(d.byte_size(), d.name().size() + 1 + encoded.size());
+
+  // A raw entry decodes.
+  d.put("raw", encode_to_bytes(I64{-5}));
+  EXPECT_EQ(d.get_as<I64>("raw")->v, -5);
+
+  // Another type reads what decoding the typed entry's bytes gives.
+  const I64 both{(std::int64_t{2} << 32) | 1};
+  d.put_as("pair", both);
+  const auto pair = d.get_as<U32Pair>("pair");
+  const U32Pair decoded = decode_from_bytes<U32Pair>(encode_to_bytes(both));
+  ASSERT_TRUE(pair.has_value());
+  EXPECT_EQ(pair->lo, decoded.lo);
+  EXPECT_EQ(pair->hi, decoded.hi);
+  EXPECT_EQ(pair->hi, 2u);
+  EXPECT_EQ(d.get_as<I64>("pair")->v, both.v);
 }
 
 TEST(Dict, ForEachIsKeyOrdered) {
@@ -300,6 +342,13 @@ TEST(StateStore, SnapshotRoundTrip) {
   EXPECT_EQ(restored.dict("a").get("k"), "v");
   EXPECT_EQ(restored.dict("b").get_as<I64>("n")->v, 7);
   EXPECT_EQ(restored.byte_size(), s.byte_size());
+
+  // A typed entry snapshots exactly as its encoding written raw.
+  StateStore raw;
+  raw.dict("a").put("k", "v");
+  raw.dict("b").put("n", encode_to_bytes(I64{7}));
+  EXPECT_EQ(s.snapshot(), raw.snapshot());
+  EXPECT_EQ(s.byte_size(), raw.byte_size());
 }
 
 TEST(StateStore, MergeFromMovesEverything) {
@@ -307,10 +356,13 @@ TEST(StateStore, MergeFromMovesEverything) {
   a.dict("d").put("x", "1");
   b.dict("d").put("y", "2");
   b.dict("e").put("z", "3");
+  a.dict("d").put_as("both", I64{1});
+  b.dict("d").put_as("both", I64{2});
   a.merge_from(std::move(b));
   EXPECT_EQ(a.dict("d").get("x"), "1");
   EXPECT_EQ(a.dict("d").get("y"), "2");
   EXPECT_EQ(a.dict("e").get("z"), "3");
+  EXPECT_EQ(a.dict("d").get_as<I64>("both")->v, 2);  // the merged-in entry
 }
 
 TEST(StateStore, AllCellsEnumerates) {
@@ -353,21 +405,28 @@ TEST(Txn, DestructorWithoutCommitRollsBack) {
 TEST(Txn, RollbackRestoresOverwritesInOrder) {
   StateStore store;
   store.dict("d").put("k", "original");
+  store.dict("d").put_as("t", I64{1});
   Txn txn(store, AccessPolicy::all());
   txn.put("d", "k", "first");
   txn.put("d", "k", "second");
+  txn.put_as("d", "t", I64{2});
+  txn.put_as("d", "t", I64{3});
   txn.rollback();
   EXPECT_EQ(store.dict("d").get("k"), "original");
+  EXPECT_EQ(store.dict("d").get_as<I64>("t")->v, 1);
 }
 
 TEST(Txn, RollbackUndoesErase) {
   StateStore store;
   store.dict("d").put("k", "keepme");
+  store.dict("d").put_as("t", I64{11});
   Txn txn(store, AccessPolicy::all());
   EXPECT_TRUE(txn.erase("d", "k"));
   EXPECT_FALSE(txn.contains("d", "k"));
+  EXPECT_TRUE(txn.erase("d", "t"));
   txn.rollback();
   EXPECT_EQ(store.dict("d").get("k"), "keepme");
+  EXPECT_EQ(store.dict("d").get_as<I64>("t")->v, 11);
 }
 
 TEST(Txn, EraseMissingKeyReturnsFalse) {
@@ -426,6 +485,25 @@ TEST(Txn, WriteCountTracksUndoLog) {
   txn.put("d", "b", "2");
   EXPECT_EQ(txn.write_count(), 2u);
   txn.commit();
+}
+
+TEST(Txn, RedoRecordsCarryValuesOnlyWhenAsked) {
+  for (const bool values : {false, true}) {
+    StateStore store;
+    store.dict("d").put("gone", "x");
+    Txn::Scratch scratch;
+    scratch.redo_values = values;
+    Txn txn(store, AccessPolicy::all(), &scratch);
+    txn.put_as("d", "t", I64{5});
+    txn.put("d", "r", "raw");
+    txn.erase("d", "gone");
+    txn.commit();
+    ASSERT_EQ(txn.writes().size(), 3u);
+    EXPECT_EQ(txn.writes()[0].value, values ? encode_to_bytes(I64{5}) : "");
+    EXPECT_EQ(txn.writes()[1].value, values ? "raw" : "");
+    EXPECT_TRUE(txn.writes()[2].erased);
+    EXPECT_EQ(txn.writes()[2].value, "");
+  }
 }
 
 }  // namespace
