@@ -99,7 +99,7 @@ int run(int argc, char** argv) {
   consumer.set_overload(
       {.bounded = true, .mailbox_limit = 256, .policy = policy});
 
-  ThreadClusterConfig cfg;
+  ClusterConfig cfg;
   cfg.n_hives = 2;
   cfg.hive.metrics_period = 50 * kMillisecond;
   cfg.hive.transport.enabled = true;

@@ -40,7 +40,7 @@ inline ContentionResult run_registry_contention(std::size_t n_shards,
                                                 const ContentionParams& p) {
   constexpr AppId kApp = 1;
   ChannelMeter meter(p.n_hives);
-  RegistryService registry(p.n_hives, &meter, 0, n_shards);
+  RegistryService registry(p.n_hives, &meter, n_shards);
   std::vector<CellSet> keys;
   keys.reserve(p.n_keys);
   for (std::size_t i = 0; i < p.n_keys; ++i) {

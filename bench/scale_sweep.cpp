@@ -204,7 +204,7 @@ int run_control_plane(const Args& args) {
   // a small hot set, the rest keep creating cold keys and missing.
   {
     ChannelMeter meter(params.n_hives);
-    RegistryService registry(params.n_hives, &meter, 0, 8);
+    RegistryService registry(params.n_hives, &meter, 8);
     RegistryService::Client client(registry, 1);
     std::vector<CellSet> hot;
     for (std::size_t i = 0; i < 64; ++i) {

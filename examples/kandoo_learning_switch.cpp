@@ -23,7 +23,7 @@ int main() {
   AppSet apps;
   apps.emplace<LearningSwitchApp>();
 
-  ThreadClusterConfig config;
+  ClusterConfig config;
   config.n_hives = kHives;
   config.hive.metrics_period = 0;
   ThreadCluster cluster(config, apps);

@@ -151,7 +151,7 @@ int serve(Duration run_for, std::uint16_t port, bool faulted) {
                              collector_config);
   const AppId status_app = apps.find_by_name("platform.status")->id();
 
-  ThreadClusterConfig config;
+  ClusterConfig config;
   config.n_hives = 4;
   config.hive.metrics_period = kSecond / 2;
   // Sample handler thread-CPU cost so /status.json, /health.json and the

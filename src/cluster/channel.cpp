@@ -1,15 +1,12 @@
 #include "cluster/channel.h"
 
 #include <algorithm>
-#include <cassert>
 
 #include "util/logging.h"
 
 namespace beehive {
 
-ChannelMeter::ChannelMeter(std::size_t n_hives, Duration bucket)
-    : n_(n_hives), bucket_(bucket) {
-  assert(bucket_ > 0);
+ChannelMeter::ChannelMeter(std::size_t n_hives) : n_(n_hives) {
   stripes_.reserve(n_hives);
   for (std::size_t i = 0; i < n_hives; ++i) {
     auto s = std::make_unique<Stripe>();
@@ -32,7 +29,7 @@ void ChannelMeter::record(HiveId from, HiveId to, std::size_t bytes,
   std::lock_guard lock(s.mutex);
   s.bytes[to] += bytes;
   s.counts[to] += 1;
-  auto bucket = static_cast<std::size_t>(when / bucket_);
+  auto bucket = static_cast<std::size_t>(when / kBucket);
   if (s.series.size() <= bucket) s.series.resize(bucket + 1, 0);
   s.series[bucket] += bytes;
 }
@@ -112,12 +109,8 @@ std::vector<std::uint64_t> ChannelMeter::bandwidth_series() const {
 std::vector<double> ChannelMeter::bandwidth_kbps() const {
   const std::vector<std::uint64_t> series = bandwidth_series();
   std::vector<double> out;
-  const double seconds =
-      static_cast<double>(bucket_) / static_cast<double>(kSecond);
   out.reserve(series.size());
-  for (std::uint64_t b : series) {
-    out.push_back(static_cast<double>(b) / 1024.0 / seconds);
-  }
+  for (std::uint64_t b : series) out.push_back(static_cast<double>(b) / 1024.0);
   return out;
 }
 

@@ -25,9 +25,12 @@ namespace beehive {
 
 class ChannelMeter {
  public:
-  /// `n_hives` sizes the traffic matrix; `bucket` is the time-series
-  /// resolution (default 1 simulated second, matching the paper's KB/s).
-  explicit ChannelMeter(std::size_t n_hives, Duration bucket = kSecond);
+  /// Resolution of the bandwidth time series: one second, matching the
+  /// paper's KB/s.
+  static constexpr Duration kBucket = kSecond;
+
+  /// `n_hives` sizes the traffic matrix.
+  explicit ChannelMeter(std::size_t n_hives);
 
   void record(HiveId from, HiveId to, std::size_t bytes, TimePoint when);
 
@@ -52,7 +55,7 @@ class ChannelMeter {
   /// Total bytes per bucket, cluster-wide, index = bucket number.
   std::vector<std::uint64_t> bandwidth_series() const;
 
-  /// Convenience: series converted to KB/s given the bucket width.
+  /// Convenience: series converted to KB/s.
   std::vector<double> bandwidth_kbps() const;
 
   std::uint64_t total_bytes() const;
@@ -83,7 +86,6 @@ class ChannelMeter {
                          std::size_t n, HiveId h);
 
   std::size_t n_;
-  Duration bucket_;
   std::vector<std::unique_ptr<Stripe>> stripes_;  ///< indexed by source hive
 };
 

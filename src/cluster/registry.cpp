@@ -43,8 +43,8 @@ std::size_t encoded_cells_size(const CellSet& cells) {
 }  // namespace
 
 RegistryService::RegistryService(std::size_t n_hives, ChannelMeter* meter,
-                                 HiveId registry_hive, std::size_t n_shards)
-    : n_hives_(n_hives), meter_(meter), registry_hive_(registry_hive) {
+                                 std::size_t n_shards)
+    : n_hives_(n_hives), meter_(meter) {
   n_shards = std::clamp<std::size_t>(n_shards, 1, kMaxShards);
   shards_.reserve(n_shards);
   for (std::size_t i = 0; i < n_shards; ++i) {
@@ -72,11 +72,11 @@ bool RegistryService::rpc_attempt_lost(HiveId requester,
   // Serialized: fault hooks drive a shared seeded RNG and rely on the
   // registry to order their draws (deterministic replay).
   std::lock_guard lock(misc_mutex_);
-  if (requester == registry_hive_ || !rpc_fault_hook_) return false;
+  if (requester == kRegistryHive || !rpc_fault_hook_) return false;
   if (!rpc_fault_hook_(requester)) return false;
   // The request left the requester's NIC before it was lost: the channel
   // still carried (and bills) those bytes. No response comes back.
-  if (meter_ != nullptr) meter_->record(requester, registry_hive_,
+  if (meter_ != nullptr) meter_->record(requester, kRegistryHive,
                                         request_bytes, now);
   return true;
 }
@@ -279,9 +279,9 @@ void RegistryService::assign_cells_locked(AppId app, BeeRecord& bee,
 
 void RegistryService::bill_rpc(HiveId requester, std::size_t request_bytes,
                                TimePoint now) {
-  if (meter_ == nullptr || requester == registry_hive_) return;
-  meter_->record(requester, registry_hive_, request_bytes, now);
-  meter_->record(registry_hive_, requester, kRpcResponseBytes, now);
+  if (meter_ == nullptr || requester == kRegistryHive) return;
+  meter_->record(requester, kRegistryHive, request_bytes, now);
+  meter_->record(kRegistryHive, requester, kRpcResponseBytes, now);
 }
 
 void RegistryService::invalidate_cachers_locked(Shard& home,
@@ -296,8 +296,8 @@ void RegistryService::invalidate_cachers_locked(Shard& home,
     clients = clients_;
   }
   for (HiveId hive : it->second) {
-    if (meter_ != nullptr && hive != registry_hive_) {
-      meter_->record(registry_hive_, hive, kInvalidationBytes, now);
+    if (meter_ != nullptr && hive != kRegistryHive) {
+      meter_->record(kRegistryHive, hive, kInvalidationBytes, now);
     }
     for (Client* client : clients) {
       if (client->self() == hive) client->invalidate(rec.id);
@@ -685,7 +685,7 @@ std::optional<ResolveOutcome> RegistryService::Client::try_cache_locked(
 
 bool RegistryService::Client::rpc_admitted(std::size_t request_bytes,
                                            TimePoint now) {
-  if (self_ == service_.registry_hive()) return true;  // local, lossless
+  if (self_ == kRegistryHive) return true;  // local, lossless
   if (now < backoff_until_) {
     // Fast-fail inside the backoff window: the master was just found
     // unreachable; don't hammer the channel with doomed requests.

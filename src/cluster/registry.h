@@ -93,6 +93,12 @@ struct RegistryShardStats {
   std::uint64_t resolves = 0;       ///< resolve decisions anchored here
 };
 
+/// The hive the registry service logically runs on. Its own lookups are
+/// local and lossless; every other hive's RPCs cross the metered channel.
+/// A SimCluster refuses to fail it (the lock service's own fault tolerance
+/// is out of scope, DESIGN.md §2).
+inline constexpr HiveId kRegistryHive = 0;
+
 class RegistryService {
  public:
   /// Default shard count; 8 keeps single-lock behavior measurable in
@@ -103,10 +109,9 @@ class RegistryService {
   /// Sentinel shard index: home_of's answer for a bee id it does not know.
   static constexpr std::uint32_t kAllShards = 0xffffffffu;
 
-  /// `meter` may be null (tests); `registry_hive` is where the service
-  /// logically runs — RPCs from other hives are billed to the channel.
+  /// `meter` may be null (tests). The service logically runs on
+  /// kRegistryHive: RPCs from other hives are billed to the channel.
   RegistryService(std::size_t n_hives, ChannelMeter* meter,
-                  HiveId registry_hive = 0,
                   std::size_t n_shards = kDefaultShards);
 
   /// Benches override initial placement (the paper's "artificially assign
@@ -205,8 +210,6 @@ class RegistryService {
   class Client;
   void attach_client(Client* client);
 
-  HiveId registry_hive() const { return registry_hive_; }
-
   // Approximate wire costs of registry traffic (bytes).
   static constexpr std::size_t kRpcRequestBase = 24;
   static constexpr std::size_t kRpcResponseBytes = 32;
@@ -300,7 +303,6 @@ class RegistryService {
 
   std::size_t n_hives_;
   ChannelMeter* meter_;
-  HiveId registry_hive_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
   // bee -> home shard. Striped: tiny critical sections, never held while

@@ -3,53 +3,22 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "cluster/telemetry.h"
-
 namespace beehive {
 
 SimCluster::SimCluster(ClusterConfig config, const AppSet& apps)
-    : config_(config),
-      meter_(config.n_hives, config.bw_bucket),
-      registry_(config.n_hives, &meter_, config.registry_hive),
-      rng_(config.seed) {
-  assert(config_.n_hives > 0);
-  config_.hive.n_hives = config_.n_hives;
+    : ClusterBase(config), rng_(config.seed) {
   queues_.resize(config_.n_hives);
-  if (config_.metrics) metrics_ = std::make_unique<MetricsRegistry>();
-  if (config_.flight_recorder) {
-    recorder_ = std::make_unique<FlightRecorder>(
-        config_.flight_recorder_lines,
-        static_cast<std::size_t>(config_.n_hives));
-    // Single-threaded runtime: pulling spans from inside a dump is safe.
-    if (config_.tracing) {
-      recorder_->set_span_source([this] { return trace_events(); });
-      recorder_->set_trace_source(
-          [this] { return blame_summary_text(assembled_traces(8)); });
-    }
+  // Single-threaded runtime: pulling spans from inside a dump is safe.
+  if (recorder_ && config_.tracing) {
+    recorder_->set_span_source([this] { return trace_events(); });
+    recorder_->set_trace_source(
+        [this] { return blame_summary_text(assembled_traces(8)); });
   }
-  hives_.reserve(config_.n_hives);
-  if (config_.tracing) tracers_.reserve(config_.n_hives);
-  for (HiveId id = 0; id < config_.n_hives; ++id) {
-    HiveConfig hc = config_.hive;
-    if (config_.tracing) {
-      tracers_.push_back(
-          std::make_unique<TraceRecorder>(config_.trace_capacity));
-      if (config_.tail.enabled) {
-        tracers_.back()->configure_tail(config_.tail);
-      }
-      hc.tracer = tracers_.back().get();
-    }
-    hc.faults = &faults_;
-    hc.metrics = metrics_.get();
-    hc.recorder = recorder_.get();
-    hives_.push_back(
-        std::make_unique<Hive>(id, apps, registry_, *this, hc));
-  }
-  if (metrics_) register_cluster_metrics(*metrics_, meter_, registry_);
+  build_hives(apps);
   // Registry RPC attempts traverse the same lossy network as frames.
   registry_.set_rpc_fault_hook([this](HiveId requester) {
     return faults_.active() &&
-           faults_.rpc_lost(requester, config_.registry_hive, rng_);
+           faults_.rpc_lost(requester, kRegistryHive, rng_);
   });
 }
 
@@ -103,14 +72,14 @@ void SimCluster::send_frame(HiveId from, HiveId to, Bytes frame) {
   // to builds without fault injection.
   FaultPlan::Delivery fate;
   if (faults_.active()) {
-    fate = faults_.decide(from, to, config_.wire_latency, rng_);
+    fate = faults_.decide(from, to, kWireLatency, rng_);
     if (fate.copies == 0) return;  // dropped or partitioned
   }
   Hive* target = hives_[to].get();
   for (std::uint8_t copy = 0; copy < fate.copies; ++copy) {
     Bytes payload = (copy + 1 == fate.copies) ? std::move(frame) : frame;
     events_.push(
-        Event{now_ + config_.wire_latency + fate.extra_delay[copy],
+        Event{now_ + kWireLatency + fate.extra_delay[copy],
               next_seq_++,
               [this, from, to, target, frame_seq, kind, bytes,
                f = std::move(payload)]() {
@@ -148,7 +117,7 @@ void SimCluster::fail_hive(HiveId hive) {
   if (hive >= hives_.size()) {
     throw std::invalid_argument("fail_hive: no such hive");
   }
-  if (hive == config_.registry_hive) {
+  if (hive == kRegistryHive) {
     // Fault tolerance of the lock service itself is out of the paper's
     // scope (DESIGN.md §2, "Registry") — reject loudly rather than
     // producing a silently wedged cluster.
@@ -159,32 +128,13 @@ void SimCluster::fail_hive(HiveId hive) {
 }
 
 HealthReport SimCluster::health() const {
-  HealthReport report;
-  report.at = now_;
-  report.hives.reserve(hives_.size());
-  for (const auto& hive : hives_) {
-    HiveHealth h = hive->health();
-    h.suspected = !hive_alive(h.hive);
-    report.hives.push_back(h);
-  }
-  report.registry_shards = registry_shard_health(registry_);
-  return report;
-}
-
-std::vector<TraceEvent> SimCluster::trace_events() const {
-  std::vector<const TraceRecorder*> recorders;
-  recorders.reserve(tracers_.size());
-  for (const auto& t : tracers_) recorders.push_back(t.get());
-  return merge_trace_events(recorders);
+  return health_report(now_, [this](HiveId h) { return !hive_alive(h); });
 }
 
 std::vector<AssembledTrace> SimCluster::assembled_traces(
     std::size_t top_n) const {
   // Single-threaded runtime: reading the recorders directly is safe.
-  std::vector<const TraceRecorder*> recorders;
-  recorders.reserve(tracers_.size());
-  for (const auto& t : tracers_) recorders.push_back(t.get());
-  return assemble_from_recorders(recorders, top_n);
+  return assemble_from_recorders(recorders(), top_n);
 }
 
 std::string SimCluster::traces_json(std::size_t top_n) const {

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <future>
 
-#include "cluster/telemetry.h"
 #include "util/logging.h"
 
 #if defined(__linux__)
@@ -32,84 +31,57 @@ const cpu_set_t kStartupCpus = [] {
 }  // namespace
 #endif
 
-ThreadCluster::ThreadCluster(ThreadClusterConfig config, const AppSet& apps)
-    : config_(config),
-      meter_(config.n_hives, config.bw_bucket),
-      registry_(config.n_hives, &meter_, config.registry_hive),
+ThreadCluster::ThreadCluster(ClusterConfig config, const AppSet& apps)
+    : ClusterBase(config),
       rng_(config.seed),
       epoch_(std::chrono::steady_clock::now()) {
-  assert(config_.n_hives > 0);
-  config_.hive.n_hives = config_.n_hives;
-  if (config_.metrics) metrics_ = std::make_unique<MetricsRegistry>();
-  if (config_.flight_recorder) {
-    recorder_ = std::make_unique<FlightRecorder>(
-        config_.flight_recorder_lines,
-        static_cast<std::size_t>(config_.n_hives));
-    // No span source here: the per-hive trace recorders are single-writer
-    // and unlocked, so a dump from an arbitrary thread must not read them.
-    // The trace source IS safe — assembled_traces() snapshots each
-    // recorder on its own loop thread with a bounded wait.
-    if (config_.tracing) {
-      recorder_->set_trace_source(
-          [this] { return blame_summary_text(assembled_traces(8)); });
-    }
+  // No span source here: the per-hive trace recorders are single-writer
+  // and unlocked, so a dump from an arbitrary thread must not read them.
+  // The trace source IS safe — assembled_traces() snapshots each recorder
+  // on its own loop thread with a bounded wait.
+  if (recorder_ && config_.tracing) {
+    recorder_->set_trace_source(
+        [this] { return blame_summary_text(assembled_traces(8)); });
   }
+  build_hives(apps);
   nodes_.reserve(config_.n_hives);
-  if (config_.tracing) tracers_.reserve(config_.n_hives);
-  for (HiveId id = 0; id < config_.n_hives; ++id) {
-    HiveConfig hc = config_.hive;
-    if (config_.tracing) {
-      tracers_.push_back(
-          std::make_unique<TraceRecorder>(config_.trace_capacity));
-      if (config_.tail.enabled) {
-        tracers_.back()->configure_tail(config_.tail);
-      }
-      hc.tracer = tracers_.back().get();
-    }
-    hc.faults = &faults_;
-    hc.metrics = metrics_.get();
-    hc.recorder = recorder_.get();
-    auto node = std::make_unique<Node>();
-    node->hive = std::make_unique<Hive>(id, apps, registry_, *this, hc);
-    nodes_.push_back(std::move(node));
+  for (std::size_t i = 0; i < config_.n_hives; ++i) {
+    nodes_.push_back(std::make_unique<Node>());
   }
-  if (metrics_) {
-    register_cluster_metrics(*metrics_, meter_, registry_);
-    if (config_.tracing) {
-      // Critical-path blame totals over the slowest assembled traces
-      // (DESIGN.md §11). Assembly is too heavy per scrape; blame_scrape
-      // caches for ~1s. Callbacks run with the registry mutex released.
-      struct Bucket {
-        const char* name;
-        std::uint64_t TraceBlame::* field;
-      };
-      static constexpr Bucket kBuckets[] = {
-          {"queue", &TraceBlame::queue_us},
-          {"handler", &TraceBlame::handler_us},
-          {"serialize", &TraceBlame::serialize_us},
-          {"wire", &TraceBlame::wire_us},
-          {"retransmit", &TraceBlame::retransmit_us},
-          {"stall", &TraceBlame::stall_us},
-      };
-      for (const Bucket& b : kBuckets) {
-        metrics_->gauge_fn(
-            "beehive_blame_us", {{"bucket", b.name}},
-            [this, field = b.field] {
-              std::uint64_t n = 0;
-              return static_cast<double>(blame_scrape(&n).*field);
-            },
-            "Critical-path microseconds attributed to this bucket across "
-            "the slowest assembled traces.");
-      }
+  if (metrics_ && config_.tracing) {
+    // Critical-path blame totals over the slowest assembled traces
+    // (DESIGN.md §11). Assembly is too heavy per scrape; blame_scrape
+    // caches for ~1s. Callbacks run with the registry mutex released.
+    struct Bucket {
+      const char* name;
+      std::uint64_t TraceBlame::* field;
+    };
+    static constexpr Bucket kBuckets[] = {
+        {"queue", &TraceBlame::queue_us},
+        {"handler", &TraceBlame::handler_us},
+        {"serialize", &TraceBlame::serialize_us},
+        {"wire", &TraceBlame::wire_us},
+        {"retransmit", &TraceBlame::retransmit_us},
+        {"stall", &TraceBlame::stall_us},
+    };
+    for (const Bucket& b : kBuckets) {
       metrics_->gauge_fn(
-          "beehive_blame_traces", {},
-          [this] {
+          "beehive_blame_us", {{"bucket", b.name}},
+          [this, field = b.field] {
             std::uint64_t n = 0;
-            blame_scrape(&n);
-            return static_cast<double>(n);
+            return static_cast<double>(blame_scrape(&n).*field);
           },
-          "Assembled traces behind the beehive_blame_us totals.");
+          "Critical-path microseconds attributed to this bucket across "
+          "the slowest assembled traces.");
     }
+    metrics_->gauge_fn(
+        "beehive_blame_traces", {},
+        [this] {
+          std::uint64_t n = 0;
+          blame_scrape(&n);
+          return static_cast<double>(n);
+        },
+        "Assembled traces behind the beehive_blame_us totals.");
   }
   // Registry RPC attempts traverse the same lossy network as frames. The
   // hook runs under the registry mutex on arbitrary hive threads, so the
@@ -117,7 +89,7 @@ ThreadCluster::ThreadCluster(ThreadClusterConfig config, const AppSet& apps)
   registry_.set_rpc_fault_hook([this](HiveId requester) {
     if (!faults_.active()) return false;
     std::lock_guard lock(rng_mutex_);
-    return faults_.rpc_lost(requester, config_.registry_hive, rng_);
+    return faults_.rpc_lost(requester, kRegistryHive, rng_);
   });
 }
 
@@ -131,12 +103,12 @@ TimePoint ThreadCluster::now() const {
 
 void ThreadCluster::start() {
   if (running_.exchange(true)) return;
-  for (auto& node : nodes_) {
-    node->thread = std::thread([this, n = node.get()]() { loop(*n); });
+  for (HiveId id = 0; id < nodes_.size(); ++id) {
+    nodes_[id]->thread = std::thread([this, id]() { loop(id); });
   }
-  for (auto& node : nodes_) {
+  for (const auto& hive : hives_) {
     // Arm timers on the hive's own thread.
-    post(node->hive->id(), [h = node->hive.get()]() { h->start(); });
+    post(hive->id(), [h = hive.get()]() { h->start(); });
   }
 }
 
@@ -201,7 +173,7 @@ void ThreadCluster::send_frame(HiveId from, HiveId to, Bytes frame) {
     fate = faults_.decide(from, to, /*base_latency=*/0, rng_);
     if (fate.copies == 0) return;  // dropped or partitioned
   }
-  Hive* target = nodes_[to]->hive.get();
+  Hive* target = hives_[to].get();
   // Delivery runs on the target hive's loop thread, preserving the
   // single-threaded-per-hive execution discipline.
   for (std::uint8_t copy = 0; copy < fate.copies; ++copy) {
@@ -235,29 +207,15 @@ QueueStats ThreadCluster::queue_stats(HiveId hive) {
 
 HealthReport ThreadCluster::health(
     const std::vector<HiveId>& suspected) const {
-  HealthReport report;
-  report.at = now();
-  report.hives.reserve(nodes_.size());
-  for (const auto& node : nodes_) {
-    HiveHealth h = node->hive->health();
-    h.suspected = std::find(suspected.begin(), suspected.end(), h.hive) !=
-                  suspected.end();
-    report.hives.push_back(h);
-  }
-  report.registry_shards = registry_shard_health(registry_);
-  return report;
+  return health_report(now(), [&suspected](HiveId h) {
+    return std::find(suspected.begin(), suspected.end(), h) !=
+           suspected.end();
+  });
 }
 
 std::string ThreadCluster::health_json(
     const std::vector<HiveId>& suspected) const {
   return health(suspected).to_json();
-}
-
-std::vector<TraceEvent> ThreadCluster::trace_events() const {
-  std::vector<const TraceRecorder*> recorders;
-  recorders.reserve(tracers_.size());
-  for (const auto& t : tracers_) recorders.push_back(t.get());
-  return merge_trace_events(recorders);
 }
 
 std::vector<TraceEvent> ThreadCluster::snapshot_trace_events() {
@@ -344,8 +302,9 @@ void ThreadCluster::pin_loop_thread(std::size_t hive_index) {
 #endif
 }
 
-void ThreadCluster::loop(Node& node) {
-  if (config_.hive.pin_cpu >= 0) pin_loop_thread(node.hive->id());
+void ThreadCluster::loop(HiveId id) {
+  Node& node = *nodes_[id];
+  if (config_.hive.pin_cpu >= 0) pin_loop_thread(id);
   // Swapped with node.queue each turn and cleared after running: both
   // vectors keep their capacity, so a steady-state turn allocates nothing.
   std::vector<Task> batch;

@@ -27,46 +27,18 @@
 #include <thread>
 #include <vector>
 
-#include "cluster/channel.h"
-#include "cluster/faults.h"
-#include "cluster/registry.h"
-#include "cluster/runtime_env.h"
-#include "core/hive.h"
+#include "cluster/cluster.h"
 #include "instrument/blame.h"
-#include "instrument/flight_recorder.h"
-#include "instrument/health.h"
-#include "instrument/registry.h"
 
 namespace beehive {
 
-struct ThreadClusterConfig {
-  std::size_t n_hives = 2;
-  Duration bw_bucket = kSecond;
-  HiveId registry_hive = 0;
-  std::uint64_t seed = 42;
-  /// Record span events for the Chrome trace exporter (per-hive
-  /// recorders; each hive's spans are written only from its loop thread).
-  bool tracing = false;
-  std::size_t trace_capacity = 1 << 16;
-  /// Tail-based sampling (DESIGN.md §11): retain full span detail for
-  /// traces that end slow, shed or failed. Applied to every per-hive
-  /// recorder when tracing is on.
-  TailSamplerConfig tail;
-  /// Own a MetricsRegistry and register every hive's metrics into it; the
-  /// registry (and therefore /metrics via net/http_export.h) is safe to
-  /// scrape from any thread while hives run.
-  bool metrics = true;
-  /// Keep a bounded ring of recent log lines and decisions per hive for
-  /// post-mortem dumps (instrument/flight_recorder.h).
-  bool flight_recorder = false;
-  /// Lines retained per hive by the flight recorder.
-  std::size_t flight_recorder_lines = 256;
-  HiveConfig hive;
-};
+/// ThreadCluster takes the same ClusterConfig as SimCluster. The end-to-end
+/// benchmark (beebench/threaded.cpp) still spells it by this name.
+using ThreadClusterConfig = ClusterConfig;
 
-class ThreadCluster final : public RuntimeEnv {
+class ThreadCluster final : public ClusterBase {
  public:
-  ThreadCluster(ThreadClusterConfig config, const AppSet& apps);
+  ThreadCluster(ClusterConfig config, const AppSet& apps);
   ~ThreadCluster() override;
 
   /// Starts every hive's loop thread and arms timers.
@@ -89,26 +61,6 @@ class ThreadCluster final : public RuntimeEnv {
 
   // -- Access ---------------------------------------------------------------
 
-  /// The cluster's fault plan. Configure before start(); mutating while
-  /// hives are running is safe only for partition()/heal() style toggles
-  /// made from a single controlling thread (tests).
-  FaultPlan& faults() { return faults_; }
-  const FaultPlan& faults() const { return faults_; }
-
-  Hive& hive(HiveId id) { return *nodes_.at(id)->hive; }
-  std::size_t n_hives() const { return nodes_.size(); }
-  ChannelMeter& meter() { return meter_; }
-  RegistryService& registry() { return registry_; }
-
-  /// Per-hive span recorder (nullptr when tracing is off).
-  TraceRecorder* tracer(HiveId id) {
-    return id < tracers_.size() ? tracers_[id].get() : nullptr;
-  }
-
-  /// All hives' recorded spans in display order. Call only when the
-  /// cluster is stopped or idle (recorders are not locked).
-  std::vector<TraceEvent> trace_events() const;
-
   /// The `top_n` slowest assembled traces with critical-path blame
   /// (instrument/blame.h). Safe from any thread: while the cluster runs,
   /// each recorder is snapshotted on its own loop thread (posted task,
@@ -117,14 +69,6 @@ class ThreadCluster final : public RuntimeEnv {
   std::vector<AssembledTrace> assembled_traces(std::size_t top_n = 20);
   /// The /traces.json body for those traces.
   std::string traces_json(std::size_t top_n = 20);
-
-  /// The cluster-owned metrics registry (nullptr when config.metrics is
-  /// off). Scrape-safe from any thread while the cluster runs.
-  MetricsRegistry* metrics() { return metrics_.get(); }
-  const MetricsRegistry* metrics() const { return metrics_.get(); }
-
-  /// The cluster-owned flight recorder (nullptr unless enabled).
-  FlightRecorder* flight_recorder() { return recorder_.get(); }
 
   /// Every hive's health snapshot (instrument/health.h), as of each hive's
   /// last metrics report. `suspected` marks hives the caller's failure
@@ -154,8 +98,8 @@ class ThreadCluster final : public RuntimeEnv {
     }
   };
 
+  /// One hive's loop thread and run queue (the hive is hives_[i]).
   struct Node {
-    std::unique_ptr<Hive> hive;
     std::thread thread;
     /// Delayed tasks, ordered by (due time, sequence). Owned by the loop
     /// thread alone; no lock.
@@ -177,7 +121,8 @@ class ThreadCluster final : public RuntimeEnv {
     std::uint64_t q_drained = 0;
   };
 
-  void loop(Node& node);
+  /// Hive `id`'s event loop; runs on that hive's thread until stop().
+  void loop(HiveId id);
   void pin_loop_thread(std::size_t hive_index);
   /// Nothing queued, running or timed on `node`. Caller holds node.mutex.
   static bool node_idle(const Node& node);
@@ -190,15 +135,9 @@ class ThreadCluster final : public RuntimeEnv {
   /// assembly walks every retained trace — too heavy to run per scrape).
   TraceBlame blame_scrape(std::uint64_t* n_traces);
 
-  ThreadClusterConfig config_;
-  ChannelMeter meter_;
-  RegistryService registry_;
-  std::unique_ptr<MetricsRegistry> metrics_;
-  std::unique_ptr<FlightRecorder> recorder_;
-  std::vector<std::unique_ptr<TraceRecorder>> tracers_;
   Xoshiro256 rng_;  // guarded by rng_mutex_
+  /// Also guards the fault plan's decide()/rpc_lost() calls.
   std::mutex rng_mutex_;
-  FaultPlan faults_;  // decide()/rpc_lost() calls guarded by rng_mutex_
   std::vector<std::unique_ptr<Node>> nodes_;
   std::atomic<bool> running_{false};
   std::atomic<std::uint64_t> next_seq_{0};

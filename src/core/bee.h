@@ -120,89 +120,55 @@ class Bee {
   }
 
   // -- Instrumentation ------------------------------------------------------
-  // `window` is the delta since the last metrics report (reset on report);
-  // `total` accumulates for the bee's lifetime (tests, analytics).
+  // `window` is the delta since the last metrics report (reset on report).
 
   BeeMetrics& window() { return window_; }
-  BeeMetrics& total() { return total_; }
   const BeeMetrics& window() const { return window_; }
-  const BeeMetrics& total() const { return total_; }
 
   /// `count_provenance` is false for platform-generated inputs (timer
   /// ticks): they count as load but not as inter-bee traffic, so they never
   /// skew the optimizer's "where do my messages come from" statistics.
   ///
   /// Steady-state traffic is overwhelmingly "same source, same type, again",
-  /// so the per-source/per-type counter slots are memoized: a repeat of the
-  /// previous (from, hive, type) combination bumps cached counters directly
-  /// instead of re-running six associative lookups per message. Map and
-  /// unordered_map element addresses are stable under insertion, so the
-  /// cached pointers stay valid until reset_window() replaces the maps
-  /// (which invalidates the memo).
+  /// so the per-type and per-source counter slots are memoized: a repeat of
+  /// the previous (from, hive, type) combination bumps the cached counters
+  /// directly instead of re-running two associative lookups per message.
+  /// Map element addresses are stable under insertion, so the cached
+  /// pointers stay valid until reset_window() replaces the maps (which
+  /// invalidates the memo).
   void note_receive(BeeId from, HiveId from_hive, std::size_t bytes,
                     bool count_provenance = true, MsgTypeId type = 0) {
     window_.msgs_in += 1;
     window_.bytes_in += bytes;
-    total_.msgs_in += 1;
-    total_.bytes_in += bytes;
     if (memo_.valid && memo_.from == from && memo_.from_hive == from_hive &&
         memo_.type == type && memo_.provenance == count_provenance) {
-      ++*memo_.w_from;
-      ++*memo_.t_from;
-      if (memo_.w_type != nullptr) {
-        ++*memo_.w_type;
-        ++*memo_.t_type;
-      }
-      if (memo_.w_hive != nullptr) {
-        ++*memo_.w_hive;
-        ++*memo_.t_hive;
-      }
+      if (memo_.type_count != nullptr) ++*memo_.type_count;
+      if (memo_.source_count != nullptr) ++*memo_.source_count;
       return;
     }
     memo_.from = from;
     memo_.from_hive = from_hive;
     memo_.type = type;
     memo_.provenance = count_provenance;
-    memo_.w_from = &++window_.inbound_from[from];
-    memo_.t_from = &++total_.inbound_from[from];
-    memo_.w_type = nullptr;
-    memo_.t_type = nullptr;
-    memo_.w_hive = nullptr;
-    memo_.t_hive = nullptr;
-    if (type != 0) {
-      memo_.w_type = &++window_.inbound_types[type];
-      memo_.t_type = &++total_.inbound_types[type];
-    }
-    if (count_provenance) {
-      memo_.w_hive = &++window_.inbound_hive[{from, from_hive}];
-      memo_.t_hive = &++total_.inbound_hive[{from, from_hive}];
-    }
+    memo_.type_count = type != 0 ? &++window_.inbound_types[type] : nullptr;
+    memo_.source_count = count_provenance
+                             ? &++window_.inbound_hive[{from, from_hive}]
+                             : nullptr;
     memo_.valid = true;
   }
 
   void note_emit(MsgTypeId in_reply_to, MsgTypeId emitted, std::size_t bytes) {
     window_.on_emit(in_reply_to, emitted, bytes);
-    total_.on_emit(in_reply_to, emitted, bytes);
   }
 
-  /// Records one handler run's latency pair: `queued` = emission to
-  /// handler-start, `ran` = handler-start to handler-end.
-  void note_latency(Duration queued, Duration ran) {
-    window_.queue_latency.record(queued);
-    total_.queue_latency.record(queued);
-    window_.handler_latency.record(ran);
-    total_.handler_latency.record(ran);
-  }
-
-  /// note_latency() with bucket indices precomputed by the hive, which
-  /// records the same two values into its own totals — four histograms, two
-  /// index computations per message instead of six.
+  /// Records one handler run's latency pair — `queued` = emission to
+  /// handler-start, `ran` = handler-start to handler-end — with bucket
+  /// indices precomputed by the hive, which records the same two values
+  /// into its own totals: one index computation per value for both.
   void note_latency_at(std::uint32_t qidx, std::uint64_t queued,
                        std::uint32_t ridx, std::uint64_t ran) {
     window_.queue_latency.record_at(qidx, queued);
-    total_.queue_latency.record_at(qidx, queued);
     window_.handler_latency.record_at(ridx, ran);
-    total_.handler_latency.record_at(ridx, ran);
   }
 
   /// Charges one sampled handler run's thread-CPU nanoseconds (profiler;
@@ -210,15 +176,10 @@ class Bee {
   void note_cost(std::uint64_t sampled_ns) {
     window_.cost_ns_sampled += sampled_ns;
     window_.cost_samples += 1;
-    total_.cost_ns_sampled += sampled_ns;
-    total_.cost_samples += 1;
   }
 
   /// Counts one transaction's committed write records.
-  void note_txn_ops(std::uint64_t n) {
-    window_.txn_ops += n;
-    total_.txn_ops += n;
-  }
+  void note_txn_ops(std::uint64_t n) { window_.txn_ops += n; }
 
   void reset_window() {
     window_ = BeeMetrics{};
@@ -234,12 +195,8 @@ class Bee {
     MsgTypeId type = 0;
     bool provenance = false;
     bool valid = false;
-    std::uint64_t* w_from = nullptr;
-    std::uint64_t* t_from = nullptr;
-    std::uint64_t* w_type = nullptr;
-    std::uint64_t* t_type = nullptr;
-    std::uint64_t* w_hive = nullptr;
-    std::uint64_t* t_hive = nullptr;
+    std::uint64_t* type_count = nullptr;    ///< window_.inbound_types slot
+    std::uint64_t* source_count = nullptr;  ///< window_.inbound_hive slot
   };
   ReceiveMemo memo_;
 
@@ -253,7 +210,6 @@ class Bee {
   HiveId migration_target_ = 0;
   std::deque<MessageEnvelope> holdback_;
   BeeMetrics window_;
-  BeeMetrics total_;
 };
 
 }  // namespace beehive

@@ -379,11 +379,9 @@ void Hive::process(Bee& bee, const MessageEnvelope& env,
 
   counters_.handler_runs.bump();
   bee.window().handler_invocations += 1;
-  bee.total().handler_invocations += 1;
 
   const TimePoint started = env_.now();
-  Duration queued = started - env.emitted_at();
-  if (queued < 0) queued = 0;
+  const Duration queued = started - env.emitted_at();
   trace_span(SpanKind::kHandlerStart, env, bee.id());
 
   // Hand the handler's transaction the hive's reusable log storage unless a
@@ -420,16 +418,12 @@ void Hive::process(Bee& bee, const MessageEnvelope& env,
     ctx.state().rollback();
     ++counters_.handler_failures;
     bee.window().handler_failures += 1;
-    bee.total().handler_failures += 1;
     if (sampled) {
       const std::uint64_t dns = thread_cpu_now_ns() - cpu0;
       bee.note_cost(dns);
       profiler_.attribute(ctx.state().policy(), bee.app(), dns);
     }
-    const Duration ran_failed = env_.now() - started;
-    bee.note_latency(queued, ran_failed);
-    queue_total_.record(queued);
-    handler_total_.record(ran_failed);
+    record_latency(bee, queued, env_.now() - started);
     trace_span(SpanKind::kHandlerEnd, env, bee.id(), 0, /*failed=*/1);
     // Failed traces always qualify for tail retention.
     if (tracing() && e2e_eligible(env)) {
@@ -455,17 +449,7 @@ void Hive::process(Bee& bee, const MessageEnvelope& env,
   bee.note_txn_ops(ctx.state().writes().size());
 
   const TimePoint ended = env_.now();
-  Duration ran = ended - started;
-  if (ran < 0) ran = 0;
-  // One bucket computation per value, fanned out to every histogram that
-  // records it (bee window/total + hive total).
-  const auto qv = static_cast<std::uint64_t>(queued);
-  const auto rv = static_cast<std::uint64_t>(ran);
-  const std::uint32_t qidx = LatencyHistogram::index(qv);
-  const std::uint32_t ridx = LatencyHistogram::index(rv);
-  bee.note_latency_at(qidx, qv, ridx, rv);
-  queue_total_.record_at(qidx, qv);
-  handler_total_.record_at(ridx, rv);
+  record_latency(bee, queued, ended - started);
   trace_span(SpanKind::kHandlerEnd, env, bee.id(), ctx.emitted().size());
 
   // A handler that emits nothing terminates its causal chain: the gap from
@@ -507,6 +491,18 @@ void Hive::process(Bee& bee, const MessageEnvelope& env,
     stats.scored.fetch_add(note.scored, std::memory_order_relaxed);
     stats.moves.fetch_add(note.moves, std::memory_order_relaxed);
   }
+}
+
+void Hive::record_latency(Bee& bee, Duration queued, Duration ran) {
+  // One bucket computation per value, fanned out to both histograms that
+  // record it (bee window + hive total).
+  const auto qv = static_cast<std::uint64_t>(queued < 0 ? 0 : queued);
+  const auto rv = static_cast<std::uint64_t>(ran < 0 ? 0 : ran);
+  const std::uint32_t qidx = LatencyHistogram::index(qv);
+  const std::uint32_t ridx = LatencyHistogram::index(rv);
+  bee.note_latency_at(qidx, qv, ridx, rv);
+  queue_total_.record_at(qidx, qv);
+  handler_total_.record_at(ridx, rv);
 }
 
 void Hive::record_decisions(const MessageEnvelope& env,
@@ -816,7 +812,7 @@ void Hive::arm_app_timers() {
   for (const auto& app : apps_.apps()) {
     for (const TimerBinding& timer : app->timers()) {
       if (timer.kind == HandlerBinding::Kind::kMapped &&
-          id_ != config_.timer_master) {
+          id_ != kTimerMaster) {
         continue;  // mapped ticks fire once cluster-wide.
       }
       arm_timer(*app, timer);
@@ -976,30 +972,6 @@ void Hive::report_metrics() {
       mailbox_overrun_.store(false, std::memory_order_relaxed);
     }
   }
-
-  // Graceful degradation (DESIGN.md §10): when the health score falls below
-  // the configured low-water mark, advertise the reduced credit window on
-  // every inbound link (piggybacked on the next acks) so peers throttle
-  // traffic toward us. Hysteresis (+5 points) prevents flapping at the
-  // threshold; the decision is recomputed once per metrics window, from the
-  // same event-driven inputs on both runtimes — no wall clock, no RNG.
-  if (config_.degrade_below_score > 0.0) {
-    HiveHealth now;
-    now.signals = sig;
-    const double score = now.score();
-    const bool was_degraded = degraded_.load(std::memory_order_relaxed);
-    bool now_degraded = was_degraded;
-    if (!was_degraded && score < config_.degrade_below_score) {
-      now_degraded = true;
-    } else if (was_degraded && score >= config_.degrade_below_score + 5.0) {
-      now_degraded = false;
-    }
-    if (now_degraded != was_degraded) {
-      degraded_.store(now_degraded, std::memory_order_relaxed);
-      if (transport_ != nullptr) transport_->set_degraded(now_degraded);
-    }
-  }
-  sig.degraded = degraded_.load(std::memory_order_relaxed) ? 1.0 : 0.0;
 
   // Refresh the cross-thread snapshot (independent of whether a metrics
   // registry is attached: /health.json works without /metrics).

@@ -47,8 +47,6 @@ struct LocalMetricsReport;
 struct HiveConfig {
   /// Period of the instrumentation report timer; 0 disables reporting.
   Duration metrics_period = kSecond;
-  /// The hive that injects mapped-timer ticks for the whole cluster.
-  HiveId timer_master = 0;
   /// Stop firing timers after this time (sim runs bounded experiments).
   TimePoint timers_until = kTimeInfinity;
   /// Replicate every bee's committed state to a neighbour hive (paper §7
@@ -64,10 +62,6 @@ struct HiveConfig {
   /// by default: frames ship raw, with zero bookkeeping. Enable whenever
   /// the cluster's FaultPlan injects loss/duplication/reordering.
   TransportConfig transport;
-  /// Migration ack timeout (doubles per retry) and the attempt cap after
-  /// which the migration aborts, leaving the bee live at its origin.
-  Duration migrate_timeout = 10 * kMillisecond;
-  int migrate_max_attempts = 3;
   /// The cluster's fault plan (owned by the runtime; may be null). Hives
   /// only *read* it, to report partitions_active with their metrics.
   const FaultPlan* faults = nullptr;
@@ -82,12 +76,6 @@ struct HiveConfig {
   /// Sampling cost profiler (instrument/profiler.h). Off by default: the
   /// dispatch path then pays one load and one branch per handler.
   ProfilerConfig profiler;
-  /// Graceful degradation (DESIGN.md §10): when the hive's health score
-  /// drops below this low-water mark it advertises its degraded credit
-  /// window (TransportConfig::degraded_window) on all inbound links, and
-  /// recovers once the score climbs 5 points above the mark (hysteresis).
-  /// 0 disables degradation. Evaluated once per metrics period.
-  double degrade_below_score = 0.0;
   /// Core pinning for the hive's loop thread (threaded runtime only).
   /// < 0 leaves placement to the OS scheduler. >= 0 pins hive i's loop to
   /// the ((pin_cpu + i) mod n)-th of the n CPUs the process was started on
@@ -99,6 +87,13 @@ struct HiveConfig {
 
 class Hive {
  public:
+  /// The hive that injects mapped-timer ticks for the whole cluster.
+  static constexpr HiveId kTimerMaster = 0;
+  /// Migration ack timeout (doubles per retry) and the attempt cap after
+  /// which a migration aborts, leaving the bee live at its origin.
+  static constexpr Duration kMigrateTimeout = 10 * kMillisecond;
+  static constexpr int kMigrateMaxAttempts = 3;
+
   Hive(HiveId id, const AppSet& apps, RegistryService& registry,
        RuntimeEnv& env, HiveConfig config = {});
   ~Hive();
@@ -207,11 +202,6 @@ class Hive {
     return transport_ != nullptr && transport_->stalled_now() > 0;
   }
 
-  /// True while the hive advertises its degraded credit window.
-  bool degraded() const {
-    return degraded_.load(std::memory_order_relaxed);
-  }
-
   /// The reliable transport, if configured (tests, diagnostics).
   const ReliableTransport* transport() const { return transport_.get(); }
 
@@ -222,8 +212,6 @@ class Hive {
   static bool is_priority_type(MsgTypeId type);
 
  private:
-  friend class MigrationEngine;
-
   // Routing (paper §3, "Life of a Message"). `mapped`, where present, is
   // the Map result already computed by the dispatch layer for this
   // message+app pair; it is borrowed down the synchronous delivery chain so
@@ -343,6 +331,9 @@ class Hive {
   void register_metrics();
   void publish_window(const LocalMetricsReport& report,
                       std::uint64_t window_msgs);
+  /// Records one handler run's queue and run latency into the bee's window
+  /// and the hive's totals (negative durations clamp to 0).
+  void record_latency(Bee& bee, Duration queued, Duration ran);
   /// Drains ctx.note_decision() records into the trace stream and the
   /// flight recorder.
   void record_decisions(const MessageEnvelope& env,
@@ -421,8 +412,6 @@ class Hive {
   };
   PlacementRoundStats round_full_;
   PlacementRoundStats round_incremental_;
-  /// True while the hive advertises its degraded credit window.
-  std::atomic<bool> degraded_{false};
   /// Set when a bounded kBlockSender mailbox hits its limit; cleared at
   /// report time once every bounded holdback has drained below half its
   /// limit, and in drain() when a holdback empties. Hysteresis keeps the

@@ -291,9 +291,8 @@ void Hive::request_migration(BeeId bee_id, HiveId to) {
     config_.tracer->record(TraceEvent{env_.now(), SpanKind::kMigrateStart, 0,
                                       0, id_, bee_id, bee->app(), 0, to});
   }
-  migrations_[bee_id] = MigrationRetry{
-      to, epoch, /*attempt=*/0,
-      std::max(config_.migrate_max_attempts, 1), config_.migrate_timeout};
+  migrations_[bee_id] = MigrationRetry{to, epoch, /*attempt=*/0,
+                                       kMigrateMaxAttempts, kMigrateTimeout};
   send_migrate_xfer(*bee, to, epoch);
   arm_migration_timer(bee_id);
 }

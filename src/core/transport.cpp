@@ -7,22 +7,17 @@
 
 namespace beehive {
 
-// Reliable header: kind | src hive | seq | cumulative ack | advertised
-// window | inner frame (raw to the end of the buffer — the channel
-// preserves frame bounds).
-// Standalone ack: kind | src hive | cumulative ack | advertised window.
+// Reliable header: kind | src hive | seq | cumulative ack | inner frame
+// (raw to the end of the buffer — the channel preserves frame bounds).
+// Standalone ack: kind | src hive | cumulative ack.
 //
-// The advertised window is the receiver's half of the credit loop: every
-// frame a hive emits tells its peers how many unacked frames it is willing
-// to absorb (0 = unlimited). Senders cap in-flight frames per link at
-// min(own credit_window, peer advertisement) and park the excess in
-// Peer::stalled until acks return credit.
+// Flow control needs nothing on the wire: a sender caps in-flight frames
+// per link at its own credit_window and parks the excess in Peer::stalled
+// until acks return credit.
 
 ReliableTransport::ReliableTransport(HiveId self, RuntimeEnv& env,
                                      TransportConfig config)
-    : self_(self), env_(env), config_(config) {
-  if (config_.degraded_window == 0) config_.degraded_window = 1;
-}
+    : self_(self), env_(env), config_(config) {}
 
 std::size_t ReliableTransport::unacked_frames() const {
   std::size_t n = 0;
@@ -30,46 +25,17 @@ std::size_t ReliableTransport::unacked_frames() const {
   return n;
 }
 
-std::uint64_t ReliableTransport::advertised_window() const {
-  if (degraded_.load(std::memory_order_relaxed)) {
-    return config_.degraded_window;
-  }
-  return config_.credit_window;
-}
-
-std::uint64_t ReliableTransport::effective_window(const Peer& peer) const {
-  const std::uint64_t own = config_.credit_window;
-  const std::uint64_t adv = peer.window;
-  if (own == 0) return adv;
-  if (adv == 0) return own;
-  return std::min(own, adv);
-}
-
 std::int64_t ReliableTransport::credits_available() const {
+  const std::uint64_t win = config_.credit_window;
+  if (win == 0) return -1;
   std::int64_t min_credit = -1;
   for (const auto& [_, peer] : peers_) {
-    const std::uint64_t win = effective_window(peer);
-    if (win == 0) continue;
     const std::uint64_t in_flight = peer.unacked.size();
     const std::int64_t credit =
         in_flight >= win ? 0 : static_cast<std::int64_t>(win - in_flight);
     if (min_credit < 0 || credit < min_credit) min_credit = credit;
   }
   return min_credit;
-}
-
-std::uint64_t ReliableTransport::peer_window(HiveId peer) const {
-  auto it = peers_.find(peer);
-  return it == peers_.end() ? 0 : it->second.window;
-}
-
-void ReliableTransport::set_degraded(bool degraded) {
-  const bool was = degraded_.exchange(degraded, std::memory_order_relaxed);
-  if (was == degraded) return;
-  // Push the new advertisement: arm a (delayed, piggyback-preferring) ack
-  // to every peer we have ever talked to. Without this, an idle reverse
-  // direction would leave peers on the stale window indefinitely.
-  for (auto& [to, peer] : peers_) arm_ack(to, peer);
 }
 
 void ReliableTransport::ship(HiveId to, Peer& peer, std::uint64_t seq,
@@ -81,7 +47,6 @@ void ReliableTransport::ship(HiveId to, Peer& peer, std::uint64_t seq,
   // Piggyback the freshest cumulative ack for the reverse direction; any
   // data frame then doubles as an ack and the standalone timer no-ops.
   w.varint(peer.next_expected - 1);
-  w.varint(advertised_window());
   w.raw(inner);
   peer.ack_pending = false;
   env_.send_frame(self_, to, std::move(w).take());
@@ -97,11 +62,10 @@ void ReliableTransport::ship_new(HiveId to, Peer& peer, Bytes inner) {
 
 void ReliableTransport::send(HiveId to, Bytes inner) {
   Peer& peer = peers_[to];
-  const std::uint64_t win = effective_window(peer);
   // Stall behind an existing stall unconditionally (FIFO), and behind a
-  // full window. With flow control off on both sides this is one empty
-  // check and one zero compare.
-  if (!peer.stalled.empty() || (win != 0 && peer.unacked.size() >= win)) {
+  // full window. With flow control off this is one empty check and one
+  // zero compare.
+  if (!peer.stalled.empty() || window_full(peer)) {
     enqueue_stalled(to, peer, std::move(inner));
     return;
   }
@@ -151,9 +115,7 @@ void ReliableTransport::enqueue_stalled(HiveId to, Peer& peer, Bytes inner) {
 }
 
 void ReliableTransport::drain_stalled(HiveId to, Peer& peer) {
-  while (!peer.stalled.empty()) {
-    const std::uint64_t win = effective_window(peer);
-    if (win != 0 && peer.unacked.size() >= win) break;
+  while (!peer.stalled.empty() && !window_full(peer)) {
     Peer::StalledFrame entry = std::move(peer.stalled.front());
     peer.stalled.pop_front();
     stalled_now_.fetch_sub(1, std::memory_order_relaxed);
@@ -210,7 +172,7 @@ void ReliableTransport::arm_ack(HiveId to, Peer& peer) {
   peer.ack_pending = true;
   if (peer.ack_armed) return;
   peer.ack_armed = true;
-  env_.schedule_after(self_, config_.ack_delay, [this, to]() { ack_fired(to); });
+  env_.schedule_after(self_, kAckDelay, [this, to]() { ack_fired(to); });
 }
 
 void ReliableTransport::ack_fired(HiveId to) {
@@ -222,7 +184,6 @@ void ReliableTransport::ack_fired(HiveId to) {
   w.u8(static_cast<std::uint8_t>(FrameKind::kAck));
   w.u32(self_);
   w.varint(peer.next_expected - 1);
-  w.varint(advertised_window());
   ++counters_.acks_sent;
   env_.send_frame(self_, to, std::move(w).take());
 }
@@ -248,16 +209,13 @@ void ReliableTransport::on_wire(std::string_view frame,
   if (kind == FrameKind::kAck) {
     Peer& peer = peers_[src];
     process_ack(peer, r.varint());
-    peer.window = r.varint();
     drain_stalled(src, peer);
     return;
   }
   const std::uint64_t seq = r.varint();
   const std::uint64_t ack = r.varint();
-  const std::uint64_t window = r.varint();
   Peer& peer = peers_[src];
   process_ack(peer, ack);
-  peer.window = window;
   drain_stalled(src, peer);
 
   if (seq < peer.next_expected) {

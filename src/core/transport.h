@@ -23,22 +23,18 @@
 // other frame, so the robustness overhead is billed to the ChannelMeter
 // and visible in Figure-4 bandwidth terms.
 //
-// Credit-based flow control (DESIGN.md §10) rides the same framing: every
-// reliable frame and every ack additionally carries the sender's own
-// advertised receive window — the same piggyback trick as the cumulative
-// ack. A sender caps its unacked frames per link at
-// min(credit_window, peer's advertisement); frames beyond the cap wait in
-// a per-peer stalled queue (sequence numbers are assigned at ship time, so
-// per-pair FIFO survives the stall) and drain as acks return credit. Past
-// `stall_limit` the link's OverloadPolicy applies — with the invariant
-// that frames carrying control traffic (merge/migrate/replica/registry)
-// are never shed, only pure app-message batches are.
+// Credit-based flow control (DESIGN.md §10) rides the same acks: a sender
+// caps its unacked frames per link at `credit_window`; frames beyond the
+// cap wait in a per-peer stalled queue (sequence numbers are assigned at
+// ship time, so per-pair FIFO survives the stall) and drain as acks return
+// credit. Past `stall_limit` the link's OverloadPolicy applies — with the
+// invariant that frames carrying control traffic (merge/migrate/replica/
+// registry) are never shed, only pure app-message batches are.
 //
 // The transport is opt-in (TransportConfig::enabled); a hive built without
-// it sends raw frames exactly as before, with zero bookkeeping on the
-// dispatch hot path. Flow control is a second opt-in (credit_window > 0,
-// or a peer advertising a finite window): with both off, send() costs one
-// emptiness check more than PR 2's transport.
+// it sends raw frames, with zero bookkeeping on the dispatch hot path.
+// Flow control is a second opt-in (credit_window > 0): with it off, send()
+// costs one emptiness check and one zero compare.
 #pragma once
 
 #include <atomic>
@@ -67,20 +63,13 @@ struct TransportConfig {
   Duration rto_max = 64 * kMillisecond;
   /// Retransmit rounds before the peer's unacked frames are abandoned.
   int max_rounds = 10;
-  /// Standalone acks are delayed this long, giving reverse traffic a
-  /// chance to piggyback the ack for free.
-  Duration ack_delay = 400 * kMicrosecond;
 
   // -- Credit-based flow control (DESIGN.md §10) --------------------------
   /// Per-link credit window: max unacked data frames in flight to one
-  /// peer, and the window this hive advertises to its peers while
-  /// healthy. 0 = unlimited (flow control off unless a peer advertises).
+  /// peer. 0 = unlimited (flow control off).
   std::uint32_t credit_window = 0;
   /// Frames queued awaiting credit per link before `overload` applies.
   std::size_t stall_limit = 1024;
-  /// Window advertised while the hive is degraded (health score under the
-  /// low-water mark). Clamped to >= 1 so links always make progress.
-  std::uint32_t degraded_window = 1;
   /// What to do with sheddable frames once the stalled queue overflows.
   /// kBlockSender lets the queue grow and relies on Hive::overloaded()
   /// admission upstream; the shed policies drop app-message batches.
@@ -89,6 +78,10 @@ struct TransportConfig {
 
 class ReliableTransport {
  public:
+  /// Standalone acks are delayed this long, giving reverse traffic a
+  /// chance to piggyback the ack for free.
+  static constexpr Duration kAckDelay = 400 * kMicrosecond;
+
   ReliableTransport(HiveId self, RuntimeEnv& env, TransportConfig config);
 
   ReliableTransport(const ReliableTransport&) = delete;
@@ -117,20 +110,9 @@ class ReliableTransport {
     return stalled_now_.load(std::memory_order_relaxed);
   }
 
-  /// Smallest remaining credit across links with a finite effective
-  /// window; -1 when no link is credit-limited. Hive-thread only.
+  /// Smallest remaining credit across links; -1 when flow control is off
+  /// or no link has been used yet. Hive-thread only.
   std::int64_t credits_available() const;
-
-  /// Switches the advertised receive window between credit_window and
-  /// degraded_window; on a change, arms an ack to every known peer so the
-  /// new advertisement propagates without waiting for data traffic.
-  void set_degraded(bool degraded);
-  bool degraded() const {
-    return degraded_.load(std::memory_order_relaxed);
-  }
-
-  /// The receive window this hive currently advertises (0 = unlimited).
-  std::uint64_t advertised_window() const;
 
   /// Link sheds also bump this external counter when set (the hive wires
   /// its shed_total cell here so mailbox and link sheds share one metric).
@@ -142,9 +124,6 @@ class ReliableTransport {
   /// message timelines by interval overlap in the trace assembler.
   void set_tracer(TraceRecorder* tracer) { tracer_ = tracer; }
 
-  /// The last window advertised by `peer` (tests; 0 = none/unlimited).
-  std::uint64_t peer_window(HiveId peer) const;
-
  private:
   struct Peer {
     // Outbound.
@@ -153,8 +132,6 @@ class ReliableTransport {
     Duration rto = 0;
     int rounds = 0;
     bool rtx_armed = false;
-    /// Receive window the peer advertised (0 = none yet / unlimited).
-    std::uint64_t window = 0;
     /// A frame waiting for credit, stamped with when its wait began so
     /// the ship-time kCreditStall span can carry the full stall duration.
     struct StalledFrame {
@@ -175,8 +152,11 @@ class ReliableTransport {
   /// Assigns a sequence number and puts `inner` on the wire (the moment a
   /// frame consumes one credit).
   void ship_new(HiveId to, Peer& peer, Bytes inner);
-  /// min(config credit_window, peer advertisement); 0 = unlimited.
-  std::uint64_t effective_window(const Peer& peer) const;
+  /// True while `peer` has a full credit window of unacked frames.
+  bool window_full(const Peer& peer) const {
+    return config_.credit_window != 0 &&
+           peer.unacked.size() >= config_.credit_window;
+  }
   /// Queues a frame that found no credit, applying the overload policy
   /// once the stall limit is exceeded.
   void enqueue_stalled(HiveId to, Peer& peer, Bytes inner);
@@ -199,7 +179,6 @@ class ReliableTransport {
   std::map<HiveId, Peer> peers_;  ///< ordered: deterministic iteration
   TransportCounters counters_;
   std::atomic<std::uint64_t> stalled_now_{0};
-  std::atomic<bool> degraded_{false};
   Counter* shed_counter_ = nullptr;
   TraceRecorder* tracer_ = nullptr;
 };

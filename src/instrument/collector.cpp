@@ -26,20 +26,9 @@ std::string bee_key(BeeId bee) { return std::to_string(bee); }
 struct HivePressure {
   static constexpr std::string_view kTypeName = "stats.hive_pressure";
   double pressure = 0.0;
-  /// The hive entered graceful degradation (advertising reduced credit;
-  /// DESIGN.md §10) — placement must not move work onto it.
-  bool degraded = false;
 
-  void encode(ByteWriter& w) const {
-    w.f64(pressure);
-    w.boolean(degraded);
-  }
-  static HivePressure decode(ByteReader& r) {
-    HivePressure p;
-    p.pressure = r.f64();
-    p.degraded = r.boolean();
-    return p;
-  }
+  void encode(ByteWriter& w) const { w.f64(pressure); }
+  static HivePressure decode(ByteReader& r) { return {r.f64()}; }
 };
 
 /// Codec for one "stats.transport" cell (latest snapshot per hive; the
@@ -149,7 +138,7 @@ CollectorApp::CollectorApp(std::shared_ptr<PlacementStrategy> strategy,
                          static_cast<std::uint32_t>(sig.partitions_active)});
         ctx.state().put_as(CollectorApp::kPressureDict,
                            std::to_string(report.hive),
-                           HivePressure{sig.pressure, sig.degraded != 0.0});
+                           HivePressure{sig.pressure});
         merge_hist(ctx.state(), "e2e", report.e2e_latency);
         for (const BeeMetricsSample& sample : report.bees) {
           BeeAgg agg = ctx.state()
@@ -207,14 +196,12 @@ CollectorApp::CollectorApp(std::shared_ptr<PlacementStrategy> strategy,
   every(
       config.optimize_period,
       [](const MessageEnvelope&) { return collector_cells(); },
-      [strategy, n_hives, bees,
-       full_every = config.full_round_every](AppContext& ctx,
-                                             const MessageEnvelope&) {
+      [strategy, n_hives, bees](AppContext& ctx, const MessageEnvelope&) {
         const std::string dict(CollectorApp::kDecisionsDict);
         const std::string dirty_dict(CollectorApp::kDirtyDict);
         HiveCells tick =
             ctx.state().get_as<HiveCells>(dict, "tick").value_or(HiveCells{});
-        const bool full = full_every <= 1 || tick.cells % full_every == 0;
+        const bool full = tick.cells % kFullRoundEvery == 0;
         ctx.state().put_as(dict, "tick", HiveCells{tick.cells + 1});
         const auto wall_start = std::chrono::steady_clock::now();
 
@@ -230,10 +217,8 @@ CollectorApp::CollectorApp(std::shared_ptr<PlacementStrategy> strategy,
         ctx.state().for_each(
             std::string(CollectorApp::kPressureDict),
             [&view](const std::string& key, const Bytes& value) {
-              const HivePressure p = decode_from_bytes<HivePressure>(value);
-              const auto hive = static_cast<HiveId>(std::stoul(key));
-              view.hive_pressure[hive] = p.pressure;
-              if (p.degraded) view.hive_degraded[hive] = true;
+              view.hive_pressure[static_cast<HiveId>(std::stoul(key))] =
+                  decode_from_bytes<HivePressure>(value).pressure;
             });
         auto view_bee = [&view](BeeAgg agg, bool dirty) {
           BeeView bee;
@@ -432,10 +417,8 @@ ClusterView CollectorApp::view_from_store(const StateStore& store,
   }
   if (const Dict* pressure = store.find_dict(kPressureDict)) {
     pressure->for_each([&view](const std::string& key, const Bytes& value) {
-      const HivePressure p = decode_from_bytes<HivePressure>(value);
-      const auto hive = static_cast<HiveId>(std::stoul(key));
-      view.hive_pressure[hive] = p.pressure;
-      if (p.degraded) view.hive_degraded[hive] = true;
+      view.hive_pressure[static_cast<HiveId>(std::stoul(key))] =
+          decode_from_bytes<HivePressure>(value).pressure;
     });
   }
   if (const Dict* latency = store.find_dict(kLatencyDict)) {

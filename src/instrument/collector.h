@@ -86,14 +86,6 @@ struct BeeAgg {
 
 struct CollectorConfig {
   Duration optimize_period = 5 * kSecond;
-  /// Run a full optimization round (re-score every bee) every Nth round;
-  /// the rounds in between are incremental — they re-score only the dirty
-  /// set (bees whose traffic-matrix or cost rows changed since the last
-  /// round), which at large bee counts is the difference between O(bees)
-  /// and O(active bees) per round. 1 (or 0) = every round full. The
-  /// periodic full round is the drift guard: it also ages out rows of
-  /// bees that merged away, which incremental rounds never visit.
-  std::uint64_t full_round_every = 8;
 };
 
 class CollectorApp : public App {
@@ -102,6 +94,15 @@ class CollectorApp : public App {
   /// collects analytics without ever migrating). `n_hives` sizes the view.
   CollectorApp(std::shared_ptr<PlacementStrategy> strategy,
                std::size_t n_hives, CollectorConfig config = {});
+
+  /// Every Nth optimization round is full (re-scores every bee); the
+  /// rounds in between are incremental — they re-score only the dirty set
+  /// (bees whose traffic-matrix or cost rows changed since the last
+  /// round), which at large bee counts is the difference between O(bees)
+  /// and O(active bees) per round. The periodic full round is the drift
+  /// guard: it also ages out rows of bees that merged away, which
+  /// incremental rounds never visit.
+  static constexpr std::uint64_t kFullRoundEvery = 8;
 
   static constexpr std::string_view kBeesDict = "stats.bees";
   static constexpr std::string_view kHivesDict = "stats.hives";

@@ -30,6 +30,9 @@ namespace beehive {
 class FlightRecorder {
  public:
   static constexpr std::size_t kDefaultMaxHives = 64;
+  /// Lines each hive's ring keeps unless the constructor is told otherwise
+  /// (the cluster runtimes always keep this many).
+  static constexpr std::size_t kLinesPerHive = 256;
 
   /// `lines_per_hive` bounds each hive's ring; a ring's line storage is
   /// allocated lazily on the hive's first note(). `max_hives` bounds the
@@ -37,7 +40,7 @@ class FlightRecorder {
   /// it never reallocates, which is what lets the crash handler walk it
   /// without locking. Notes from hives beyond the bound share the first
   /// ring rather than growing the table.
-  explicit FlightRecorder(std::size_t lines_per_hive = 256,
+  explicit FlightRecorder(std::size_t lines_per_hive = kLinesPerHive,
                           std::size_t max_hives = kDefaultMaxHives)
       : lines_per_hive_(lines_per_hive == 0 ? 1 : lines_per_hive),
         max_hives_(max_hives == 0 ? 1 : max_hives) {

@@ -38,9 +38,9 @@ class LatencyHistogram {
   }
 
   /// record() with the bucket index precomputed by the caller. The dispatch
-  /// hot path records one latency value into several histograms (bee window,
-  /// bee total, hive total); computing index() once and fanning out the
-  /// increments keeps the per-message cost at one bucket computation.
+  /// hot path records one latency value into two histograms (bee window,
+  /// hive total); computing index() once and fanning out the increments
+  /// keeps the per-message cost at one bucket computation.
   void record_at(std::uint32_t idx, std::uint64_t value) {
     buckets_[idx] += 1;
     count_ += 1;

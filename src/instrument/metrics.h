@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "instrument/histogram.h"
@@ -37,9 +36,6 @@ struct BeeMetrics {
   std::uint64_t cost_samples = 0;
   std::uint64_t txn_ops = 0;
 
-  /// Messages received, keyed by the emitting bee (kNoBee = IO channel).
-  std::unordered_map<BeeId, std::uint64_t> inbound_from;
-
   /// Messages received keyed by (emitting bee, hive it emitted from) — the
   /// provenance the optimizer's "majority of messages from hive H2" rule
   /// consumes. Deterministically ordered for reporting.
@@ -59,13 +55,6 @@ struct BeeMetrics {
   /// Handler-start -> handler-end duration (wall time under the threaded
   /// runtime; zero under the simulator, whose handlers are instantaneous).
   LatencyHistogram handler_latency;
-
-  void on_receive(BeeId from, std::size_t bytes, MsgTypeId type = 0) {
-    ++msgs_in;
-    bytes_in += bytes;
-    ++inbound_from[from];
-    if (type != 0) ++inbound_types[type];
-  }
 
   void on_emit(MsgTypeId in_reply_to, MsgTypeId emitted, std::size_t bytes) {
     ++msgs_out;

@@ -29,9 +29,6 @@ struct ProfilerConfig {
   /// Sample every Nth handler activation (rounded up to a power of two so
   /// the tick test is a mask, not a modulo). 1 = measure every handler.
   std::uint32_t sample_every = 64;
-  /// Distinct cells tracked by the heat table before overflow folds into
-  /// the "(other)" bucket. Bounds profiler memory on cell-per-entity apps.
-  std::size_t heat_capacity = 128;
 };
 
 /// Current thread's consumed CPU time in nanoseconds (CLOCK_THREAD_CPUTIME_ID;
@@ -44,7 +41,11 @@ std::uint64_t thread_cpu_now_ns();
 /// is sufficient.
 class CellHeatTable {
  public:
-  explicit CellHeatTable(std::size_t capacity = 128)
+  /// Distinct cells a hive's profiler tracks before overflow folds into
+  /// the "(other)" bucket. Bounds profiler memory on cell-per-entity apps.
+  static constexpr std::size_t kDefaultCapacity = 128;
+
+  explicit CellHeatTable(std::size_t capacity = kDefaultCapacity)
       : capacity_(capacity == 0 ? 1 : capacity) {}
 
   struct Row {
@@ -74,8 +75,7 @@ class CellHeatTable {
 /// loop thread only, so the activation counter is a plain integer.
 class CostProfiler {
  public:
-  explicit CostProfiler(ProfilerConfig config)
-      : config_(config), heat_(config.heat_capacity) {
+  explicit CostProfiler(ProfilerConfig config) : config_(config) {
     // Round the period up to a power of two: the hot-path test becomes
     // (++n & mask) == 0.
     std::uint32_t period = config.sample_every == 0 ? 1 : config.sample_every;

@@ -15,8 +15,6 @@ std::string format_signal(SignalKind kind, double v) {
       std::snprintf(buf, sizeof(buf), "%.4f", v);
       return buf;
     }
-    case SignalKind::kFlag:
-      return v != 0.0 ? "true" : "false";
   }
   return "0";
 }
@@ -36,9 +34,6 @@ void encode_signals(ByteWriter& w, const HiveSignals& s) {
       }
       case SignalKind::kRatio:
         w.f64(v);
-        break;
-      case SignalKind::kFlag:
-        w.boolean(v != 0.0);
         break;
     }
   }
@@ -60,9 +55,6 @@ HiveSignals decode_signals(ByteReader& r) {
       }
       case SignalKind::kRatio:
         v = r.f64();
-        break;
-      case SignalKind::kFlag:
-        v = r.boolean() ? 1.0 : 0.0;
         break;
     }
   }

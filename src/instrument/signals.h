@@ -36,7 +36,6 @@ struct HiveSignals {
   double shed_per_s = 0.0;
   double stalled = 0.0;
   double credits = -1.0;
-  double degraded = 0.0;
   double handler_p99_us = 0.0;
   double retransmit_rate = 0.0;
   double partitions_active = 0.0;
@@ -49,7 +48,6 @@ enum class SignalKind : std::uint8_t {
   kCount,   ///< non-negative integer: varint on the wire, integer in JSON
   kSigned,  ///< integer, may be negative: zigzag varint, integer in JSON
   kRatio,   ///< real number: f64 on the wire, four decimals in JSON
-  kFlag,    ///< 0 or 1: one byte on the wire, true/false in JSON
 };
 
 struct HiveSignal {
@@ -94,9 +92,6 @@ inline constexpr HiveSignal kHiveSignals[] = {
     {&HiveSignals::credits, "credits", "beehive_link_credits",
      "Smallest remaining credit across outbound links (-1 = unlimited)",
      SignalKind::kSigned},
-    {&HiveSignals::degraded, "degraded", "beehive_degraded",
-     "1 while the hive advertises its degraded credit window",
-     SignalKind::kFlag},
     {&HiveSignals::handler_p99_us, "handler_p99_us", "",
      "Handler duration p99 over the last window (microseconds)",
      SignalKind::kCount},

@@ -61,7 +61,7 @@ StatusReport assemble_report(const Scan& scan, TimePoint at,
 
 }  // namespace
 
-StatusApp::StatusApp(StatusAppConfig config) : App("platform.status") {
+StatusApp::StatusApp() : App("platform.status") {
   register_metrics_messages();
   MsgTypeRegistry::instance().ensure<HiveStatus>();
   MsgTypeRegistry::instance().ensure<BeeStatus>();
@@ -72,7 +72,7 @@ StatusApp::StatusApp(StatusAppConfig config) : App("platform.status") {
   // bees' rows. Whole-dict cells centralize the app on one bee.
   on<LocalMetricsReport>(
       [](const LocalMetricsReport&) { return status_cells(); },
-      [config](AppContext& ctx, const LocalMetricsReport& report) {
+      [](AppContext& ctx, const LocalMetricsReport& report) {
         const std::string hives(kHivesDict);
         const std::string bees(kBeesDict);
         const std::string hive_key = std::to_string(report.hive);
@@ -85,7 +85,7 @@ StatusApp::StatusApp(StatusAppConfig config) : App("platform.status") {
         HiveStatus hs =
             ctx.state().get_as<HiveStatus>(hives, hive_key).value_or(
                 HiveStatus{});
-        if (hs.at == 0) hs.msgs_window = TimeSeriesRing(config.ring_windows);
+        if (hs.at == 0) hs.msgs_window = TimeSeriesRing(kRingWindows);
         hs.hive = report.hive;
         hs.at = report.at;
         hs.e2e_p50_us = report.e2e_latency.p50();
@@ -105,7 +105,7 @@ StatusApp::StatusApp(StatusAppConfig config) : App("platform.status") {
                              .get_as<BeeStatus>(bees, bee_key)
                              .value_or(BeeStatus{});
           if (bs.at == 0) {
-            bs.msgs_window = TimeSeriesRing(config.ring_windows);
+            bs.msgs_window = TimeSeriesRing(kRingWindows);
           }
           bs.bee = sample.bee;
           bs.app = sample.app;
@@ -129,7 +129,7 @@ StatusApp::StatusApp(StatusAppConfig config) : App("platform.status") {
         ctx.state().for_each(
             bees, [&](const std::string& key, const Bytes& value) {
               BeeStatus bs = decode_from_bytes<BeeStatus>(value);
-              if (bs.at + config.stale_after < report.at) {
+              if (bs.at + kStaleAfter < report.at) {
                 stale.push_back(key);
               }
             });

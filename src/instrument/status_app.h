@@ -161,17 +161,15 @@ struct StatusReport {
   std::string to_json() const;
 };
 
-struct StatusAppConfig {
-  /// Windows retained per rate ring (hive and bee rows).
-  std::size_t ring_windows = 16;
-  /// Bee rows older than this many report periods are dropped from the
-  /// snapshot on fold (bees that merged away or whose hive died).
-  Duration stale_after = 10 * kSecond;
-};
-
 class StatusApp : public App {
  public:
-  explicit StatusApp(StatusAppConfig config = {});
+  StatusApp();
+
+  /// Windows retained per rate ring (hive and bee rows).
+  static constexpr std::size_t kRingWindows = 16;
+  /// Bee rows whose latest report is older than this are dropped from the
+  /// snapshot on fold (bees that merged away or whose hive died).
+  static constexpr Duration kStaleAfter = 10 * kSecond;
 
   static constexpr std::string_view kHivesDict = "status.hives";
   static constexpr std::string_view kBeesDict = "status.bees";

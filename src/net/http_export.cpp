@@ -92,28 +92,27 @@ HttpExportServer::~HttpExportServer() { stop(); }
 
 void HttpExportServer::set_status_source(
     std::function<std::string()> source) {
-  std::lock_guard lock(source_mutex_);
+  std::lock_guard lock(mutex_);
   status_source_ = std::move(source);
 }
 
 void HttpExportServer::set_health_source(
     std::function<std::string()> source) {
-  std::lock_guard lock(source_mutex_);
+  std::lock_guard lock(mutex_);
   health_source_ = std::move(source);
 }
 
 void HttpExportServer::set_traces_source(
     std::function<std::string()> source) {
-  std::lock_guard lock(source_mutex_);
+  std::lock_guard lock(mutex_);
   traces_source_ = std::move(source);
 }
 
 void HttpExportServer::detach() {
-  // Order matters: clear the registry pointer first (requests in flight
-  // re-check it per route), then drop the callbacks under the source lock
-  // so no handler can still be copying one.
-  registry_.store(nullptr, std::memory_order_release);
-  std::lock_guard lock(source_mutex_);
+  // A request holds the lock while it reads the registry or runs a source:
+  // taking it here waits that request out.
+  std::lock_guard lock(mutex_);
+  registry_ = nullptr;
   status_source_ = nullptr;
   health_source_ = nullptr;
   traces_source_ = nullptr;
@@ -121,17 +120,18 @@ void HttpExportServer::detach() {
 
 void HttpExportServer::stop() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
-  // Closing the listening socket unblocks accept() with an error; shutting
-  // down the in-flight client (if any) unblocks a handler stuck in
-  // recv()/send() on a stalled scraper.
+  // Shutting the listening socket down unblocks accept() with an error;
+  // shutting down the in-flight client (if any) unblocks a handler stuck
+  // in recv()/send() on a stalled scraper. The listening socket is closed
+  // only after the join: the loop reads listen_fd_ until it exits.
   ::shutdown(listen_fd_, SHUT_RDWR);
-  ::close(listen_fd_);
-  listen_fd_ = -1;
   {
     std::lock_guard lock(client_mutex_);
     if (client_fd_ >= 0) ::shutdown(client_fd_, SHUT_RDWR);
   }
   if (thread_.joinable()) thread_.join();
+  ::close(listen_fd_);
+  listen_fd_ = -1;
 }
 
 void HttpExportServer::serve_loop() {
@@ -183,62 +183,50 @@ void HttpExportServer::handle_connection(int client_fd) {
   }
 
   std::string response;
-  if (method != "GET") {
-    response = http_response(405, "Method Not Allowed", "text/plain",
-                             "only GET is supported\n");
-  } else if (path == "/metrics") {
-    const MetricsRegistry* reg = registry_.load(std::memory_order_acquire);
-    response = reg == nullptr
-                   ? unavailable()
-                   : http_response(200, "OK",
-                                   "text/plain; version=0.0.4; charset=utf-8",
-                                   reg->prometheus_text());
-  } else if (path == "/status.json") {
-    const MetricsRegistry* reg = registry_.load(std::memory_order_acquire);
-    std::function<std::string()> source;
-    {
-      std::lock_guard lock(source_mutex_);
-      source = status_source_;
-    }
-    if (source) {
-      response = http_response(200, "OK", "application/json", source());
-    } else if (reg != nullptr) {
-      response =
-          http_response(200, "OK", "application/json", reg->status_json());
-    } else {
-      response = unavailable();
-    }
-  } else if (path == "/health.json") {
-    std::function<std::string()> source;
-    {
-      std::lock_guard lock(source_mutex_);
-      source = health_source_;
-    }
-    response = source
-                   ? http_response(200, "OK", "application/json", source())
-                   : unavailable();
-  } else if (path == "/traces.json") {
-    std::function<std::string()> source;
-    {
-      std::lock_guard lock(source_mutex_);
-      source = traces_source_;
-    }
-    response = source
-                   ? http_response(200, "OK", "application/json", source())
-                   : unavailable();
-  } else if (path == "/" || path == "/index.html") {
-    response = http_response(200, "OK", "text/plain",
-                             "beehive exposition endpoints:\n  /metrics\n"
-                             "  /status.json\n  /health.json\n"
-                             "  /traces.json\n");
-  } else {
-    response = http_response(404, "Not Found", "text/plain",
-                             "unknown path; try /metrics, /status.json, "
-                             "/health.json or /traces.json\n");
+  {
+    std::lock_guard lock(mutex_);
+    response = respond(method, path);
   }
   if (send_all(client_fd, response)) {
     served_.fetch_add(1, std::memory_order_relaxed);
   }
+}
+
+std::string HttpExportServer::respond(const std::string& method,
+                                      const std::string& path) const {
+  if (method != "GET") {
+    return http_response(405, "Method Not Allowed", "text/plain",
+                         "only GET is supported\n");
+  }
+  const auto json_from = [](const std::function<std::string()>& source) {
+    return source ? http_response(200, "OK", "application/json", source())
+                  : unavailable();
+  };
+  if (path == "/metrics") {
+    return registry_ == nullptr
+               ? unavailable()
+               : http_response(200, "OK",
+                               "text/plain; version=0.0.4; charset=utf-8",
+                               registry_->prometheus_text());
+  }
+  if (path == "/status.json") {
+    if (!status_source_ && registry_ != nullptr) {
+      return http_response(200, "OK", "application/json",
+                           registry_->status_json());
+    }
+    return json_from(status_source_);
+  }
+  if (path == "/health.json") return json_from(health_source_);
+  if (path == "/traces.json") return json_from(traces_source_);
+  if (path == "/" || path == "/index.html") {
+    return http_response(200, "OK", "text/plain",
+                         "beehive exposition endpoints:\n  /metrics\n"
+                         "  /status.json\n  /health.json\n"
+                         "  /traces.json\n");
+  }
+  return http_response(404, "Not Found", "text/plain",
+                       "unknown path; try /metrics, /status.json, "
+                       "/health.json or /traces.json\n");
 }
 
 }  // namespace beehive

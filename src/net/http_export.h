@@ -10,11 +10,13 @@
 // per request (HTTP/1.0, Connection: close), no keep-alive, no TLS, bound
 // to 127.0.0.1. This is an operational side door, not a web server.
 //
-// Shutdown discipline: the registry reference is held through an atomic
-// pointer. detach() clears it (and the source callbacks) so a server that
-// outlives its cluster answers 503 instead of dereferencing a destroyed
-// registry; stop() additionally shuts down any in-flight client socket so
-// a stalled scraper cannot block the join.
+// Shutdown discipline: one mutex guards the registry pointer and the
+// source callbacks. A request holds it while it reads the registry or runs
+// a source (never while it sends), and detach() takes it to clear them, so
+// once detach() returns no request touches the registry or a source again,
+// and a server that outlives its cluster answers 503. stop() additionally
+// shuts down any in-flight client socket so a stalled scraper cannot block
+// the join.
 #pragma once
 
 #include <atomic>
@@ -55,10 +57,12 @@ class HttpExportServer {
   void set_traces_source(std::function<std::string()> source);
 
   /// Disconnects the server from the registry and the source callbacks:
-  /// every subsequent request answers 503 Service Unavailable. Call before
-  /// destroying the cluster that owns the registry when the server object
-  /// outlives it — scrapes that race the teardown then get a clean error
-  /// instead of a use-after-free.
+  /// every subsequent request answers 503 Service Unavailable. Waits for a
+  /// request that is reading the registry or running a source to finish,
+  /// so it must not be called from inside a source. Call before destroying
+  /// the cluster that owns the registry when the server object outlives
+  /// it — scrapes that race the teardown then get a clean error instead of
+  /// a use-after-free.
   void detach();
 
   /// Stops the accept loop and joins the thread (also run by ~).
@@ -72,12 +76,17 @@ class HttpExportServer {
  private:
   void serve_loop();
   void handle_connection(int client_fd);
+  /// The full HTTP response for one request. Caller holds mutex_.
+  std::string respond(const std::string& method,
+                      const std::string& path) const;
 
-  std::atomic<const MetricsRegistry*> registry_;
+  /// Guards the registry pointer and the sources; held by a request while
+  /// it uses them (see detach()).
+  mutable std::mutex mutex_;
+  const MetricsRegistry* registry_;
   std::function<std::string()> status_source_;
   std::function<std::string()> health_source_;
   std::function<std::string()> traces_source_;
-  mutable std::mutex source_mutex_;
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
   std::atomic<bool> running_{false};

@@ -200,14 +200,6 @@ std::vector<MigrationDecision> CostPressureStrategy::decide_explained(
       reject("capacity");
       continue;
     }
-    if (auto it = view.hive_degraded.find(best_hive);
-        it != view.hive_degraded.end() && it->second) {
-      // Hard veto (DESIGN.md §10): a degraded hive is advertising reduced
-      // credit to shed load — migrating more work onto it would defeat the
-      // overload control no matter how good the locality looks.
-      reject("degraded_target");
-      continue;
-    }
     if (rec.pressure_to > rec.pressure_from + config_.pressure_slack) {
       // Moving onto a hive already drowning would trade locality for a
       // longer queue — the one trade this strategy exists to refuse.

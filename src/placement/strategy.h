@@ -80,10 +80,6 @@ struct ClusterView {
   /// Latest queue-pressure score per hive in [0,1) (LocalMetricsReport);
   /// absent hives read as 0 (unpressured).
   std::map<HiveId, double> hive_pressure;
-  /// Hives currently in graceful degradation (advertising reduced credit;
-  /// DESIGN.md §10). Absent hives read as healthy. Pressure-aware
-  /// strategies treat a degraded hive as a hard migration veto.
-  std::map<HiveId, bool> hive_degraded;
   std::vector<BeeView> bees;
   LatencyView latency;
 };

@@ -28,7 +28,7 @@ TEST(ChannelMeter, MatrixAccumulates) {
 }
 
 TEST(ChannelMeter, BandwidthSeriesBuckets) {
-  ChannelMeter meter(2, kSecond);
+  ChannelMeter meter(2);
   meter.record(0, 1, 1024, 0);
   meter.record(0, 1, 2048, kSecond + 1);
   meter.record(1, 0, 512, 3 * kSecond + 500);

@@ -334,7 +334,7 @@ TEST(DecodeClamp, ReplicaTxnFrameCountClamped) {
 TEST(ThreadClusterIdle, WaitIdleReturnsAfterBurst) {
   AppSet apps;
   apps.emplace<CounterApp>();
-  ThreadClusterConfig cfg;
+  ClusterConfig cfg;
   cfg.n_hives = 2;
   cfg.metrics = false;
   cfg.hive.metrics_period = 0;

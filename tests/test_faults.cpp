@@ -105,7 +105,7 @@ TEST(FaultPlanTest, RpcLossFollowsPartitionAndDropRate) {
 // ---------------------------------------------------------------------------
 
 TEST(ChannelMeterFaultTest, OutOfRangeSamplesAreDroppedNotCrashed) {
-  ChannelMeter meter(2, kSecond);
+  ChannelMeter meter(2);
   meter.record(0, 1, 100, 0);
   meter.record(7, 1, 100, 0);  // bogus sender
   meter.record(0, 9, 100, 0);  // bogus receiver

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "cluster/sim.h"
+#include "core/bee.h"
 #include "instrument/collector.h"
 #include "instrument/metrics.h"
 #include "placement/strategy.h"
@@ -20,17 +21,44 @@ using testing::Incr;
 // ---------------------------------------------------------------------------
 
 TEST(BeeMetrics, ReceiveAndEmitAccounting) {
-  BeeMetrics m;
-  m.on_receive(7, 100);
-  m.on_receive(7, 50);
-  m.on_receive(9, 10);
-  m.on_emit(1, 2, 30);
-  EXPECT_EQ(m.msgs_in, 3u);
-  EXPECT_EQ(m.bytes_in, 160u);
-  EXPECT_EQ(m.inbound_from[7], 2u);
-  EXPECT_EQ(m.inbound_from[9], 1u);
+  // The path the hive runs per message: note_receive, then note_emit per
+  // emission. The second receive repeats the first's (source, hive, type)
+  // and takes the memoized counter slots; the fourth is a timer tick, which
+  // counts as load and by type but not as provenance.
+  Bee bee(make_bee_id(0, 1), /*app=*/5);
+  const BeeId a = make_bee_id(1, 7);
+  const BeeId b = make_bee_id(2, 9);
+  bee.note_receive(a, 1, 100, /*count_provenance=*/true, /*type=*/3);
+  bee.note_receive(a, 1, 50, true, 3);
+  bee.note_receive(b, 2, 10, true, 3);
+  bee.note_receive(kNoBee, 0, 5, /*count_provenance=*/false, 4);
+  bee.note_emit(3, 6, 30);
+  const BeeMetrics& m = bee.window();
+  EXPECT_EQ(m.msgs_in, 4u);
+  EXPECT_EQ(m.bytes_in, 165u);
+  EXPECT_EQ(m.inbound_hive.size(), 2u);
+  EXPECT_EQ((m.inbound_hive.at({a, 1})), 2u);
+  EXPECT_EQ((m.inbound_hive.at({b, 2})), 1u);
+  EXPECT_EQ(m.inbound_types.size(), 2u);
+  EXPECT_EQ(m.inbound_types.at(3), 3u);
+  EXPECT_EQ(m.inbound_types.at(4), 1u);
   EXPECT_EQ(m.msgs_out, 1u);
-  EXPECT_EQ((m.causation[{1, 2}]), 1u);
+  EXPECT_EQ(m.bytes_out, 30u);
+  EXPECT_EQ((m.causation.at({3, 6})), 1u);
+
+  // reset_window() drops the memo with the maps it pointed into: repeating
+  // the last combination, then the first one twice, counts in the new
+  // window only.
+  bee.reset_window();
+  bee.note_receive(kNoBee, 0, 5, false, 4);
+  bee.note_receive(a, 1, 100, true, 3);
+  bee.note_receive(a, 1, 100, true, 3);
+  EXPECT_EQ(m.msgs_in, 3u);
+  EXPECT_EQ(m.inbound_types.at(4), 1u);
+  EXPECT_EQ(m.inbound_types.at(3), 2u);
+  EXPECT_EQ(m.inbound_hive.size(), 1u);
+  EXPECT_EQ((m.inbound_hive.at({a, 1})), 2u);
+  EXPECT_TRUE(m.causation.empty());
 }
 
 TEST(BeeMetricsSample, CodecRoundTrip) {

@@ -14,6 +14,8 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <future>
+#include <latch>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -1005,6 +1007,47 @@ TEST(HttpExport, LateScrapeAfterDetachGets503NotDestroyedRegistry) {
   scraping.store(false, std::memory_order_relaxed);
   for (std::thread& t : scrapers) t.join();
   EXPECT_EQ(bad_responses.load(), 0u);
+  server.stop();
+}
+
+TEST(HttpExport, DetachWaitsForARequestInsideASource) {
+  // Once detach() returns, the owner may destroy the registry and whatever
+  // a source reads. So detach() must wait out a request that is still
+  // running a source: here a /status.json request parks inside its source
+  // on a latch while detach() is called.
+  MetricsRegistry registry;
+  HttpExportServer server(registry, /*port=*/0);
+  std::latch entered(1);
+  std::latch release(1);
+  std::atomic<bool> source_returned{false};
+  server.set_status_source([&] {
+    entered.count_down();
+    release.wait();
+    source_returned.store(true);
+    return std::string("{}\n");
+  });
+
+  std::string response;
+  std::thread client(
+      [&] { response = http_get(server.port(), "/status.json"); });
+  entered.wait();
+
+  std::atomic<bool> returned_after_source{false};
+  std::future<void> detached = std::async(std::launch::async, [&] {
+    server.detach();
+    returned_after_source.store(source_returned.load());
+  });
+  // A detach() that does not wait returns within this pause.
+  detached.wait_for(std::chrono::milliseconds(50));
+  release.count_down();
+  detached.get();
+  client.join();
+
+  EXPECT_TRUE(returned_after_source.load())
+      << "detach() returned while a request was inside the status source";
+  EXPECT_EQ(response.rfind("HTTP/1.0 200", 0), 0u) << response;
+  const std::string late = http_get(server.port(), "/status.json");
+  EXPECT_EQ(late.rfind("HTTP/1.0 503", 0), 0u) << late;
   server.stop();
 }
 

@@ -1,9 +1,8 @@
 // Tests for end-to-end overload control (DESIGN.md §10): credit-based
-// flow control on the reliable transport (window advertisement, sender
-// stalls, FIFO across stalls), bounded mailboxes with per-app block/shed
-// policies, graceful degradation (reduced credit advertisement +
-// placement veto), and the determinism property — a seeded run under
-// backpressure AND fault injection is bit-identical across repeats.
+// flow control on the reliable transport (sender stalls, FIFO across
+// stalls), bounded mailboxes with per-app block/shed policies, and the
+// determinism property — a seeded run under backpressure AND fault
+// injection is bit-identical across repeats.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,7 +17,6 @@
 #include "core/transport.h"
 #include "core/wire.h"
 #include "msg/codec.h"
-#include "placement/strategy.h"
 #include "tests/test_helpers.h"
 
 namespace beehive {
@@ -247,7 +245,8 @@ TEST(CreditFlow, SenderStallsAtTheWindowAndDrainsOnAck) {
   sim.start();
 
   // One frame per loop turn: with window 1 and acks at least
-  // ack_delay + wire latency away, every frame past the first stalls.
+  // ReliableTransport::kAckDelay + kWireLatency away, every frame past the
+  // first stalls.
   constexpr std::uint32_t kN = 10;
   for (std::uint32_t i = 0; i < kN; ++i) {
     sim.hive(0).inject(
@@ -329,70 +328,6 @@ TEST(QueueStatsWindow, HighWatermarkResetsOnRead) {
   EXPECT_EQ(quiet.hwm, 0u)
       << "with no traffic since the last read, the window watermark must "
          "have reset to the current (zero) depth";
-}
-
-// ---------------------------------------------------------------------------
-// Graceful degradation
-// ---------------------------------------------------------------------------
-
-TEST(Degradation, LowHealthAdvertisesReducedCreditToPeers) {
-  AppSet apps;
-  apps.emplace<CounterApp>();
-  ClusterConfig cfg;
-  cfg.n_hives = 2;
-  cfg.hive.transport.enabled = true;
-  cfg.hive.metrics_period = 5 * kMillisecond;
-  cfg.hive.timers_until = 60 * kMillisecond;
-  // Scores are <= 100, so every hive degrades at its first report — an
-  // artificial threshold that lets the test observe the advertisement
-  // without manufacturing a real overload.
-  cfg.hive.degrade_below_score = 101.0;
-  SimCluster sim(cfg, apps);
-  pin_to_hive_1(sim);
-  sim.start();
-
-  sim.hive(0).inject(
-      MessageEnvelope::make(Incr{"k", 1}, 0, kNoBee, 0, sim.now()));
-  sim.run_for(20 * kMillisecond);
-
-  EXPECT_TRUE(sim.hive(1).degraded());
-  EXPECT_EQ(sim.hive(1).health().signals.degraded, 1.0);
-  EXPECT_EQ(sim.hive(1).transport()->advertised_window(),
-            cfg.hive.transport.degraded_window);
-  // Hive 0 heard the advertisement on an ack and caps its sends to it.
-  EXPECT_EQ(sim.hive(0).transport()->peer_window(1),
-            static_cast<std::uint64_t>(cfg.hive.transport.degraded_window));
-}
-
-TEST(Degradation, DegradedTargetVetoesMigration) {
-  // A bee on hive 0 whose traffic majority comes from hive 1: normally a
-  // clean "majority" accept for CostPressureStrategy — unless hive 1 is
-  // degraded, which must read as a hard veto.
-  ClusterView view;
-  view.n_hives = 2;
-  view.hive_cells[0] = 10;
-  view.hive_cells[1] = 10;
-  BeeView bee;
-  bee.bee = make_bee_id(0, 1);
-  bee.hive = 0;
-  bee.cells = 1;
-  bee.msgs_in = 100;
-  bee.cost_us = 1000;
-  bee.inbound_by_hive[1] = 90;
-  bee.inbound_by_hive[0] = 10;
-  view.bees.push_back(bee);
-
-  CostPressureStrategy strat;
-  std::vector<PlacementDecision> log;
-  auto accepted = strat.decide_explained(view, &log);
-  ASSERT_EQ(accepted.size(), 1u) << "sanity: healthy target accepts";
-
-  view.hive_degraded[1] = true;
-  log.clear();
-  EXPECT_TRUE(strat.decide_explained(view, &log).empty());
-  ASSERT_EQ(log.size(), 1u);
-  EXPECT_FALSE(log[0].accepted);
-  EXPECT_EQ(log[0].reason, "degraded_target");
 }
 
 // ---------------------------------------------------------------------------

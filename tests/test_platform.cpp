@@ -94,7 +94,7 @@ TEST_F(PlatformTest, BeeCreatedOnInjectingHive) {
   auto [rec, bee] = find_owner(sim, "x");
   EXPECT_EQ(rec.hive, 2u);
   ASSERT_NE(bee, nullptr);
-  EXPECT_EQ(bee->total().msgs_in, 1u);
+  EXPECT_EQ(bee->window().msgs_in, 1u);
 }
 
 TEST_F(PlatformTest, SameKeyFromDifferentHivesReachesSameBee) {
@@ -266,18 +266,18 @@ TEST_F(PlatformTest, ThrowingHandlerRollsBackStateAndEmissions) {
   send(sim, 0, Incr{"p", 1});
   Bee* sink_before = sink_bee(sim);
   std::uint64_t sink_msgs =
-      sink_before == nullptr ? 0 : sink_before->total().msgs_in;
+      sink_before == nullptr ? 0 : sink_before->window().msgs_in;
 
   send(sim, 0, Poison{"p"});  // writes 9999, emits, then throws
 
   EXPECT_EQ(counter_value(sim, "p"), 1);  // write rolled back
   Bee* sink_after = sink_bee(sim);
   std::uint64_t sink_msgs_after =
-      sink_after == nullptr ? 0 : sink_after->total().msgs_in;
+      sink_after == nullptr ? 0 : sink_after->window().msgs_in;
   EXPECT_EQ(sink_msgs_after, sink_msgs);  // emission discarded
   auto [rec, bee] = find_owner(sim, "p");
   ASSERT_NE(bee, nullptr);
-  EXPECT_EQ(bee->total().handler_failures, 1u);
+  EXPECT_EQ(bee->window().handler_failures, 1u);
   EXPECT_EQ(sim.hive(rec.hive).counters().handler_failures, 1u);
 }
 

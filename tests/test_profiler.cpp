@@ -249,12 +249,17 @@ TEST(Profiler, SampledCostReachesBeeMetricsWindow) {
   }
   sim.run_to_idle();
 
-  std::uint64_t cost = 0;
-  for (Bee* bee : sim.hive(0).local_bees()) {
-    cost += bee->total().cost_ns_sampled;
+  // Each report ships the bee's window and resets it; the hive publishes
+  // the window's cost into its beehive_cost_us_window ring.
+  double cost_us = 0.0;
+  for (const TimeSeriesRing::Sample& s :
+       sim.metrics()
+           ->ring("beehive_cost_us_window", {{"hive", "0"}})
+           .snapshot()) {
+    cost_us += s.value;
   }
   // 16 handlers x 100us of burned CPU: at least 1ms of it must be visible.
-  EXPECT_GE(cost, 1'000'000u) << "sampled cost never reached bee metrics";
+  EXPECT_GE(cost_us, 1000.0) << "sampled cost never reached bee metrics";
 }
 
 // ---------------------------------------------------------------------------

@@ -48,16 +48,16 @@ std::vector<std::string> keys_on_distinct_shards(const RegistryService& reg,
 TEST(RegistryShards, DefaultsAndClamping) {
   RegistryService def(4, nullptr);
   EXPECT_EQ(def.shard_count(), RegistryService::kDefaultShards);
-  RegistryService one_shard(4, nullptr, 0, 1);
+  RegistryService one_shard(4, nullptr, 1);
   EXPECT_EQ(one_shard.shard_count(), 1u);
-  RegistryService zero(4, nullptr, 0, 0);
+  RegistryService zero(4, nullptr, 0);
   EXPECT_GE(zero.shard_count(), 1u);
-  RegistryService huge(4, nullptr, 0, 1000);
+  RegistryService huge(4, nullptr, 1000);
   EXPECT_EQ(huge.shard_count(), RegistryService::kMaxShards);
 }
 
 TEST(RegistryShards, ShardOfCellIsStableAndInRange) {
-  RegistryService reg(4, nullptr, 0, 8);
+  RegistryService reg(4, nullptr, 8);
   for (int i = 0; i < 100; ++i) {
     const CellKey cell{"d", std::to_string(i)};
     const std::uint32_t s = reg.shard_of_cell(kApp, cell);
@@ -67,7 +67,7 @@ TEST(RegistryShards, ShardOfCellIsStableAndInRange) {
 }
 
 TEST(RegistryShards, OpsAndResolvesCountPerShard) {
-  RegistryService reg(4, nullptr, 0, 8);
+  RegistryService reg(4, nullptr, 8);
   const auto keys = keys_on_distinct_shards(reg, 2);
   const std::uint32_t s0 = reg.shard_of_cell(kApp, {"d", keys[0]});
   const std::uint32_t s1 = reg.shard_of_cell(kApp, {"d", keys[1]});
@@ -82,7 +82,7 @@ TEST(RegistryShards, OpsAndResolvesCountPerShard) {
 // ---------------------------------------------------------------------------
 
 TEST(RegistryShards, WriteToOneShardKeepsOtherShardsCached) {
-  RegistryService reg(4, nullptr, 0, 8);
+  RegistryService reg(4, nullptr, 8);
   RegistryService::Client client(reg, 1);
   const auto keys = keys_on_distinct_shards(reg, 2);
   const CellSet cells_a = one(keys[0]);
@@ -116,7 +116,7 @@ TEST(RegistryShards, WriteToOneShardKeepsOtherShardsCached) {
 TEST(RegistryShards, AlternatingShardsKeepHittingTheCache) {
   // The cache keeps every resolved cell set, not just the last one:
   // alternating between two cell sets on different shards never misses.
-  RegistryService reg(4, nullptr, 0, 8);
+  RegistryService reg(4, nullptr, 8);
   RegistryService::Client client(reg, 1);
   const auto keys = keys_on_distinct_shards(reg, 2);
   client.resolve_or_create(kApp, one(keys[0]), false, 0);
@@ -131,7 +131,7 @@ TEST(RegistryShards, AlternatingShardsKeepHittingTheCache) {
 }
 
 TEST(RegistryShards, CrossShardMergeCollocatesAndInvalidatesBothShards) {
-  RegistryService reg(4, nullptr, 0, 8);
+  RegistryService reg(4, nullptr, 8);
   RegistryService::Client client(reg, 1);
   const auto keys = keys_on_distinct_shards(reg, 2);
   const auto out_a = client.resolve_or_create(kApp, one(keys[0]), false, 0);
@@ -161,7 +161,7 @@ TEST(RegistryShards, CrossShardMergeCollocatesAndInvalidatesBothShards) {
 }
 
 TEST(RegistryShards, WholeDictAbsorbsKeysAcrossAllShards) {
-  RegistryService reg(4, nullptr, 0, 8);
+  RegistryService reg(4, nullptr, 8);
   for (int i = 0; i < 32; ++i) {
     reg.resolve_or_create(kApp, one("w" + std::to_string(i)), 1, false, 0);
   }
@@ -195,7 +195,7 @@ struct Observed {
 /// attempt, and records what each operation observed.
 std::vector<Observed> run_scripted(std::size_t n_shards,
                                    std::uint64_t seed) {
-  RegistryService reg(8, nullptr, 0, n_shards);
+  RegistryService reg(8, nullptr, n_shards);
   std::uint64_t attempt = 0;
   reg.set_rpc_fault_hook([&attempt](HiveId) { return ++attempt % 7 == 0; });
   RegistryService::Client client(reg, 1);
@@ -257,7 +257,7 @@ TEST(RegistryShards, ShardedAgreesWithUnshardedUnderSeededFaults) {
 // ---------------------------------------------------------------------------
 
 TEST(RegistryShards, CachedAssignmentIsServedUntilInvalidated) {
-  RegistryService reg(4, nullptr, 0, 8);
+  RegistryService reg(4, nullptr, 8);
   RegistryService::Client client(reg, 1);
   const CellSet cells = one("cached");
   const auto out = client.resolve_or_create(kApp, cells, false, 0);
@@ -290,7 +290,7 @@ TEST(RegistryShards, CachedAssignmentIsServedUntilInvalidated) {
 // ---------------------------------------------------------------------------
 
 TEST(RegistryShards, ConcurrentResolvesAgreeOnOwnership) {
-  RegistryService reg(8, nullptr, 0, 8);
+  RegistryService reg(8, nullptr, 8);
   constexpr int kThreads = 8;
   constexpr int kOpsPerThread = 2000;
   constexpr int kKeys = 64;

@@ -40,9 +40,6 @@ HiveSignals distinct_signals() {
       case SignalKind::kRatio:
         v = 0.25 + static_cast<double>(i) / 64.0;
         break;
-      case SignalKind::kFlag:
-        v = 1.0;
-        break;
     }
   }
   return s;
@@ -135,9 +132,8 @@ TEST(HiveSignalsTable, EachKeyOnceInBothJsonViews) {
     EXPECT_EQ(count_of(status_row, key), 1u) << row.key << " in "
                                              << status_row;
   }
-  // The signed kind renders negative, the flag kind as a JSON boolean.
+  // The signed kind renders negative.
   EXPECT_NE(health_row.find("\"credits\": -"), std::string::npos);
-  EXPECT_NE(status_row.find("\"degraded\": true"), std::string::npos);
 }
 
 // The fixed scenario behind tests/fixtures/metrics_golden.prom: two

@@ -38,7 +38,7 @@ class ThreadClusterTest : public ::testing::Test {
   ThreadClusterTest() { apps_.emplace<CounterApp>(); }
 
   ThreadCluster make(std::size_t n_hives) {
-    ThreadClusterConfig config;
+    ClusterConfig config;
     config.n_hives = n_hives;
     config.hive.metrics_period = 0;
     return ThreadCluster(config, apps_);
@@ -192,7 +192,7 @@ TEST_F(ThreadClusterTest, TimersFireOnThreadedRuntime) {
   std::atomic<int> ticks{0};
   AppSet apps;
   apps.emplace<TickerApp>(&ticks);
-  ThreadClusterConfig config;
+  ClusterConfig config;
   config.n_hives = 2;
   config.hive.metrics_period = 0;
   ThreadCluster cluster(config, apps);
@@ -221,7 +221,7 @@ TEST_F(ThreadClusterTest, HealthScrapeRacesMetricsReports) {
   // The HTTP export path: a scrape thread reads every hive's health
   // snapshot, both renderings and the /metrics text while the hive loops
   // serve traffic and rewrite the snapshot every millisecond.
-  ThreadClusterConfig config;
+  ClusterConfig config;
   config.n_hives = 2;
   config.hive.metrics_period = kMillisecond;
   ThreadCluster cluster(config, apps_);
@@ -276,8 +276,8 @@ TEST_F(ThreadClusterTest, HealthScrapeRacesMetricsReports) {
 
 class RunLoopTest : public ThreadClusterTest {
  protected:
-  ThreadClusterConfig config(std::size_t n_hives) {
-    ThreadClusterConfig c;
+  ClusterConfig config(std::size_t n_hives) {
+    ClusterConfig c;
     c.n_hives = n_hives;
     c.hive.metrics_period = 0;
     return c;
@@ -380,7 +380,7 @@ TEST_F(RunLoopTest, PinnedLoopsStillDeliver) {
   // pin_cpu is best-effort placement, never correctness: with pinning on
   // (wrapping around however few CPUs the process may use), traffic flows
   // exactly as unpinned.
-  ThreadClusterConfig c = config(2);
+  ClusterConfig c = config(2);
   c.hive.pin_cpu = 0;
   ThreadCluster cluster(c, apps_);
   cluster.start();
@@ -427,7 +427,7 @@ TEST_F(RunLoopTest, PinningStaysInsideAllowedCpus) {
   EXPECT_EXIT(
       {
         constexpr HiveId kHives = 3;
-        ThreadClusterConfig c = config(kHives);
+        ClusterConfig c = config(kHives);
         c.hive.pin_cpu = 0;
         std::vector<cpu_set_t> masks(kHives);
         ThreadCluster cluster(c, apps_);
@@ -575,7 +575,7 @@ TEST_F(ThreadClusterFifo, FramesKeepPerLinkOrderWithoutReliableTransport) {
   std::vector<std::vector<std::uint64_t>> log(kSources + 1);
   AppSet apps;
   apps.emplace<SeqLogApp>(&log);
-  ThreadClusterConfig config;
+  ClusterConfig config;
   config.n_hives = kSink + 1;
   config.hive.metrics_period = 0;
   ThreadCluster cluster(config, apps);
@@ -630,7 +630,7 @@ TEST_F(ThreadClusterFifo, EmissionsKeepEmissionOrderLocalAndAcrossHives) {
   AppSet apps;
   apps.emplace<SeqLogApp>(&log);
   apps.emplace<BurstApp>();
-  ThreadClusterConfig config;
+  ClusterConfig config;
   config.n_hives = kSources;
   config.hive.metrics_period = 0;
   ThreadCluster cluster(config, apps);

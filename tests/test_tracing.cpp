@@ -338,9 +338,9 @@ TEST(LatencyAccounting, QueueAndE2eRecordedInSim) {
   // Per-bee window histograms recorded the same runs.
   auto bees = sim.hive(0).local_bees();
   ASSERT_EQ(bees.size(), 1u);
-  EXPECT_EQ(bees[0]->total().queue_latency.count(), 10u);
+  EXPECT_EQ(bees[0]->window().queue_latency.count(), 10u);
   // Simulator handlers are instantaneous.
-  EXPECT_EQ(bees[0]->total().handler_latency.max(), 0u);
+  EXPECT_EQ(bees[0]->window().handler_latency.max(), 0u);
 }
 
 TEST(LatencyAccounting, CollectorAggregatesInvocationsAndLatency) {

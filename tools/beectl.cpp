@@ -282,8 +282,7 @@ std::vector<HiveRow> read_hive_rows(const Json& root) {
     for (const HiveSignal& sig : kHiveSignals) {
       const std::string key(sig.key);
       double& v = row.signals.*sig.field;
-      v = sig.kind == SignalKind::kFlag ? (h.boolean(key) ? 1.0 : 0.0)
-                                        : h.number(key, v);
+      v = h.number(key, v);
     }
     rows.push_back(row);
   }
@@ -429,15 +428,12 @@ std::size_t render_frame(const Options& opt, bool clear_screen) {
     } else {
       std::snprintf(credits, sizeof(credits), "%8.0f", sig.credits);
     }
-    std::string flags;
-    if (sig.degraded != 0.0) flags += "DEGRADED";
-    if (h.suspected) flags += flags.empty() ? "SUSPECTED" : " SUSPECTED";
     std::printf("%-5llu %7.1f %9.3f %8.3f %9.0f %6.0f %6.0f %10.0f "
                 "%8.1f %s %s\n",
                 static_cast<unsigned long long>(h.hive), h.score,
                 sig.pressure, sig.retransmit_rate, sig.handler_p99_us,
                 sig.runq_depth, sig.queue_depth, sig.cost_us, sig.shed_per_s,
-                credits, flags.c_str());
+                credits, h.suspected ? "SUSPECTED" : "");
   }
   if (hives.empty()) std::printf("  (no hive rows yet)\n");
 
@@ -612,9 +608,8 @@ int usage(const char* argv0) {
                "  overload-control fields (DESIGN.md §10): SHED/S\n"
                "  (messages/frames dropped per second by shed policies),\n"
                "  CREDITS (tightest remaining link credit; '-' =\n"
-               "  uncredited links), and a DEGRADED flag when the hive\n"
-               "  advertises reduced credit. Sourced from /health.json\n"
-               "  with /status.json as fallback. --json emits both raw\n"
+               "  uncredited links). Sourced from /health.json with\n"
+               "  /status.json as fallback. --json emits both raw\n"
                "  bodies as one JSON object and exits.\n"
                "\n"
                "  trace: renders /traces.json (DESIGN.md §11) — the\n"
