@@ -109,8 +109,12 @@ std::vector<std::uint64_t> ChannelMeter::bandwidth_series() const {
 std::vector<double> ChannelMeter::bandwidth_kbps() const {
   const std::vector<std::uint64_t> series = bandwidth_series();
   std::vector<double> out;
+  constexpr double seconds =
+      static_cast<double>(kBucket) / static_cast<double>(kSecond);
   out.reserve(series.size());
-  for (std::uint64_t b : series) out.push_back(static_cast<double>(b) / 1024.0);
+  for (std::uint64_t b : series) {
+    out.push_back(static_cast<double>(b) / 1024.0 / seconds);
+  }
   return out;
 }
 

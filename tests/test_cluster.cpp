@@ -80,7 +80,7 @@ class RegistryTest : public ::testing::Test {
  protected:
   static constexpr AppId kApp = 77;
   ChannelMeter meter_{4};
-  RegistryService registry_{4, &meter_, 0};
+  RegistryService registry_{4, &meter_};
 };
 
 TEST_F(RegistryTest, CreatesBeeOnRequestingHive) {
