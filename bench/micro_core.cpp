@@ -13,6 +13,7 @@
 #include "bench/bench_json.h"
 #include "cluster/sim.h"
 #include "instrument/registry.h"
+#include "instrument/status_app.h"
 #include "state/txn.h"
 #include "tests/test_helpers.h"
 
@@ -126,8 +127,9 @@ void BM_HistogramRecord(benchmark::State& state) {
 BENCHMARK(BM_HistogramRecord);
 
 // ---------------------------------------------------------------------------
-// Metrics-registry hot paths: the scrape-safe cells hives update per
-// message / per window. All must stay O(1) and allocation-free.
+// Metrics hot paths: the scrape-safe cells hives update per message, and
+// the StatusApp's per-window rate ring. All must stay O(1) and
+// allocation-free.
 // ---------------------------------------------------------------------------
 
 void BM_MetricsCounterInc(benchmark::State& state) {
@@ -155,8 +157,7 @@ void BM_MetricsHistogramRecord(benchmark::State& state) {
 BENCHMARK(BM_MetricsHistogramRecord);
 
 void BM_TimeSeriesRingPush(benchmark::State& state) {
-  MetricsRegistry reg;
-  TimeSeriesRing& ring = reg.ring("bench_ring", {{"hive", "0"}});
+  TimeSeriesRing ring;
   TimePoint t = 0;
   for (auto _ : state) {
     ring.push(t, 1.0);
@@ -175,7 +176,8 @@ void BM_PrometheusScrape(benchmark::State& state) {
   for (std::size_t h = 0; h < hives; ++h) {
     MetricLabels labels{{"hive", std::to_string(h)}};
     reg.counter("beehive_messages_total", labels).inc(h * 1000);
-    reg.gauge("beehive_queue_depth", labels).set(static_cast<double>(h));
+    reg.gauge_fn("beehive_queue_depth", labels,
+                 [h] { return static_cast<double>(h); });
     reg.histogram("beehive_e2e_latency_us", labels).record(200);
   }
   std::size_t bytes = 0;

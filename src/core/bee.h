@@ -161,16 +161,6 @@ class Bee {
     window_.on_emit(in_reply_to, emitted, bytes);
   }
 
-  /// Records one handler run's latency pair — `queued` = emission to
-  /// handler-start, `ran` = handler-start to handler-end — with bucket
-  /// indices precomputed by the hive, which records the same two values
-  /// into its own totals: one index computation per value for both.
-  void note_latency_at(std::uint32_t qidx, std::uint64_t queued,
-                       std::uint32_t ridx, std::uint64_t ran) {
-    window_.queue_latency.record_at(qidx, queued);
-    window_.handler_latency.record_at(ridx, ran);
-  }
-
   /// Charges one sampled handler run's thread-CPU nanoseconds (profiler;
   /// see instrument/profiler.h for the sampling discipline).
   void note_cost(std::uint64_t sampled_ns) {

@@ -36,13 +36,13 @@ Hive::Hive(HiveId id, const AppSet& apps, RegistryService& registry,
 
 namespace {
 
-/// The reliable transport's lifetime totals, exported as gauges.
-struct TransportGauge {
+/// The reliable transport's lifetime totals, exposed as counters.
+struct TransportFamily {
   const char* family;
   const char* help;
-  std::uint64_t TransportCounters::* field;
+  Counter TransportCounters::* field;
 };
-constexpr TransportGauge kTransportGauges[] = {
+constexpr TransportFamily kTransportFamilies[] = {
     {"beehive_transport_data_frames",
      "Reliable transport: data frames first-sent (lifetime)",
      &TransportCounters::data_frames},
@@ -117,32 +117,32 @@ void Hive::register_metrics() {
                       "Messages and frames dropped by overload policies "
                       "(bounded mailboxes + link credit gate)");
 
-  // Window-published cells (see publish_window).
-  published_.msgs_window =
-      &reg->ring("beehive_handler_runs_window", labels);
-  published_.e2e_p99_window =
-      &reg->ring("beehive_e2e_p99_window_us", labels);
-  published_.drained_window =
-      &reg->ring("beehive_runq_drained_window", labels);
-  published_.cost_window = &reg->ring("beehive_cost_us_window", labels);
-  published_.e2e = &reg->histogram(
-      "beehive_e2e_latency_us", labels,
+  const TransportCounters& transport = transport_counters();
+  for (const TransportFamily& row : kTransportFamilies) {
+    reg->expose_counter(row.family, labels, &(transport.*row.field),
+                        row.help);
+  }
+
+  // Latency cells: written by the loop thread per handler run, read live.
+  reg->expose_histogram(
+      "beehive_e2e_latency_us", labels, &e2e_latency_,
       "Trace ingress to terminal handler latency (microseconds)");
-  published_.queue = &reg->histogram(
-      "beehive_queue_latency_us", labels,
-      "Emission to handler-start latency (microseconds)");
-  published_.handler = &reg->histogram(
-      "beehive_handler_latency_us", labels,
-      "Handler duration (microseconds)");
+  reg->expose_histogram("beehive_queue_latency_us", labels, &queue_latency_,
+                        "Emission to handler-start latency (microseconds)");
+  reg->expose_histogram("beehive_handler_latency_us", labels,
+                        &handler_latency_, "Handler duration (microseconds)");
+
+  // Signal gauges: pulled at scrape time from the snapshot health() reads,
+  // which report_metrics() refreshes once per window.
   for (const HiveSignal& row : kHiveSignals) {
     if (row.family.empty()) continue;
-    published_.signals.emplace_back(
-        &reg->gauge(std::string(row.family), labels, std::string(row.help)),
-        row.field);
-  }
-  for (const TransportGauge& row : kTransportGauges) {
-    published_.transport.emplace_back(
-        &reg->gauge(row.family, labels, row.help), row.field);
+    reg->gauge_fn(
+        std::string(row.family), labels,
+        [this, field = row.field] {
+          std::lock_guard lock(signals_mutex_);
+          return signals_.*field;
+        },
+        std::string(row.help));
   }
 
   // Optimizer-round latency by mode (DESIGN.md §13): non-zero only on the
@@ -460,7 +460,7 @@ void Hive::process(Bee& bee, const MessageEnvelope& env,
     const auto ev = static_cast<std::uint64_t>(e2e);
     const std::uint32_t eidx = LatencyHistogram::index(ev);
     e2e_window_.record_at(eidx, ev);
-    e2e_total_.record_at(eidx, ev);
+    e2e_latency_.bump_at(eidx, ev);
     // Tail-sampling decision point: slow traces get their spans copied
     // aside before the ring can overwrite them.
     if (tracing()) {
@@ -494,15 +494,14 @@ void Hive::process(Bee& bee, const MessageEnvelope& env,
 }
 
 void Hive::record_latency(Bee& bee, Duration queued, Duration ran) {
-  // One bucket computation per value, fanned out to both histograms that
-  // record it (bee window + hive total).
+  // One bucket computation for the run latency, fanned out to the bee's
+  // window and the hive's cell.
   const auto qv = static_cast<std::uint64_t>(queued < 0 ? 0 : queued);
   const auto rv = static_cast<std::uint64_t>(ran < 0 ? 0 : ran);
-  const std::uint32_t qidx = LatencyHistogram::index(qv);
   const std::uint32_t ridx = LatencyHistogram::index(rv);
-  bee.note_latency_at(qidx, qv, ridx, rv);
-  queue_total_.record_at(qidx, qv);
-  handler_total_.record_at(ridx, rv);
+  bee.window().handler_latency.record_at(ridx, rv);
+  queue_latency_.bump_at(LatencyHistogram::index(qv), qv);
+  handler_latency_.bump_at(ridx, rv);
 }
 
 void Hive::record_decisions(const MessageEnvelope& env,
@@ -879,8 +878,7 @@ void Hive::report_metrics() {
     sample.bytes_out = w.bytes_out;
     sample.handler_invocations = w.handler_invocations;
     sample.handler_failures = w.handler_failures;
-    sample.queue_latency = w.queue_latency;
-    sample.handler_latency = w.handler_latency;
+    sample.handler_p99_us = w.handler_latency.p99();
     handler_window.merge(w.handler_latency);
     sample.cost_us = w.cost_ns_sampled * profiler_.scale() / 1000;
     sample.cost_samples = w.cost_samples;
@@ -910,8 +908,7 @@ void Hive::report_metrics() {
   sig.handler_p99_us = static_cast<double>(handler_window.p99());
   report.e2e_latency = e2e_window_;
   e2e_window_.reset();
-  report.transport = transport_counters();
-  const TransportCounters& t = report.transport;
+  const TransportCounters& t = transport_counters();
   sig.retransmit_rate = t.data_frames > 0
                             ? static_cast<double>(t.retransmits) /
                                   static_cast<double>(t.data_frames)
@@ -973,17 +970,11 @@ void Hive::report_metrics() {
     }
   }
 
-  // Refresh the cross-thread snapshot (independent of whether a metrics
-  // registry is attached: /health.json works without /metrics).
+  // Refresh the cross-thread snapshot that health() and the signal
+  // gauges read.
   {
     std::lock_guard lock(signals_mutex_);
     signals_ = sig;
-  }
-
-  if (config_.metrics != nullptr) {
-    const std::uint64_t runs = counters_.handler_runs;
-    publish_window(report, runs - prev_handler_runs_);
-    prev_handler_runs_ = runs;
   }
   inject(MessageEnvelope::make(std::move(report), 0, kNoBee, id_,
                                env_.now()));
@@ -1000,27 +991,6 @@ HiveHealth Hive::health() const {
   h.trace_dropped =
       config_.tracer != nullptr ? config_.tracer->trace_dropped_total() : 0;
   return h;
-}
-
-void Hive::publish_window(const LocalMetricsReport& report,
-                          std::uint64_t window_msgs) {
-  published_.msgs_window->push(report.at,
-                               static_cast<double>(window_msgs));
-  published_.e2e_p99_window->push(
-      report.at, static_cast<double>(report.e2e_latency.p99()));
-  published_.drained_window->push(report.at, report.signals.drained_window);
-  published_.cost_window->push(report.at, report.signals.cost_us);
-  published_.e2e->merge(report.e2e_latency);
-  for (const BeeMetricsSample& s : report.bees) {
-    published_.queue->merge(s.queue_latency);
-    published_.handler->merge(s.handler_latency);
-  }
-  for (const auto& [gauge, field] : published_.signals) {
-    gauge->set(report.signals.*field);
-  }
-  for (const auto& [gauge, field] : published_.transport) {
-    gauge->set(static_cast<double>(report.transport.*field));
-  }
 }
 
 }  // namespace beehive

@@ -42,7 +42,6 @@ namespace beehive {
 
 class FaultPlan;
 class FlightRecorder;
-struct LocalMetricsReport;
 
 struct HiveConfig {
   /// Period of the instrumentation report timer; 0 disables reporting.
@@ -66,9 +65,8 @@ struct HiveConfig {
   /// only *read* it, to report partitions_active with their metrics.
   const FaultPlan* faults = nullptr;
   /// Cluster metrics registry (owned by the runtime; may be null). The
-  /// hive exposes its counters into it at construction and publishes
-  /// window snapshots (rings, gauges, latency histograms) once per
-  /// metrics period — never on the per-message path.
+  /// hive exposes its counter and latency cells and pulls its signal
+  /// gauges into it at construction; every scrape reads those cells live.
   MetricsRegistry* metrics = nullptr;
   /// Cluster flight recorder (owned by the runtime; may be null). The
   /// hive notes optimizer decisions and migration aborts into it.
@@ -170,13 +168,16 @@ class Hive {
   }
 
   // -- Latency (cumulative across every local handler run) ----------------
+  // Snapshots of the hive's latency cells, the same cells /metrics reads.
 
   /// Emission -> handler-start (queueing + channel transit).
-  const LatencyHistogram& queue_latency() const { return queue_total_; }
+  LatencyHistogram queue_latency() const { return queue_latency_.snapshot(); }
   /// Handler duration (zero under the instantaneous simulator clock).
-  const LatencyHistogram& handler_latency() const { return handler_total_; }
+  LatencyHistogram handler_latency() const {
+    return handler_latency_.snapshot();
+  }
   /// Trace ingress -> terminal handler, for traces that ended here.
-  const LatencyHistogram& e2e_latency() const { return e2e_total_; }
+  LatencyHistogram e2e_latency() const { return e2e_latency_.snapshot(); }
 
   // -- Cost / pressure / health (DESIGN.md §9) ----------------------------
 
@@ -325,14 +326,12 @@ class Hive {
   void arm_metrics_timer();
   void report_metrics();
 
-  // Registry plumbing: expose counters once at construction; publish each
-  // window's rates/gauges/latency at report time (1/metrics_period, off
-  // the dispatch path).
+  /// Exposes the hive's counter and latency cells and its signal
+  /// pull-gauges in config_.metrics, once, at construction.
   void register_metrics();
-  void publish_window(const LocalMetricsReport& report,
-                      std::uint64_t window_msgs);
-  /// Records one handler run's queue and run latency into the bee's window
-  /// and the hive's totals (negative durations clamp to 0).
+  /// Records one handler run's queue and run latency into the hive's cells
+  /// and the run latency into the bee's window (negative durations clamp
+  /// to 0).
   void record_latency(Bee& bee, Duration queued, Duration ran);
   /// Drains ctx.note_decision() records into the trace stream and the
   /// flight recorder.
@@ -397,8 +396,8 @@ class Hive {
   CostProfiler profiler_;
   /// env_.queue_stats(id_).drained at the previous report (window deltas).
   std::uint64_t prev_drained_ = 0;
-  /// The latest report's signals, for health() on any thread (the HTTP
-  /// export path). Written once per metrics report.
+  /// The latest report's signals, for health() and the signal gauges on
+  /// any thread (the HTTP export path). Written once per metrics report.
   mutable std::mutex signals_mutex_;
   HiveSignals signals_;
   /// Latest optimizer-round summary per mode (ctx.note_round). Atomics:
@@ -421,29 +420,13 @@ class Hive {
   std::uint64_t prev_shed_ = 0;
   TimePoint prev_report_at_ = 0;
   std::uint64_t next_trace_ = 0;
-  LatencyHistogram queue_total_;
-  LatencyHistogram handler_total_;
-  LatencyHistogram e2e_total_;
+  /// Lifetime latency cells, written only by the loop thread
+  /// (HistogramMetric::bump_at) and exposed live in /metrics.
+  HistogramMetric queue_latency_;
+  HistogramMetric handler_latency_;
+  HistogramMetric e2e_latency_;
+  /// This report window's e2e latency, shipped in LocalMetricsReport.
   LatencyHistogram e2e_window_;
-
-  /// Registry metric cells this hive publishes into at report time (all
-  /// null or empty when config_.metrics is null).
-  struct Published {
-    TimeSeriesRing* msgs_window = nullptr;   ///< handler runs per window
-    TimeSeriesRing* e2e_p99_window = nullptr;
-    TimeSeriesRing* drained_window = nullptr;
-    TimeSeriesRing* cost_window = nullptr;
-    HistogramMetric* e2e = nullptr;
-    HistogramMetric* queue = nullptr;
-    HistogramMetric* handler = nullptr;
-    /// One gauge per exported kHiveSignals row, and one per transport
-    /// total, each paired with the field it publishes.
-    std::vector<std::pair<Gauge*, double HiveSignals::*>> signals;
-    std::vector<std::pair<Gauge*, std::uint64_t TransportCounters::*>>
-        transport;
-  };
-  Published published_;
-  std::uint64_t prev_handler_runs_ = 0;  ///< for per-window deltas
 };
 
 }  // namespace beehive

@@ -54,7 +54,7 @@ void ReliableTransport::ship(HiveId to, Peer& peer, std::uint64_t seq,
 
 void ReliableTransport::ship_new(HiveId to, Peer& peer, Bytes inner) {
   const std::uint64_t seq = peer.next_seq++;
-  ++counters_.data_frames;
+  counters_.data_frames.bump();
   ship(to, peer, seq, inner);
   peer.unacked.emplace(seq, std::move(inner));
   arm_retransmit(to, peer);
@@ -73,7 +73,7 @@ void ReliableTransport::send(HiveId to, Bytes inner) {
 }
 
 void ReliableTransport::note_shed(HiveId to) {
-  ++counters_.frames_shed;
+  counters_.frames_shed.bump();
   if (shed_counter_ != nullptr) ++*shed_counter_;
   if (tracing()) trace_link(SpanKind::kShed, to, 0);
 }
@@ -91,7 +91,7 @@ void ReliableTransport::trace_link(SpanKind kind, HiveId to, std::uint64_t aux,
 }
 
 void ReliableTransport::enqueue_stalled(HiveId to, Peer& peer, Bytes inner) {
-  ++counters_.frames_stalled;
+  counters_.frames_stalled.bump();
   const auto queue_frame = [&](Bytes frame) {
     peer.stalled.push_back(Peer::StalledFrame{std::move(frame), env_.now()});
     stalled_now_.fetch_add(1, std::memory_order_relaxed);
@@ -144,7 +144,7 @@ void ReliableTransport::retransmit_fired(HiveId to) {
     return;
   }
   if (++peer.rounds > config_.max_rounds) {
-    counters_.frames_abandoned += peer.unacked.size();
+    counters_.frames_abandoned.inc(peer.unacked.size());
     BH_ERROR << "transport on hive " << self_ << ": abandoning "
              << peer.unacked.size() << " unacked frame(s) to hive " << to
              << " after " << config_.max_rounds << " retransmit rounds";
@@ -157,7 +157,7 @@ void ReliableTransport::retransmit_fired(HiveId to) {
     return;
   }
   for (const auto& [seq, inner] : peer.unacked) {
-    ++counters_.retransmits;
+    counters_.retransmits.bump();
     if (tracing()) {
       trace_link(SpanKind::kRetransmit, to, seq,
                  static_cast<std::uint32_t>(peer.rounds));
@@ -184,7 +184,7 @@ void ReliableTransport::ack_fired(HiveId to) {
   w.u8(static_cast<std::uint8_t>(FrameKind::kAck));
   w.u32(self_);
   w.varint(peer.next_expected - 1);
-  ++counters_.acks_sent;
+  counters_.acks_sent.bump();
   env_.send_frame(self_, to, std::move(w).take());
 }
 
@@ -221,7 +221,7 @@ void ReliableTransport::on_wire(std::string_view frame,
   if (seq < peer.next_expected) {
     // Duplicate of something already delivered; the sender keeps
     // retransmitting it because our ack was lost — re-ack.
-    ++counters_.dup_frames_dropped;
+    counters_.dup_frames_dropped.bump();
     arm_ack(src, peer);
     return;
   }
@@ -230,9 +230,9 @@ void ReliableTransport::on_wire(std::string_view frame,
     auto [it, inserted] = peer.reorder.emplace(seq, Bytes(r.view(r.remaining())));
     (void)it;
     if (inserted) {
-      ++counters_.reorder_buffered;
+      counters_.reorder_buffered.bump();
     } else {
-      ++counters_.dup_frames_dropped;
+      counters_.dup_frames_dropped.bump();
     }
     arm_ack(src, peer);
     return;

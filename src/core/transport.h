@@ -45,7 +45,6 @@
 
 #include "cluster/runtime_env.h"
 #include "core/overload.h"
-#include "instrument/metrics.h"
 #include "instrument/registry.h"
 #include "instrument/trace.h"
 #include "util/bytes.h"
@@ -74,6 +73,20 @@ struct TransportConfig {
   /// kBlockSender lets the queue grow and relies on Hive::overloaded()
   /// admission upstream; the shed policies drop app-message batches.
   OverloadPolicy overload = OverloadPolicy::kBlockSender;
+};
+
+/// Lifetime totals of one hive's reliable transport. Each field is a
+/// registry Counter written only by the hive's loop thread (Counter::bump)
+/// and exposed live in /metrics (Hive::register_metrics).
+struct TransportCounters {
+  Counter data_frames;         ///< reliable frames first-sent
+  Counter retransmits;         ///< frames re-sent on ack timeout
+  Counter acks_sent;           ///< standalone ack frames
+  Counter dup_frames_dropped;  ///< receive-side dedup discards
+  Counter reorder_buffered;    ///< frames held for in-order delivery
+  Counter frames_abandoned;    ///< gave up after the retransmit cap
+  Counter frames_stalled;      ///< frames that waited for credit
+  Counter frames_shed;         ///< frames dropped at the credit gate
 };
 
 class ReliableTransport {

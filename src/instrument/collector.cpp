@@ -31,36 +31,12 @@ struct HivePressure {
   static HivePressure decode(ByteReader& r) { return {r.f64()}; }
 };
 
-/// Codec for one "stats.transport" cell (latest snapshot per hive; the
-/// counters are lifetime totals so overwrite, don't accumulate).
-struct TransportAgg {
-  static constexpr std::string_view kTypeName = "stats.transport_agg";
-  TransportCounters transport;
-  std::uint64_t migration_aborts = 0;
-  std::uint32_t partitions_active = 0;
-
-  void encode(ByteWriter& w) const {
-    transport.encode(w);
-    w.varint(migration_aborts);
-    w.u32(partitions_active);
-  }
-  static TransportAgg decode(ByteReader& r) {
-    TransportAgg a;
-    a.transport = TransportCounters::decode(r);
-    a.migration_aborts = r.varint();
-    a.partitions_active = r.u32();
-    return a;
-  }
-};
-
 CellSet collector_cells() {
   return CellSet{
       {std::string(CollectorApp::kBeesDict), std::string(kAllKeys)},
       {std::string(CollectorApp::kHivesDict), std::string(kAllKeys)},
       {std::string(CollectorApp::kInTypesDict), std::string(kAllKeys)},
       {std::string(CollectorApp::kCausationDict), std::string(kAllKeys)},
-      {std::string(CollectorApp::kLatencyDict), std::string(kAllKeys)},
-      {std::string(CollectorApp::kTransportDict), std::string(kAllKeys)},
       {std::string(CollectorApp::kDecisionsDict), std::string(kAllKeys)},
       {std::string(CollectorApp::kPressureDict), std::string(kAllKeys)},
       {std::string(CollectorApp::kDirtyDict), std::string(kAllKeys)}};
@@ -73,42 +49,6 @@ void bump_counter(Txn& txn, std::string_view dict, const std::string& key,
   txn.put_as(dict, key, counter);
 }
 
-void merge_hist(Txn& txn, const std::string& key,
-                const LatencyHistogram& delta) {
-  if (delta.count() == 0) return;
-  LatencyHistogram h =
-      txn.get_as<LatencyHistogram>(CollectorApp::kLatencyDict, key)
-          .value_or(LatencyHistogram{});
-  h.merge(delta);
-  txn.put_as(CollectorApp::kLatencyDict, key, h);
-}
-
-/// Folds "stats.latency" cells into the digest strategies consume; works
-/// over both a live Txn and a raw StateStore.
-struct LatencyFold {
-  LatencyView out;
-  LatencyHistogram queue;
-  LatencyHistogram handler;
-
-  void add(const std::string& key, const Bytes& value) {
-    LatencyHistogram h = decode_from_bytes<LatencyHistogram>(value);
-    if (key == "e2e") {
-      out.e2e_count = h.count();
-      out.e2e_p50 = h.p50();
-      out.e2e_p99 = h.p99();
-    } else if (key.starts_with("queue:")) {
-      queue.merge(h);
-    } else if (key.starts_with("handler:")) {
-      handler.merge(h);
-    }
-  }
-  LatencyView finish() {
-    out.queue_p99 = queue.p99();
-    out.handler_p99 = handler.p99();
-    return out;
-  }
-};
-
 }  // namespace
 
 CollectorApp::CollectorApp(std::shared_ptr<PlacementStrategy> strategy,
@@ -117,7 +57,6 @@ CollectorApp::CollectorApp(std::shared_ptr<PlacementStrategy> strategy,
   register_metrics_messages();
   MsgTypeRegistry::instance().ensure<BeeAgg>();
   MsgTypeRegistry::instance().ensure<HiveCells>();
-  MsgTypeRegistry::instance().ensure<TransportAgg>();
   MsgTypeRegistry::instance().ensure<PlacementRound>();
   MsgTypeRegistry::instance().ensure<HivePressure>();
   const std::string bees(kBeesDict);
@@ -131,15 +70,9 @@ CollectorApp::CollectorApp(std::shared_ptr<PlacementStrategy> strategy,
         const HiveSignals& sig = report.signals;
         ctx.state().put_as(hives, std::to_string(report.hive),
                            HiveCells{static_cast<std::uint64_t>(sig.cells)});
-        ctx.state().put_as(
-            CollectorApp::kTransportDict, std::to_string(report.hive),
-            TransportAgg{report.transport,
-                         static_cast<std::uint64_t>(sig.migration_aborts),
-                         static_cast<std::uint32_t>(sig.partitions_active)});
         ctx.state().put_as(CollectorApp::kPressureDict,
                            std::to_string(report.hive),
                            HivePressure{sig.pressure});
-        merge_hist(ctx.state(), "e2e", report.e2e_latency);
         for (const BeeMetricsSample& sample : report.bees) {
           BeeAgg agg = ctx.state()
                            .get_as<BeeAgg>(bees, bee_key(sample.bee))
@@ -166,10 +99,6 @@ CollectorApp::CollectorApp(std::shared_ptr<PlacementStrategy> strategy,
 
           // Cumulative provenance analytics (never windowed).
           const std::string app_prefix = std::to_string(sample.app) + ":";
-          merge_hist(ctx.state(), "queue:" + std::to_string(sample.app),
-                     sample.queue_latency);
-          merge_hist(ctx.state(), "handler:" + std::to_string(sample.app),
-                     sample.handler_latency);
           for (const BeeMetricsSample::TypeCount& t : sample.in_types) {
             bump_counter(ctx.state(), CollectorApp::kInTypesDict,
                          app_prefix + std::to_string(t.type), t.count);
@@ -264,14 +193,6 @@ CollectorApp::CollectorApp(std::shared_ptr<PlacementStrategy> strategy,
                 keys.push_back(key);
               });
         }
-        LatencyFold fold;
-        ctx.state().for_each(
-            std::string(CollectorApp::kLatencyDict),
-            [&fold](const std::string& key, const Bytes& value) {
-              fold.add(key, value);
-            });
-        view.latency = fold.finish();
-
         std::vector<PlacementDecision> decision_log;
         std::vector<MigrationDecision> moves =
             strategy->decide_explained(view, &decision_log);
@@ -357,19 +278,6 @@ std::vector<CollectorApp::CausationRow> CollectorApp::causation_from_store(
   return rows;
 }
 
-std::vector<CollectorApp::TransportRow> CollectorApp::transport_from_store(
-    const StateStore& store) {
-  std::vector<TransportRow> rows;
-  if (const Dict* d = store.find_dict(kTransportDict)) {
-    d->for_each([&rows](const std::string& key, const Bytes& value) {
-      TransportAgg agg = decode_from_bytes<TransportAgg>(value);
-      rows.push_back({static_cast<HiveId>(std::stoul(key)), agg.transport,
-                      agg.migration_aborts, agg.partitions_active});
-    });
-  }
-  return rows;
-}
-
 std::vector<PlacementRound> CollectorApp::decisions_from_store(
     const StateStore& store) {
   std::vector<PlacementRound> rounds;
@@ -420,13 +328,6 @@ ClusterView CollectorApp::view_from_store(const StateStore& store,
       view.hive_pressure[static_cast<HiveId>(std::stoul(key))] =
           decode_from_bytes<HivePressure>(value).pressure;
     });
-  }
-  if (const Dict* latency = store.find_dict(kLatencyDict)) {
-    LatencyFold fold;
-    latency->for_each([&fold](const std::string& key, const Bytes& value) {
-      fold.add(key, value);
-    });
-    view.latency = fold.finish();
   }
   return view;
 }

@@ -110,12 +110,6 @@ class CollectorApp : public App {
   /// per (app, input type, output type).
   static constexpr std::string_view kInTypesDict = "stats.intypes";
   static constexpr std::string_view kCausationDict = "stats.causation";
-  /// Cumulative latency histograms: "e2e" plus per-app "queue:<app>" and
-  /// "handler:<app>" distributions, merged from every report.
-  static constexpr std::string_view kLatencyDict = "stats.latency";
-  /// Per-hive reliability health, one cell per hive: latest cumulative
-  /// transport totals plus migration aborts and the partition gauge.
-  static constexpr std::string_view kTransportDict = "stats.transport";
   /// Explained optimizer decisions, one PlacementRound cell per
   /// optimization round that considered at least one candidate (keys
   /// "r<round>", plus "next" holding the round counter). Only the last
@@ -148,16 +142,6 @@ class CollectorApp : public App {
     double ratio = 0.0;        ///< emitted / inputs
   };
   static std::vector<CausationRow> causation_from_store(
-      const StateStore& store);
-
-  /// One hive's reliability record as stored in "stats.transport".
-  struct TransportRow {
-    HiveId hive = 0;
-    TransportCounters transport;
-    std::uint64_t migration_aborts = 0;
-    std::uint32_t partitions_active = 0;
-  };
-  static std::vector<TransportRow> transport_from_store(
       const StateStore& store);
 
   /// Retained decision rounds, oldest first (tests, benches, StatusApp).

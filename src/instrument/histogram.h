@@ -5,9 +5,9 @@
 // relative quantization error is bounded by ~3% while the whole table is a
 // fixed 448-slot array: recording is two integer ops and one increment —
 // no allocation, safe on the per-message dispatch path. The histogram is
-// WireEncodable (sparse: only non-empty buckets are serialized) so per-bee
-// windows ship to the collector inside BeeMetricsSample, and mergeable so
-// the collector and the benches can aggregate across bees and hives.
+// WireEncodable (sparse: only non-empty buckets are serialized) so a hive's
+// e2e window ships inside LocalMetricsReport, and mergeable so hives and
+// benches can aggregate across bees and hives.
 #pragma once
 
 #include <array>
@@ -38,9 +38,9 @@ class LatencyHistogram {
   }
 
   /// record() with the bucket index precomputed by the caller. The dispatch
-  /// hot path records one latency value into two histograms (bee window,
-  /// hive total); computing index() once and fanning out the increments
-  /// keeps the per-message cost at one bucket computation.
+  /// hot path records one latency value twice (the bee's window here, the
+  /// hive's HistogramMetric cell); computing index() once and fanning out
+  /// the increments keeps the per-message cost at one bucket computation.
   void record_at(std::uint32_t idx, std::uint64_t value) {
     buckets_[idx] += 1;
     count_ += 1;

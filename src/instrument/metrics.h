@@ -49,55 +49,16 @@ struct BeeMetrics {
   /// ratios).
   std::map<MsgTypeId, std::uint64_t> inbound_types;
 
-  /// Emission -> handler-start latency (queueing + channel transit; the
-  /// dominant term under the simulated runtime).
-  LatencyHistogram queue_latency;
   /// Handler-start -> handler-end duration (wall time under the threaded
   /// runtime; zero under the simulator, whose handlers are instantaneous).
+  /// The report ships only its p99; the hive's lifetime queue, handler and
+  /// e2e distributions live in its own cells (Hive::queue_latency()).
   LatencyHistogram handler_latency;
 
   void on_emit(MsgTypeId in_reply_to, MsgTypeId emitted, std::size_t bytes) {
     ++msgs_out;
     bytes_out += bytes;
     ++causation[{in_reply_to, emitted}];
-  }
-};
-
-/// Lifetime totals of one hive's reliable control-channel transport
-/// (core/transport.h). All-zero when the transport is disabled. Shipped
-/// inside every LocalMetricsReport so the collector can chart what the
-/// robustness machinery costs in Figure-4 units.
-struct TransportCounters {
-  std::uint64_t data_frames = 0;        ///< reliable frames first-sent
-  std::uint64_t retransmits = 0;        ///< frames re-sent on ack timeout
-  std::uint64_t acks_sent = 0;          ///< standalone ack frames
-  std::uint64_t dup_frames_dropped = 0; ///< receive-side dedup discards
-  std::uint64_t reorder_buffered = 0;   ///< frames held for in-order delivery
-  std::uint64_t frames_abandoned = 0;   ///< gave up after the retransmit cap
-  std::uint64_t frames_stalled = 0;     ///< frames that waited for credit
-  std::uint64_t frames_shed = 0;        ///< frames dropped at the credit gate
-
-  void encode(ByteWriter& w) const {
-    w.varint(data_frames);
-    w.varint(retransmits);
-    w.varint(acks_sent);
-    w.varint(dup_frames_dropped);
-    w.varint(reorder_buffered);
-    w.varint(frames_abandoned);
-    w.varint(frames_stalled);
-    w.varint(frames_shed);
-  }
-  static TransportCounters decode(ByteReader& r) {
-    TransportCounters c;
-    c.data_frames = r.varint();
-    c.retransmits = r.varint();
-    c.acks_sent = r.varint();
-    c.dup_frames_dropped = r.varint();
-    c.reorder_buffered = r.varint();
-    c.frames_abandoned = r.varint();
-    c.frames_stalled = r.varint();
-    c.frames_shed = r.varint();
-    return c;
   }
 };
 
@@ -129,10 +90,8 @@ struct BeeMetricsSample {
   std::uint64_t cost_samples = 0;
   /// Committed transaction write records this window.
   std::uint64_t txn_ops = 0;
-
-  /// Windowed latency distributions (see BeeMetrics for semantics).
-  LatencyHistogram queue_latency;
-  LatencyHistogram handler_latency;
+  /// Handler-duration p99 over the window (microseconds).
+  std::uint64_t handler_p99_us = 0;
 
   struct SourceCount {
     static constexpr std::string_view kTypeName = "platform.source_count";
@@ -213,8 +172,7 @@ struct BeeMetricsSample {
     w.varint(cost_us);
     w.varint(cost_samples);
     w.varint(txn_ops);
-    queue_latency.encode(w);
-    handler_latency.encode(w);
+    w.varint(handler_p99_us);
     encode_vector(w, sources);
     encode_vector(w, in_types);
     encode_vector(w, causations);
@@ -238,8 +196,7 @@ struct BeeMetricsSample {
     s.cost_us = r.varint();
     s.cost_samples = r.varint();
     s.txn_ops = r.varint();
-    s.queue_latency = LatencyHistogram::decode(r);
-    s.handler_latency = LatencyHistogram::decode(r);
+    s.handler_p99_us = r.varint();
     s.sources = decode_vector<BeeMetricsSample::SourceCount>(r);
     s.in_types = decode_vector<BeeMetricsSample::TypeCount>(r);
     s.causations = decode_vector<BeeMetricsSample::CausationCount>(r);
@@ -257,8 +214,6 @@ struct LocalMetricsReport {
   /// End-to-end latency (trace ingress -> terminal handler) of traces that
   /// ended on this hive during the window.
   LatencyHistogram e2e_latency;
-  /// Reliable-transport lifetime totals (zeros when disabled).
-  TransportCounters transport;
   /// Pressure, overload, cost and size signals (instrument/signals.h).
   HiveSignals signals;
 
@@ -268,7 +223,6 @@ struct LocalMetricsReport {
     w.u32(hive);
     w.i64(at);
     e2e_latency.encode(w);
-    transport.encode(w);
     encode_signals(w, signals);
     encode_vector(w, bees);
   }
@@ -277,7 +231,6 @@ struct LocalMetricsReport {
     rep.hive = r.u32();
     rep.at = r.i64();
     rep.e2e_latency = LatencyHistogram::decode(r);
-    rep.transport = TransportCounters::decode(r);
     rep.signals = decode_signals(r);
     rep.bees = decode_vector<BeeMetricsSample>(r);
     return rep;

@@ -102,60 +102,10 @@ const std::uint64_t kExpoBoundsUs[] = {
     16384,    65536,    262144,    1048576,   4194304,   16777216, 67108864,
     268435456};
 
-/// JSON string escaping (control chars, quote, backslash).
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string json_number(double v) {
-  if (std::isnan(v) || std::isinf(v)) return "null";
-  return format_value(v);
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // HistogramMetric
-
-void HistogramMetric::merge(const LatencyHistogram& h) {
-  if (h.count() == 0) return;
-  for (std::size_t i = 0; i < LatencyHistogram::kBuckets; ++i) {
-    if (std::uint64_t c = h.bucket_count(i)) {
-      buckets_[i].fetch_add(c, std::memory_order_relaxed);
-    }
-  }
-  count_.fetch_add(h.count(), std::memory_order_relaxed);
-  sum_.fetch_add(h.sum(), std::memory_order_relaxed);
-}
 
 LatencyHistogram HistogramMetric::snapshot() const {
   LatencyHistogram out;
@@ -164,69 +114,6 @@ LatencyHistogram HistogramMetric::snapshot() const {
                          buckets_[i].load(std::memory_order_relaxed));
   }
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// TimeSeriesRing
-
-std::vector<TimeSeriesRing::Sample> TimeSeriesRing::snapshot() const {
-  std::lock_guard lock(mutex_);
-  std::vector<Sample> out;
-  out.reserve(size_);
-  for (std::size_t i = 0; i < size_; ++i) {
-    out.push_back(samples_[(head_ + i) % samples_.size()]);
-  }
-  return out;
-}
-
-double TimeSeriesRing::rate_per_second() const {
-  std::lock_guard lock(mutex_);
-  if (size_ < 2) return 0.0;
-  const Sample& oldest = samples_[head_];
-  const Sample& newest = samples_[(head_ + size_ - 1) % samples_.size()];
-  const double span_us = static_cast<double>(newest.at - oldest.at);
-  if (span_us <= 0) return 0.0;
-  double sum = 0;
-  for (std::size_t i = 0; i < size_; ++i) {
-    sum += samples_[(head_ + i) % samples_.size()].value;
-  }
-  return sum / (span_us / 1e6);
-}
-
-double TimeSeriesRing::last() const {
-  std::lock_guard lock(mutex_);
-  if (size_ == 0) return 0.0;
-  return samples_[(head_ + size_ - 1) % samples_.size()].value;
-}
-
-void TimeSeriesRing::encode(ByteWriter& w) const {
-  std::lock_guard lock(mutex_);
-  w.varint(samples_.size());
-  w.varint(size_);
-  for (std::size_t i = 0; i < size_; ++i) {
-    const Sample& s = samples_[(head_ + i) % samples_.size()];
-    w.i64(s.at);
-    w.f64(s.value);
-  }
-}
-
-TimeSeriesRing TimeSeriesRing::decode(ByteReader& r) {
-  const std::size_t capacity = r.varint();
-  TimeSeriesRing ring(capacity);
-  const std::size_t n = r.varint();
-  for (std::size_t i = 0; i < n; ++i) {
-    TimePoint at = r.i64();
-    double value = r.f64();
-    ring.push(at, value);
-  }
-  return ring;
-}
-
-void TimeSeriesRing::copy_from(const TimeSeriesRing& other) {
-  std::scoped_lock lock(mutex_, other.mutex_);
-  samples_ = other.samples_;
-  head_ = other.head_;
-  size_ = other.size_;
 }
 
 // ---------------------------------------------------------------------------
@@ -279,17 +166,6 @@ Counter& MetricsRegistry::counter(const std::string& name, MetricLabels labels,
   return c;
 }
 
-Gauge& MetricsRegistry::gauge(const std::string& name, MetricLabels labels,
-                              const std::string& help) {
-  std::lock_guard lock(mutex_);
-  if (Entry* e = find_locked(name, labels, Kind::kGauge)) return *e->gauge;
-  Gauge& g = gauges_.emplace_back();
-  Entry e{name, std::move(labels), help, Kind::kGauge};
-  e.gauge = &g;
-  entries_.push_back(std::move(e));
-  return g;
-}
-
 HistogramMetric& MetricsRegistry::histogram(const std::string& name,
                                             MetricLabels labels,
                                             const std::string& help) {
@@ -304,18 +180,6 @@ HistogramMetric& MetricsRegistry::histogram(const std::string& name,
   return h;
 }
 
-TimeSeriesRing& MetricsRegistry::ring(const std::string& name,
-                                      MetricLabels labels,
-                                      std::size_t capacity) {
-  std::lock_guard lock(mutex_);
-  if (Entry* e = find_locked(name, labels, Kind::kRing)) return *e->ring;
-  TimeSeriesRing& r = rings_.emplace_back(capacity);
-  Entry e{name, std::move(labels), "", Kind::kRing};
-  e.ring = &r;
-  entries_.push_back(std::move(e));
-  return r;
-}
-
 void MetricsRegistry::expose_counter(const std::string& name,
                                      MetricLabels labels, const Counter* cell,
                                      const std::string& help) {
@@ -326,6 +190,20 @@ void MetricsRegistry::expose_counter(const std::string& name,
   }
   Entry e{name, std::move(labels), help, Kind::kCounter};
   e.counter = const_cast<Counter*>(cell);
+  entries_.push_back(std::move(e));
+}
+
+void MetricsRegistry::expose_histogram(const std::string& name,
+                                       MetricLabels labels,
+                                       const HistogramMetric* cell,
+                                       const std::string& help) {
+  std::lock_guard lock(mutex_);
+  if (Entry* e = find_locked(name, labels, Kind::kHistogram)) {
+    e->histogram = const_cast<HistogramMetric*>(cell);
+    return;
+  }
+  Entry e{name, std::move(labels), help, Kind::kHistogram};
+  e.histogram = const_cast<HistogramMetric*>(cell);
   entries_.push_back(std::move(e));
 }
 
@@ -358,7 +236,6 @@ std::string MetricsRegistry::prometheus_text() const {
   // Group series by (sanitized) family name so HELP/TYPE print once.
   std::map<std::string, std::vector<const Entry*>> families;
   for (const Entry& e : entries) {
-    if (e.kind == Kind::kRing) continue;  // rings go to /status.json only
     families[prometheus_sanitize(e.name)].push_back(&e);
   }
 
@@ -391,10 +268,6 @@ std::string MetricsRegistry::prometheus_text() const {
         case Kind::kCounter:
           out += name + render_labels(e->labels) + " " +
                  std::to_string(e->counter->get()) + "\n";
-          break;
-        case Kind::kGauge:
-          out += name + render_labels(e->labels) + " " +
-                 format_value(e->gauge->get()) + "\n";
           break;
         case Kind::kFn:
           out += name + render_labels(e->labels) + " " +
@@ -434,74 +307,9 @@ std::string MetricsRegistry::prometheus_text() const {
                  std::to_string(e->histogram->count()) + "\n";
           break;
         }
-        case Kind::kRing:
-          break;
       }
     }
   }
-  return out;
-}
-
-std::string MetricsRegistry::status_json() const {
-  // Same locking discipline as prometheus_text(): snapshot the entries,
-  // then run callbacks and render with the mutex released.
-  std::vector<Entry> entries;
-  {
-    std::lock_guard lock(mutex_);
-    entries = entries_;
-  }
-  std::string out = "{\n  \"metrics\": {";
-  bool first = true;
-  for (const Entry& e : entries) {
-    if (e.kind == Kind::kRing) continue;
-    std::string key = e.name;
-    for (const auto& [k, v] : e.labels) key += "," + k + "=" + v;
-    std::string value;
-    switch (e.kind) {
-      case Kind::kCounter:
-        value = std::to_string(e.counter->get());
-        break;
-      case Kind::kGauge:
-        value = json_number(e.gauge->get());
-        break;
-      case Kind::kFn:
-        value = json_number(e.fn ? e.fn() : 0.0);
-        break;
-      case Kind::kHistogram: {
-        LatencyHistogram snap = e.histogram->snapshot();
-        value = "{\"count\": " + std::to_string(e.histogram->count()) +
-                ", \"sum\": " + std::to_string(e.histogram->sum()) +
-                ", \"p50\": " + json_number(static_cast<double>(snap.p50())) +
-                ", \"p99\": " + json_number(static_cast<double>(snap.p99())) +
-                "}";
-        break;
-      }
-      case Kind::kRing:
-        break;
-    }
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    \"" + json_escape(key) + "\": " + value;
-  }
-  out += "\n  },\n  \"series\": {";
-  first = true;
-  for (const Entry& e : entries) {
-    if (e.kind != Kind::kRing) continue;
-    std::string key = e.name;
-    for (const auto& [k, v] : e.labels) key += "," + k + "=" + v;
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    \"" + json_escape(key) + "\": {\"rate_per_second\": " +
-           json_number(e.ring->rate_per_second()) + ", \"samples\": [";
-    bool fs = true;
-    for (const TimeSeriesRing::Sample& s : e.ring->snapshot()) {
-      if (!fs) out += ", ";
-      fs = false;
-      out += "[" + std::to_string(s.at) + ", " + json_number(s.value) + "]";
-    }
-    out += "]}";
-  }
-  out += "\n  }\n}\n";
   return out;
 }
 

@@ -1,18 +1,21 @@
 // Cluster-wide metrics registry: the pull side of the observability layer.
 //
-// The existing instrumentation (BeeMetrics, Hive::Counters, transport and
-// channel accounting) is write-only: values accumulate and ship to the
-// collector, but nothing outside the platform can *ask* for them. The
-// MetricsRegistry turns those counters into named, labelled metrics that a
-// scraper (net/http_export.h serves them in Prometheus text format), the
-// StatusApp, and tests can read at any time — including while hive threads
-// are running, which is why every readable cell here is an atomic.
+// Every value a scrape reports lives in exactly one cell, owned by the
+// component that writes it; the registry keeps no copy of it. The platform
+// registers two kinds of series: exposed cells (a hive's routing Counters
+// and its queue/handler/e2e HistogramMetrics, the reliable transport's
+// Counters) and pull functions evaluated at scrape time (the hive signal
+// gauges over Hive::health()'s snapshot, channel and registry-shard
+// totals). Callers without a cell of their own (tests, benches) can have
+// the registry own one. A scraper (net/http_export.h serves the Prometheus
+// text format) and tests can read it at any time, including while hive
+// threads run, which is why every cell is an atomic.
 //
-// Hot-path contract: updating a registered metric (Counter::inc,
-// Gauge::set, HistogramMetric::record, TimeSeriesRing::push) is O(1) and
-// allocation-free — asserted by tests/test_introspection.cpp with a
-// counting operator new. All allocation happens at registration time,
-// which runs once at cluster construction.
+// Hot-path contract: updating a cell (Counter::inc/bump,
+// HistogramMetric::record/bump_at) is O(1) and allocation-free, asserted
+// by tests/test_introspection.cpp with a counting operator new. All
+// allocation happens at registration time, which runs once at cluster
+// construction.
 #pragma once
 
 #include <array>
@@ -22,11 +25,11 @@
 #include <functional>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "instrument/histogram.h"
-#include "util/bytes.h"
 #include "util/types.h"
 
 namespace beehive {
@@ -71,31 +74,13 @@ class Counter {
   std::atomic<std::uint64_t> v_{0};
 };
 
-/// A gauge: a value that can go up and down (queue depth, partitions
-/// active, last-window rate).
-class Gauge {
- public:
-  void set(double v) { v_.store(v, std::memory_order_relaxed); }
-  void add(double d) {
-    // fetch_add on atomic<double> needs C++20 library support that is
-    // uneven; a CAS loop is equivalent and still lock-free on x86/ARM.
-    double cur = v_.load(std::memory_order_relaxed);
-    while (!v_.compare_exchange_weak(cur, cur + d,
-                                     std::memory_order_relaxed)) {
-    }
-  }
-  double get() const { return v_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> v_{0.0};
-};
-
 /// A scrape-safe histogram sharing LatencyHistogram's bucket geometry
-/// (log-bucketed microseconds) but with atomic slots, so hive threads can
-/// record while the exposition thread reads. record() is two integer ops
-/// and three relaxed atomic adds — O(1), allocation-free.
+/// (log-bucketed microseconds) but with atomic slots, so a hive thread can
+/// record while the exposition thread reads. Both record paths touch three
+/// slots with relaxed atomics: O(1), allocation-free.
 class HistogramMetric {
  public:
+  /// Any-thread record: atomic read-modify-write on each slot.
   void record(Duration v) {
     const std::uint64_t value = v < 0 ? 0 : static_cast<std::uint64_t>(v);
     buckets_[LatencyHistogram::index(value)].fetch_add(
@@ -104,9 +89,15 @@ class HistogramMetric {
     sum_.fetch_add(value, std::memory_order_relaxed);
   }
 
-  /// Folds a whole (plain) histogram in — used by hives to publish each
-  /// report window's distribution without touching the dispatch hot path.
-  void merge(const LatencyHistogram& h);
+  /// Single-writer record with the bucket index precomputed by the caller
+  /// (the Counter::bump contract): plain loads and stores instead of
+  /// atomic read-modify-writes. Valid only when one thread ever writes the
+  /// cell, as a hive's loop thread writes its latency cells.
+  void bump_at(std::uint32_t idx, std::uint64_t value) {
+    bump(buckets_[idx], 1);
+    bump(count_, 1);
+    bump(sum_, value);
+  }
 
   std::uint64_t count() const {
     return count_.load(std::memory_order_relaxed);
@@ -120,76 +111,15 @@ class HistogramMetric {
   LatencyHistogram snapshot() const;
 
  private:
+  static void bump(std::atomic<std::uint64_t>& cell, std::uint64_t n) {
+    cell.store(cell.load(std::memory_order_relaxed) + n,
+               std::memory_order_relaxed);
+  }
+
   std::array<std::atomic<std::uint64_t>, LatencyHistogram::kBuckets>
       buckets_{};
   std::atomic<std::uint64_t> count_{0};
   std::atomic<std::uint64_t> sum_{0};
-};
-
-/// Fixed-capacity ring of (timestamp, value) samples: one per reporting
-/// window, so the last N windows of any per-hive rate stay queryable after
-/// the instantaneous counters have moved on. push() is O(1) and
-/// allocation-free after construction; a mutex (uncontended — one writer
-/// per ring, pushes once per metrics window) makes snapshots safe from the
-/// scrape thread.
-///
-/// The ring is WireEncodable so the StatusApp can keep one per hive inside
-/// a state cell and ship it in StatusReports.
-class TimeSeriesRing {
- public:
-  static constexpr std::string_view kTypeName = "platform.tsring";
-  static constexpr std::size_t kDefaultWindows = 64;
-
-  explicit TimeSeriesRing(std::size_t capacity = kDefaultWindows)
-      : samples_(capacity == 0 ? 1 : capacity) {}
-
-  TimeSeriesRing(const TimeSeriesRing& other) { copy_from(other); }
-  TimeSeriesRing& operator=(const TimeSeriesRing& other) {
-    if (this != &other) copy_from(other);
-    return *this;
-  }
-
-  struct Sample {
-    TimePoint at = 0;
-    double value = 0.0;
-  };
-
-  void push(TimePoint at, double value) {
-    std::lock_guard lock(mutex_);
-    samples_[(head_ + size_) % samples_.size()] = Sample{at, value};
-    if (size_ < samples_.size()) {
-      ++size_;
-    } else {
-      head_ = (head_ + 1) % samples_.size();
-    }
-  }
-
-  std::size_t size() const {
-    std::lock_guard lock(mutex_);
-    return size_;
-  }
-  std::size_t capacity() const { return samples_.size(); }
-
-  /// Samples oldest-first.
-  std::vector<Sample> snapshot() const;
-
-  /// Mean value per second over the retained samples: (sum of values) /
-  /// (newest.at - oldest.at). 0 with fewer than two samples.
-  double rate_per_second() const;
-
-  /// Most recent sample's value (0 when empty).
-  double last() const;
-
-  void encode(ByteWriter& w) const;
-  static TimeSeriesRing decode(ByteReader& r);
-
- private:
-  void copy_from(const TimeSeriesRing& other);
-
-  mutable std::mutex mutex_;
-  std::vector<Sample> samples_;
-  std::size_t head_ = 0;
-  std::size_t size_ = 0;
 };
 
 /// Sanitizes a metric or label name to the Prometheus charset
@@ -210,19 +140,22 @@ class MetricsRegistry {
 
   Counter& counter(const std::string& name, MetricLabels labels = {},
                    const std::string& help = "");
-  Gauge& gauge(const std::string& name, MetricLabels labels = {},
-               const std::string& help = "");
   HistogramMetric& histogram(const std::string& name,
                              MetricLabels labels = {},
                              const std::string& help = "");
-  TimeSeriesRing& ring(const std::string& name, MetricLabels labels = {},
-                       std::size_t capacity = TimeSeriesRing::kDefaultWindows);
 
-  /// Re-plumbs an externally owned counter cell (e.g. a Hive::Counters
-  /// field) into the exposition without moving it. The cell must outlive
-  /// the registry or be unregistered first (clusters own both, in order).
+  /// Exposes an externally owned counter cell (e.g. a Hive::Counters
+  /// field) without moving it: every scrape reads the cell itself. The
+  /// cell must outlive every scrape (a cluster owns both its registry and
+  /// the hives whose cells it exposes).
   void expose_counter(const std::string& name, MetricLabels labels,
                       const Counter* cell, const std::string& help = "");
+
+  /// expose_counter for an externally owned histogram cell (a hive's
+  /// queue, handler and e2e latency cells).
+  void expose_histogram(const std::string& name, MetricLabels labels,
+                        const HistogramMetric* cell,
+                        const std::string& help = "");
 
   /// Pull-style metric: `fn` is evaluated at scrape time (for sources with
   /// their own locking, e.g. ChannelMeter totals). `counter_semantics`
@@ -238,15 +171,11 @@ class MetricsRegistry {
   /// `_bucket{le=...}` series on power-of-4 bounds.
   std::string prometheus_text() const;
 
-  /// The same snapshot as JSON (served at /status.json): metric values
-  /// keyed by name{labels}, plus ring series under "series".
-  std::string status_json() const;
-
   /// Number of registered metric series (tests).
   std::size_t series_count() const;
 
  private:
-  enum class Kind { kCounter, kGauge, kHistogram, kFn, kRing };
+  enum class Kind { kCounter, kHistogram, kFn };
 
   struct Entry {
     std::string name;
@@ -255,25 +184,21 @@ class MetricsRegistry {
     Kind kind = Kind::kCounter;
     bool counter_semantics = false;   // for kFn
     Counter* counter = nullptr;       // kCounter (owned or exposed)
-    Gauge* gauge = nullptr;           // kGauge
-    HistogramMetric* histogram = nullptr;  // kHistogram
-    TimeSeriesRing* ring = nullptr;   // kRing
+    HistogramMetric* histogram = nullptr;  // kHistogram (owned or exposed)
     std::function<double()> fn;       // kFn
   };
 
   /// Finds the entry for (name, labels), or nullptr. Throws
   /// std::logic_error when the pair exists with a different kind — e.g.
-  /// counter("x") after gauge("x") — instead of handing back a reference
-  /// into the wrong cell (a null dereference waiting to happen).
+  /// counter("x") after histogram("x") — instead of handing back a
+  /// reference into the wrong cell (a null dereference waiting to happen).
   Entry* find_locked(const std::string& name, const MetricLabels& labels,
                      Kind kind);
 
   mutable std::mutex mutex_;
   // Deques: stable addresses for handed-out references as entries grow.
   std::deque<Counter> counters_;
-  std::deque<Gauge> gauges_;
   std::deque<HistogramMetric> histograms_;
-  std::deque<TimeSeriesRing> rings_;
   std::vector<Entry> entries_;
 };
 

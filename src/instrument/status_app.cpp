@@ -61,6 +61,57 @@ StatusReport assemble_report(const Scan& scan, TimePoint at,
 
 }  // namespace
 
+std::vector<TimeSeriesRing::Sample> TimeSeriesRing::snapshot() const {
+  std::vector<Sample> out;
+  out.reserve(size_);
+  for (std::size_t i = 0; i < size_; ++i) {
+    out.push_back(samples_[(head_ + i) % samples_.size()]);
+  }
+  return out;
+}
+
+double TimeSeriesRing::rate_per_second() const {
+  if (size_ < 2) return 0.0;
+  const Sample& oldest = samples_[head_];
+  const Sample& newest = samples_[(head_ + size_ - 1) % samples_.size()];
+  const double span_us = static_cast<double>(newest.at - oldest.at);
+  if (span_us <= 0) return 0.0;
+  double sum = 0;
+  for (std::size_t i = 0; i < size_; ++i) {
+    sum += samples_[(head_ + i) % samples_.size()].value;
+  }
+  return sum / (span_us / 1e6);
+}
+
+double TimeSeriesRing::last() const {
+  if (size_ == 0) return 0.0;
+  return samples_[(head_ + size_ - 1) % samples_.size()].value;
+}
+
+void TimeSeriesRing::encode(ByteWriter& w) const {
+  w.varint(samples_.size());
+  w.varint(size_);
+  for (std::size_t i = 0; i < size_; ++i) {
+    const Sample& s = samples_[(head_ + i) % samples_.size()];
+    w.i64(s.at);
+    w.f64(s.value);
+  }
+}
+
+TimeSeriesRing TimeSeriesRing::decode(ByteReader& r) {
+  const std::uint64_t capacity = r.varint();
+  const std::uint64_t n = r.varint();
+  if (capacity > kMaxCapacity || n > capacity) {
+    throw DecodeError("time-series ring: bad capacity or sample count");
+  }
+  TimeSeriesRing ring(static_cast<std::size_t>(capacity));
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const TimePoint at = r.i64();
+    ring.push(at, r.f64());
+  }
+  return ring;
+}
+
 StatusApp::StatusApp() : App("platform.status") {
   register_metrics_messages();
   MsgTypeRegistry::instance().ensure<HiveStatus>();
@@ -90,7 +141,6 @@ StatusApp::StatusApp() : App("platform.status") {
         hs.at = report.at;
         hs.e2e_p50_us = report.e2e_latency.p50();
         hs.e2e_p99_us = report.e2e_latency.p99();
-        hs.transport = report.transport;
         hs.signals = report.signals;
         hs.suspected = ctx.state()
                            .get_as<HiveSuspected>(std::string(kMetaDict),
@@ -118,7 +168,7 @@ StatusApp::StatusApp() : App("platform.status") {
           bs.queue_depth = sample.holdback;
           bs.msgs_in_window = sample.msgs_in;
           bs.cost_us = sample.cost_us;
-          bs.handler_p99_us = sample.handler_latency.p99();
+          bs.handler_p99_us = sample.handler_p99_us;
           bs.msgs_window.push(report.at, static_cast<double>(sample.msgs_in));
           ctx.state().put_as(bees, bee_key, bs);
         }
@@ -196,7 +246,6 @@ std::string StatusReport::to_json() const {
            ", \"at\": " + std::to_string(h.at) +
            ", \"e2e_p50_us\": " + std::to_string(h.e2e_p50_us) +
            ", \"e2e_p99_us\": " + std::to_string(h.e2e_p99_us) +
-           ", \"retransmits\": " + std::to_string(h.transport.retransmits) +
            ", \"suspected\": " + (h.suspected ? "true" : "false");
     append_signals_json(out, h.signals);
     out += ", \"msgs_window\": ";

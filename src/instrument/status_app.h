@@ -8,19 +8,72 @@
 // tests, examples, the HTTP /status.json endpoint under ThreadCluster —
 // injects a StatusQuery and gets back a StatusReport: per-hive and per-bee
 // snapshots with queue depths, windowed rate rings, latency digests,
-// transport health and the suspected set.
+// the hive signals and the suspected set.
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/app.h"
 #include "instrument/failure_detector.h"
 #include "instrument/metrics.h"
-#include "instrument/registry.h"
 #include "state/store.h"
 
 namespace beehive {
+
+/// Fixed-capacity ring of (timestamp, value) samples, one per reporting
+/// window: a plain value type, kept by the StatusApp inside its state cells
+/// (one per hive and per bee row) and shipped in StatusReports. push() is
+/// O(1) and allocation-free after construction.
+class TimeSeriesRing {
+ public:
+  static constexpr std::string_view kTypeName = "platform.tsring";
+  static constexpr std::size_t kDefaultWindows = 64;
+  /// Largest capacity decode() accepts: a ring arrives inside frames from
+  /// other hives, and its capacity sizes an allocation.
+  static constexpr std::size_t kMaxCapacity = 4096;
+
+  explicit TimeSeriesRing(std::size_t capacity = kDefaultWindows)
+      : samples_(capacity == 0 ? 1 : capacity) {}
+
+  struct Sample {
+    TimePoint at = 0;
+    double value = 0.0;
+  };
+
+  void push(TimePoint at, double value) {
+    samples_[(head_ + size_) % samples_.size()] = Sample{at, value};
+    if (size_ < samples_.size()) {
+      ++size_;
+    } else {
+      head_ = (head_ + 1) % samples_.size();
+    }
+  }
+
+  std::size_t size() const { return size_; }
+  std::size_t capacity() const { return samples_.size(); }
+
+  /// Samples oldest-first.
+  std::vector<Sample> snapshot() const;
+
+  /// Mean value per second over the retained samples: (sum of values) /
+  /// (newest.at - oldest.at). 0 with fewer than two samples.
+  double rate_per_second() const;
+
+  /// Most recent sample's value (0 when empty).
+  double last() const;
+
+  void encode(ByteWriter& w) const;
+  /// Throws DecodeError when the capacity exceeds kMaxCapacity or the
+  /// sample count exceeds the capacity.
+  static TimeSeriesRing decode(ByteReader& r);
+
+ private:
+  std::vector<Sample> samples_;
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
+};
 
 /// Ask the cluster for a status snapshot. `token` is echoed in the report
 /// so concurrent queriers can match answers.
@@ -41,7 +94,6 @@ struct HiveStatus {
   TimePoint at = 0;  ///< timestamp of the latest folded report
   std::uint64_t e2e_p50_us = 0;
   std::uint64_t e2e_p99_us = 0;
-  TransportCounters transport;
   bool suspected = false;
   /// The signals of the hive's latest report, as sent.
   HiveSignals signals;
@@ -53,7 +105,6 @@ struct HiveStatus {
     w.i64(at);
     w.varint(e2e_p50_us);
     w.varint(e2e_p99_us);
-    transport.encode(w);
     w.boolean(suspected);
     encode_signals(w, signals);
     msgs_window.encode(w);
@@ -64,7 +115,6 @@ struct HiveStatus {
     s.at = r.i64();
     s.e2e_p50_us = r.varint();
     s.e2e_p99_us = r.varint();
-    s.transport = TransportCounters::decode(r);
     s.suspected = r.boolean();
     s.signals = decode_signals(r);
     s.msgs_window = TimeSeriesRing::decode(r);

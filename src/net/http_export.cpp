@@ -46,8 +46,8 @@ std::string http_response(int code, const char* status,
 
 std::string unavailable() {
   return http_response(503, "Service Unavailable", "text/plain",
-                       "detached: the cluster behind this endpoint is "
-                       "shutting down\n");
+                       "no producer attached to this path: never set, or "
+                       "the cluster behind it is shutting down\n");
 }
 
 }  // namespace
@@ -209,13 +209,7 @@ std::string HttpExportServer::respond(const std::string& method,
                                "text/plain; version=0.0.4; charset=utf-8",
                                registry_->prometheus_text());
   }
-  if (path == "/status.json") {
-    if (!status_source_ && registry_ != nullptr) {
-      return http_response(200, "OK", "application/json",
-                           registry_->status_json());
-    }
-    return json_from(status_source_);
-  }
+  if (path == "/status.json") return json_from(status_source_);
   if (path == "/health.json") return json_from(health_source_);
   if (path == "/traces.json") return json_from(traces_source_);
   if (path == "/" || path == "/index.html") {

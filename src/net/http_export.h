@@ -1,10 +1,12 @@
 // Minimal HTTP/1.0 exposition endpoint for the threaded runtime.
 //
 // Serves GET /metrics (Prometheus text exposition format, straight from a
-// MetricsRegistry), GET /status.json (a JSON snapshot — by default the
-// registry's, optionally a StatusApp-fed callback) and GET /health.json
-// (a cluster HealthReport callback), so a running ThreadCluster can be
-// scraped by standard tooling (curl, Prometheus, beectl).
+// MetricsRegistry) and three JSON documents, each from exactly one
+// producer callback: /status.json (the StatusApp's snapshot),
+// /health.json (a cluster HealthReport) and /traces.json (assembled slow
+// traces). A path whose producer is unset answers 503. So a running
+// ThreadCluster can be scraped by standard tooling (curl, Prometheus,
+// beectl).
 //
 // Deliberately tiny: one accept-loop thread, one short-lived connection
 // per request (HTTP/1.0, Connection: close), no keep-alive, no TLS, bound
@@ -43,8 +45,9 @@ class HttpExportServer {
 
   std::uint16_t port() const { return port_; }
 
-  /// Replaces the /status.json body producer (default: the registry's
-  /// status_json()). The callback runs on the server thread and must be
+  /// Sets the /status.json body producer (e.g. a StatusQuery round trip,
+  /// as examples/quickstart.cpp does). Unset = 503 on that path. Like the
+  /// other sources, the callback runs on the server thread and must be
   /// thread-safe with respect to the cluster.
   void set_status_source(std::function<std::string()> source);
 

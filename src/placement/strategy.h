@@ -44,17 +44,6 @@ struct BeeView {
   std::map<HiveId, std::uint64_t> inbound_by_hive;
 };
 
-/// Cluster-wide latency digest (microseconds), aggregated by the collector
-/// from every hive's report. Strategies can use it as a health signal —
-/// e.g. refuse to churn placement while tail latency is already degraded.
-struct LatencyView {
-  std::uint64_t e2e_count = 0;
-  std::uint64_t e2e_p50 = 0;
-  std::uint64_t e2e_p99 = 0;
-  std::uint64_t queue_p99 = 0;
-  std::uint64_t handler_p99 = 0;
-};
-
 /// How an optimization round scores the view. A full round re-scores every
 /// bee; an incremental round re-scores only the dirty set (bees whose
 /// traffic-matrix rows changed since the last round). Because a clean bee
@@ -81,7 +70,6 @@ struct ClusterView {
   /// absent hives read as 0 (unpressured).
   std::map<HiveId, double> hive_pressure;
   std::vector<BeeView> bees;
-  LatencyView latency;
 };
 
 struct MigrationDecision {

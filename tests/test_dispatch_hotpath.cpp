@@ -21,6 +21,7 @@
 #include "apps/te_common.h"
 #include "cluster/sim.h"
 #include "cluster/thread_cluster.h"
+#include "instrument/status_app.h"
 #include "msg/codec.h"
 #include "tests/alloc_counter.h"
 #include "tests/test_helpers.h"
@@ -290,14 +291,25 @@ TEST(DecodeClamp, HugeVectorCountUnderrunsInsteadOfAllocating) {
   series.u32(1);                        // samples
   series.varint(0);                     // latest: empty
   series.varint(std::uint64_t{1} << 60);
-  // decode_vector and the cell decoders that restore migrated and
-  // replicated state all read an untrusted count.
+  ByteWriter wide_ring;  // TimeSeriesRing: capacity 2^24, no samples
+  wide_ring.varint(std::uint64_t{1} << 24);
+  wide_ring.varint(0);
+  ByteWriter full_ring;  // capacity 4, 2^60 samples claimed
+  full_ring.varint(4);
+  full_ring.varint(std::uint64_t{1} << 60);
+  // decode_vector, the cell decoders that restore migrated and replicated
+  // state, and the status rows' rate rings all read an untrusted count.
   const std::vector<std::pair<Bytes, std::function<void(ByteReader&)>>>
       inputs = {
           {huge.bytes(), [](ByteReader& r) { decode_vector<I64>(r); }},
           {huge.bytes(), [](ByteReader& r) { MacTable::decode(r); }},
           {huge.bytes(), [](ByteReader& r) { HostBucket::decode(r); }},
           {series.bytes(), [](ByteReader& r) { FlowSeriesEntry::decode(r); }},
+          {huge.bytes(), [](ByteReader& r) { TimeSeriesRing::decode(r); }},
+          {wide_ring.bytes(),
+           [](ByteReader& r) { TimeSeriesRing::decode(r); }},
+          {full_ring.bytes(),
+           [](ByteReader& r) { TimeSeriesRing::decode(r); }},
       };
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     SCOPED_TRACE("input " + std::to_string(i));

@@ -4,6 +4,8 @@
 // timeout-retry-abort, and a convergence soak with real control apps.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <map>
 #include <string>
@@ -13,8 +15,6 @@
 #include "apps/messages.h"
 #include "apps/routing.h"
 #include "cluster/sim.h"
-#include "instrument/collector.h"
-#include "placement/strategy.h"
 #include "tests/test_helpers.h"
 
 namespace beehive {
@@ -497,17 +497,24 @@ TEST_F(FaultSoakTest, LossyChannelConvergesToCleanFinalState) {
 }
 
 // ---------------------------------------------------------------------------
-// Metrics pipeline: transport health reaches the collector
+// Metrics pipeline: a scrape reads the hive's and the transport's cells
+// live, between metrics reports
 // ---------------------------------------------------------------------------
 
-TEST(FaultMetricsTest, TransportCountersFlowToCollector) {
+/// The value on the exposition line `<series> <value>`; -1 when absent.
+double scraped(const std::string& text, const std::string& series) {
+  const std::string needle = "\n" + series + " ";
+  const std::size_t pos = text.find(needle);
+  if (pos == std::string::npos) return -1.0;
+  return std::atof(text.c_str() + pos + needle.size());
+}
+
+TEST(FaultMetricsTest, ScrapeBetweenReportsReadsLiveCells) {
   AppSet apps;
   apps.emplace<CounterApp>();
-  apps.emplace<CollectorApp>(std::make_shared<NoopStrategy>(), 2);
   ClusterConfig config;
   config.n_hives = 2;
-  config.hive.metrics_period = 500 * kMillisecond;
-  config.hive.timers_until = 3 * kSecond;
+  config.hive.metrics_period = 0;  // no report ever fires
   config.hive.transport.enabled = true;
   SimCluster sim(config, apps);
   sim.start();
@@ -518,28 +525,51 @@ TEST(FaultMetricsTest, TransportCountersFlowToCollector) {
         Incr{"k" + std::to_string(i % 3), 1}, 0, kNoBee, at, sim.now()));
     sim.run_for(20 * kMillisecond);
   }
-  sim.run_until(3 * kSecond);
   sim.run_to_idle();
 
-  AppId collector = apps.find_by_name("platform.collector")->id();
-  std::vector<CollectorApp::TransportRow> rows;
-  for (const BeeRecord& rec : sim.registry().live_bees()) {
-    if (rec.app != collector) continue;
-    Bee* bee = sim.hive(rec.hive).find_bee(rec.id);
-    if (bee == nullptr) continue;
-    auto harvested = CollectorApp::transport_from_store(bee->store());
-    if (!harvested.empty()) rows = std::move(harvested);
-  }
-  ASSERT_EQ(rows.size(), 2u);  // one row per hive
-  std::uint64_t data = 0;
+  const struct {
+    const char* family;
+    Counter TransportCounters::* field;
+  } transport_families[] = {
+      {"beehive_transport_data_frames", &TransportCounters::data_frames},
+      {"beehive_transport_retransmits", &TransportCounters::retransmits},
+      {"beehive_transport_acks_sent", &TransportCounters::acks_sent},
+      {"beehive_transport_dup_frames_dropped",
+       &TransportCounters::dup_frames_dropped},
+      {"beehive_transport_reorder_buffered",
+       &TransportCounters::reorder_buffered},
+      {"beehive_transport_frames_abandoned",
+       &TransportCounters::frames_abandoned},
+  };
+  const std::string text = sim.metrics()->prometheus_text();
+  std::uint64_t runs = 0;
+  std::uint64_t data_frames = 0;
   std::uint64_t retransmits = 0;
-  for (const CollectorApp::TransportRow& row : rows) {
-    data += row.transport.data_frames;
-    retransmits += row.transport.retransmits;
-    EXPECT_EQ(row.partitions_active, 0u);
-    EXPECT_EQ(row.migration_aborts, 0u);
+  for (HiveId h = 0; h < 2; ++h) {
+    SCOPED_TRACE("hive " + std::to_string(h));
+    const Hive& hive = sim.hive(h);
+    const std::string labels = "{hive=\"" + std::to_string(h) + "\"}";
+    const auto hive_runs =
+        static_cast<double>(hive.counters().handler_runs.get());
+    EXPECT_EQ(scraped(text, "beehive_queue_latency_us_count" + labels),
+              hive_runs);
+    EXPECT_EQ(scraped(text, "beehive_handler_latency_us_count" + labels),
+              hive_runs);
+    EXPECT_EQ(scraped(text, "beehive_e2e_latency_us_count" + labels),
+              static_cast<double>(hive.e2e_latency().count()));
+    const TransportCounters& t = hive.transport_counters();
+    for (const auto& row : transport_families) {
+      EXPECT_EQ(scraped(text, row.family + labels),
+                static_cast<double>((t.*row.field).get()))
+          << row.family;
+    }
+    runs += hive.counters().handler_runs;
+    data_frames += t.data_frames;
+    retransmits += t.retransmits;
   }
-  EXPECT_GT(data, 0u);
+  // Nonzero cells, so a scrape of report-time copies (all 0 here) fails.
+  EXPECT_GT(runs, 0u);
+  EXPECT_GT(data_frames, 0u);
   EXPECT_GT(retransmits, 0u);
 }
 

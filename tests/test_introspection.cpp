@@ -1,7 +1,8 @@
 // Tests for the introspection layer: the metrics registry (hot-path
-// allocation contract, Prometheus text exposition, time-series rings), the
-// latency-histogram edge cases, the explained optimizer decision log, the
-// StatusApp query round-trip, the flight recorder and the HTTP exporter.
+// allocation contract, Prometheus text exposition), the StatusApp's
+// time-series rings, the latency-histogram edge cases, the explained
+// optimizer decision log, the StatusApp query round-trip, the flight
+// recorder and the HTTP exporter.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -50,16 +51,17 @@ using testing::Incr;
 TEST(RegistryHotPath, UpdatesDoNotAllocate) {
   MetricsRegistry reg;
   Counter& c = reg.counter("hot_counter", {{"hive", "0"}});
-  Gauge& g = reg.gauge("hot_gauge");
   HistogramMetric& h = reg.histogram("hot_hist");
-  TimeSeriesRing& ring = reg.ring("hot_ring");
+  HistogramMetric exposed;  // a hive-owned cell, single writer
+  reg.expose_histogram("hot_exposed", {}, &exposed);
+  TimeSeriesRing ring;
 
   // Warm up once (first touches of lazily-paged memory are not allocs,
   // but keep the measured region strictly steady-state anyway).
   c.inc();
-  g.set(1.0);
-  g.add(0.5);
+  c.bump();
   h.record(123);
+  exposed.bump_at(LatencyHistogram::index(123), 123);
   ring.push(0, 1.0);
 
   const std::uint64_t before = testing::allocation_count();
@@ -67,17 +69,19 @@ TEST(RegistryHotPath, UpdatesDoNotAllocate) {
     c.inc();
     c += 2;
     ++c;
-    g.set(static_cast<double>(i));
-    g.add(1.0);
+    c.bump();
     h.record(i);
+    exposed.bump_at(LatencyHistogram::index(static_cast<std::uint64_t>(i)),
+                    static_cast<std::uint64_t>(i));
     ring.push(i, 2.0);
   }
   const std::uint64_t after = testing::allocation_count();
   EXPECT_EQ(after, before)
       << "metric updates must not allocate on the hot path";
 
-  EXPECT_EQ(c.get(), 1u + 10000u * 4u);
+  EXPECT_EQ(c.get(), 2u + 10000u * 5u);
   EXPECT_EQ(h.count(), 10001u);
+  EXPECT_EQ(exposed.count(), 10001u);
   EXPECT_EQ(ring.size(), ring.capacity());  // wrapped, still bounded
 }
 
@@ -98,8 +102,7 @@ TEST(PrometheusText, ExactCounterAndGaugeLines) {
   MetricsRegistry reg;
   Counter& c = reg.counter("msgs_total", {{"hive", "3"}}, "Messages seen");
   c.inc(5);
-  Gauge& g = reg.gauge("depth", {}, "Queue depth");
-  g.set(2.5);
+  reg.gauge_fn("depth", {}, [] { return 2.5; }, "Queue depth");
 
   const std::string text = reg.prometheus_text();
   EXPECT_NE(text.find("# HELP msgs_total Messages seen\n"),
@@ -208,20 +211,22 @@ TEST(MetricsRegistry, RegistrationDeduplicatesByNameAndLabels) {
   EXPECT_EQ(b.get(), 3u);
   EXPECT_EQ(reg.series_count(), 2u);
 
-  Gauge& g1 = reg.gauge("g");
-  Gauge& g2 = reg.gauge("g");
-  EXPECT_EQ(&g1, &g2);
+  HistogramMetric& h1 = reg.histogram("h");
+  HistogramMetric& h2 = reg.histogram("h");
+  EXPECT_EQ(&h1, &h2);
   EXPECT_EQ(reg.series_count(), 3u);
 }
 
 TEST(MetricsRegistry, KindMismatchOnExistingSeriesThrows) {
   MetricsRegistry reg;
-  reg.gauge("x", {{"hive", "0"}});
+  reg.gauge_fn("x", {{"hive", "0"}}, [] { return 1.0; });
   // Same (name, labels) with a different kind must fail loudly instead of
   // dereferencing the wrong (null) cell pointer.
   EXPECT_THROW(reg.counter("x", {{"hive", "0"}}), std::logic_error);
   EXPECT_THROW(reg.histogram("x", {{"hive", "0"}}), std::logic_error);
-  EXPECT_THROW(reg.ring("x", {{"hive", "0"}}), std::logic_error);
+  HistogramMetric cell;
+  EXPECT_THROW(reg.expose_histogram("x", {{"hive", "0"}}, &cell),
+               std::logic_error);
   // Different labels are a different series: any kind is fine.
   reg.counter("x", {{"hive", "1"}}).inc(1);
 }
@@ -236,7 +241,6 @@ TEST(MetricsRegistry, ScrapeCallbacksRunWithoutTheRegistryLock) {
   });
   const std::string text = reg.prometheus_text();
   EXPECT_NE(text.find("reentrant 2\n"), std::string::npos);
-  EXPECT_NE(reg.status_json().find("\"reentrant\": 2"), std::string::npos);
 }
 
 TEST(MetricsRegistry, ExposedCounterCellIsRenderedInPlace) {
@@ -250,24 +254,24 @@ TEST(MetricsRegistry, ExposedCounterCellIsRenderedInPlace) {
             std::string::npos);
 }
 
-TEST(MetricsRegistry, StatusJsonCarriesMetricsAndRingSeries) {
+TEST(MetricsRegistry, ExposedHistogramCellIsReadAtEveryScrape) {
   MetricsRegistry reg;
-  reg.counter("c_total", {{"hive", "0"}}).inc(9);
-  TimeSeriesRing& ring = reg.ring("window_rate", {{"hive", "0"}});
-  ring.push(kSecond, 4.0);
-  ring.push(2 * kSecond, 6.0);
-
-  const std::string js = reg.status_json();
-  EXPECT_NE(js.find("\"c_total,hive=0\": 9"), std::string::npos);
-  EXPECT_NE(js.find("\"window_rate,hive=0\""), std::string::npos);
-  EXPECT_NE(js.find("\"samples\": [[1000000, 4], [2000000, 6]]"),
+  HistogramMetric cell;  // externally owned, e.g. a hive's latency cell
+  reg.expose_histogram("owned_us", {{"hive", "7"}}, &cell, "External cell");
+  EXPECT_NE(reg.prometheus_text().find("owned_us_count{hive=\"7\"} 0\n"),
             std::string::npos);
-  // Rings are /status.json-only; they must not leak into the text format.
-  EXPECT_EQ(reg.prometheus_text().find("window_rate"), std::string::npos);
+  cell.bump_at(LatencyHistogram::index(40), 40);
+  cell.record(2);
+  const std::string text = reg.prometheus_text();
+  EXPECT_NE(text.find("# TYPE owned_us histogram\n"), std::string::npos);
+  EXPECT_NE(text.find("owned_us_bucket{hive=\"7\",le=\"4\"} 1\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("owned_us_sum{hive=\"7\"} 42\n"), std::string::npos);
+  EXPECT_NE(text.find("owned_us_count{hive=\"7\"} 2\n"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
-// TimeSeriesRing
+// TimeSeriesRing (the StatusApp's per-window rate cells)
 // ---------------------------------------------------------------------------
 
 TEST(TimeSeriesRingTest, WrapsAndSnapshotsOldestFirst) {
@@ -378,20 +382,32 @@ TEST(LatencyHistogramEdge, SparseWireRoundTripKeepsClampBucket) {
 }
 
 TEST(HistogramMetricTest, MergeAndSnapshotMatchPlainHistogram) {
-  LatencyHistogram window;
-  window.record(10);
-  window.record(300);
-  window.record(300);
+  // Two plain histograms merged hold what one cell records through both
+  // of its paths: record() (any thread) and bump_at() (single writer).
+  LatencyHistogram any_thread;
+  any_thread.record(42);
+  any_thread.record(10);
+  LatencyHistogram single_writer;
+  single_writer.record(300);
+  single_writer.record(300);
+  LatencyHistogram merged = any_thread;
+  merged.merge(single_writer);
 
   HistogramMetric m;
   m.record(42);
-  m.merge(window);
-  EXPECT_EQ(m.count(), 4u);
-  EXPECT_EQ(m.sum(), 42u + 10u + 300u + 300u);
+  m.record(10);
+  m.bump_at(LatencyHistogram::index(300), 300);
+  m.bump_at(LatencyHistogram::index(300), 300);
+  EXPECT_EQ(m.count(), merged.count());
+  EXPECT_EQ(m.sum(), merged.sum());
 
-  LatencyHistogram snap = m.snapshot();
+  const LatencyHistogram snap = m.snapshot();
   EXPECT_EQ(snap.count(), 4u);
-  EXPECT_EQ(snap.bucket_count(LatencyHistogram::index(300)), 2u);
+  for (std::uint32_t i = 0; i < LatencyHistogram::kBuckets; ++i) {
+    EXPECT_EQ(snap.bucket_count(i), merged.bucket_count(i)) << i;
+  }
+  EXPECT_EQ(snap.p50(), merged.p50());
+  EXPECT_EQ(snap.p99(), merged.p99());
 }
 
 // ---------------------------------------------------------------------------
@@ -548,9 +564,6 @@ TEST(ClusterIntrospection, SimClusterExposesHiveMetrics) {
   EXPECT_NE(text.find("# TYPE beehive_channel_bytes_total counter"),
             std::string::npos);
   EXPECT_NE(text.find("beehive_channel_messages_total"), std::string::npos);
-
-  const std::string js = sim.metrics()->status_json();
-  EXPECT_NE(js.find("beehive_handler_runs_window"), std::string::npos);
 }
 
 TEST(ClusterIntrospection, MetricsCanBeDisabled) {
@@ -920,20 +933,16 @@ TEST(HttpExport, ServesMetricsStatusJsonAndNotFound) {
   EXPECT_NE(metrics.find("# TYPE beehive_up counter"), std::string::npos);
   EXPECT_NE(metrics.find("beehive_up 1"), std::string::npos);
 
-  const std::string status = http_get(server.port(), "/status.json");
-  EXPECT_EQ(status.rfind("HTTP/1.0 200", 0), 0u);
-  EXPECT_NE(status.find("\"metrics\""), std::string::npos);
-  EXPECT_NE(status.find("beehive_up"), std::string::npos);
-
-  // A StatusApp-style source replaces the default /status.json body.
+  // /status.json has one producer, the status source.
   server.set_status_source([] { return std::string("{\"custom\": true}\n"); });
   const std::string custom = http_get(server.port(), "/status.json");
+  EXPECT_EQ(custom.rfind("HTTP/1.0 200", 0), 0u);
   EXPECT_NE(custom.find("\"custom\": true"), std::string::npos);
 
   const std::string missing = http_get(server.port(), "/nope");
   EXPECT_EQ(missing.rfind("HTTP/1.0 404", 0), 0u);
 
-  EXPECT_EQ(server.requests_served(), 4u);
+  EXPECT_EQ(server.requests_served(), 3u);
   server.stop();
 }
 
@@ -941,15 +950,26 @@ TEST(HttpExport, HealthEndpointServesSourceOr503) {
   MetricsRegistry reg;
   HttpExportServer server(reg, /*port=*/0);
 
-  // No health source wired: the route exists but answers 503, not 404.
-  const std::string before = http_get(server.port(), "/health.json");
-  EXPECT_EQ(before.rfind("HTTP/1.0 503", 0), 0u) << before;
+  // Each JSON path has exactly one producer, its source: unset, the route
+  // exists but answers 503 (not 404, and not a registry fallback).
+  using Setter = void (HttpExportServer::*)(std::function<std::string()>);
+  const struct {
+    const char* path;
+    Setter set;
+  } endpoints[] = {
+      {"/health.json", &HttpExportServer::set_health_source},
+      {"/status.json", &HttpExportServer::set_status_source},
+  };
+  for (const auto& ep : endpoints) {
+    const std::string before = http_get(server.port(), ep.path);
+    EXPECT_EQ(before.rfind("HTTP/1.0 503", 0), 0u) << ep.path << before;
 
-  server.set_health_source(
-      [] { return std::string("{\"min_score\": 97.5}\n"); });
-  const std::string after = http_get(server.port(), "/health.json");
-  EXPECT_EQ(after.rfind("HTTP/1.0 200", 0), 0u);
-  EXPECT_NE(after.find("\"min_score\": 97.5"), std::string::npos);
+    (server.*ep.set)([] { return std::string("{\"min_score\": 97.5}\n"); });
+    const std::string after = http_get(server.port(), ep.path);
+    EXPECT_EQ(after.rfind("HTTP/1.0 200", 0), 0u) << ep.path;
+    EXPECT_NE(after.find("\"min_score\": 97.5"), std::string::npos)
+        << ep.path;
+  }
 
   // The index advertises all three endpoints.
   const std::string index = http_get(server.port(), "/");
@@ -1058,7 +1078,7 @@ TEST(HttpExport, DetachWaitsForARequestInsideASource) {
 TEST(PrometheusText, EveryFamilyGetsHelpAndTypeHeaders) {
   MetricsRegistry reg;
   reg.counter("with_help", {}, "Documented counter.").inc();
-  reg.gauge("without_help").set(1);  // no description registered
+  reg.gauge_fn("without_help", {}, [] { return 1.0; });  // no description
   reg.counter("second_series_help", {{"hive", "0"}});  // first: helpless
   reg.counter("second_series_help", {{"hive", "1"}},
               "Help on a later series.");

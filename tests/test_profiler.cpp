@@ -16,6 +16,7 @@
 #include "instrument/collector.h"
 #include "instrument/health.h"
 #include "instrument/profiler.h"
+#include "instrument/status_app.h"
 #include "placement/strategy.h"
 #include "state/txn.h"
 #include "tests/alloc_counter.h"
@@ -232,14 +233,14 @@ TEST(Profiler, HotCellOutweighsIdleCellInHeatTable) {
 TEST(Profiler, SampledCostReachesBeeMetricsWindow) {
   AppSet apps;
   apps.emplace<BurnApp>();
+  apps.emplace<StatusApp>();
 
   ClusterConfig cfg;
   cfg.n_hives = 1;
   cfg.hive.metrics_period = kSecond;
-  cfg.hive.timers_until = 2 * kSecond;
+  cfg.hive.timers_until = kSecond;  // exactly one report, at t = 1 s
   cfg.hive.profiler.enabled = true;
   cfg.hive.profiler.sample_every = 1;
-  cfg.metrics = true;
   SimCluster sim(cfg, apps);
   sim.start();
 
@@ -249,17 +250,21 @@ TEST(Profiler, SampledCostReachesBeeMetricsWindow) {
   }
   sim.run_to_idle();
 
-  // Each report ships the bee's window and resets it; the hive publishes
-  // the window's cost into its beehive_cost_us_window ring.
-  double cost_us = 0.0;
-  for (const TimeSeriesRing::Sample& s :
-       sim.metrics()
-           ->ring("beehive_cost_us_window", {{"hive", "0"}})
-           .snapshot()) {
-    cost_us += s.value;
+  // The report ships the bee's window (and resets it); the StatusApp's
+  // row for the bee keeps that window's cost.
+  const AppId status_app = apps.find_by_name("platform.status")->id();
+  const Bee* status_bee = nullptr;
+  for (const BeeRecord& rec : sim.registry().live_bees()) {
+    if (rec.app == status_app) status_bee = sim.hive(rec.hive).find_bee(rec.id);
+  }
+  ASSERT_NE(status_bee, nullptr);
+  std::uint64_t cost_us = 0;
+  for (const BeeStatus& row :
+       StatusApp::report_from_store(status_bee->store(), sim.now()).bees) {
+    if (row.app_name == "test.burn") cost_us += row.cost_us;
   }
   // 16 handlers x 100us of burned CPU: at least 1ms of it must be visible.
-  EXPECT_GE(cost_us, 1000.0) << "sampled cost never reached bee metrics";
+  EXPECT_GE(cost_us, 1000u) << "sampled cost never reached bee metrics";
 }
 
 // ---------------------------------------------------------------------------
