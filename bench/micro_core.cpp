@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "apps/messages.h"
 #include "apps/te_common.h"
@@ -132,29 +133,34 @@ BENCHMARK(BM_HistogramRecord);
 // allocation-free.
 // ---------------------------------------------------------------------------
 
-void BM_MetricsCounterInc(benchmark::State& state) {
+void BM_MetricsCounterBump(benchmark::State& state) {
+  // A hive-owned cell exposed live, bumped by its one writer.
   MetricsRegistry reg;
-  Counter& c = reg.counter("bench_counter", {{"hive", "0"}});
+  Counter c;
+  reg.expose_counter("bench_counter", {{"hive", "0"}}, &c);
   for (auto _ : state) {
-    c.inc();
+    c.bump();
     benchmark::DoNotOptimize(c);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_MetricsCounterInc);
+BENCHMARK(BM_MetricsCounterBump);
 
-void BM_MetricsHistogramRecord(benchmark::State& state) {
+void BM_MetricsHistogramBumpAt(benchmark::State& state) {
+  // The hive's record: bucket index computed once, then a single-writer
+  // bump of the exposed cell.
   MetricsRegistry reg;
-  HistogramMetric& h = reg.histogram("bench_hist", {{"hive", "0"}});
-  Duration v = 1;
+  HistogramMetric h;
+  reg.expose_histogram("bench_hist", {{"hive", "0"}}, &h);
+  std::uint64_t v = 1;
   for (auto _ : state) {
-    h.record(v);
+    h.bump_at(LatencyHistogram::index(v), v);
     v = (v * 2654435761u + 1) & ((1 << 22) - 1);
     benchmark::DoNotOptimize(h);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_MetricsHistogramRecord);
+BENCHMARK(BM_MetricsHistogramBumpAt);
 
 void BM_TimeSeriesRingPush(benchmark::State& state) {
   TimeSeriesRing ring;
@@ -173,12 +179,16 @@ void BM_PrometheusScrape(benchmark::State& state) {
   // of series (scrape side, off the hive hot path).
   MetricsRegistry reg;
   const auto hives = static_cast<std::size_t>(state.range(0));
+  std::vector<Counter> counters(hives);
+  std::vector<HistogramMetric> e2e(hives);
   for (std::size_t h = 0; h < hives; ++h) {
     MetricLabels labels{{"hive", std::to_string(h)}};
-    reg.counter("beehive_messages_total", labels).inc(h * 1000);
+    counters[h].bump(h * 1000);
+    reg.expose_counter("beehive_messages_total", labels, &counters[h]);
     reg.gauge_fn("beehive_queue_depth", labels,
                  [h] { return static_cast<double>(h); });
-    reg.histogram("beehive_e2e_latency_us", labels).record(200);
+    e2e[h].bump_at(LatencyHistogram::index(200), 200);
+    reg.expose_histogram("beehive_e2e_latency_us", labels, &e2e[h]);
   }
   std::size_t bytes = 0;
   for (auto _ : state) {

@@ -12,9 +12,7 @@
 //   * optimizer round latency, full vs incremental, at 100k bees / 64
 //     hives for every strategy — with a move-equality check (the
 //     incremental round must pick exactly the moves the full round picks);
-//   * registry resolve throughput by shard count under multi-threaded
-//     contention (shared workload with micro_registry --contention);
-//   * client resolve-cache hit rate under the sharded service.
+//   * client resolve-cache hit rate.
 // The JSON it writes is the committed BENCH_scale.json baseline.
 #include <chrono>
 #include <cstdio>
@@ -23,7 +21,6 @@
 #include <vector>
 
 #include "bench/bench_json.h"
-#include "bench/registry_contention.h"
 #include "bench/te_harness.h"
 #include "placement/strategy.h"
 #include "util/rng.h"
@@ -40,9 +37,8 @@ int usage(const char* argv0, int code) {
       "  --control-plane  measure the control plane at scale instead of\n"
       "                   the TE designs: optimizer full-vs-incremental\n"
       "                   round latency at 100k bees (with move-equality\n"
-      "                   verification), registry ops/s by shard count\n"
-      "                   under threaded contention, resolve-cache hit\n"
-      "                   rate. Writes the BENCH_scale.json baseline.\n",
+      "                   verification) and resolve-cache hit rate.\n"
+      "                   Writes the BENCH_scale.json baseline.\n",
       argv0);
   return code;
 }
@@ -168,50 +164,18 @@ int run_control_plane(const Args& args) {
     report.boolean(section, "moves_equal", equal);
   }
 
-  // Registry contention: same workload as micro_registry --contention so
-  // the two committed baselines corroborate each other.
-  ContentionParams params;
-  if (args.small) {
-    params.n_keys = 10'000;
-    params.n_threads = 4;
-    params.duration_ms = 250;
-  }
-  std::printf("\nregistry contention: %zu threads, %zu keys, %d ms per "
-              "shard count\n\n",
-              params.n_threads, params.n_keys, params.duration_ms);
-  std::printf("%-7s %14s %12s %12s %8s\n", "shards", "ops/s", "lock_waits",
-              "wait_us", "speedup");
-  double base_ops = 0.0;
-  for (std::size_t shards : {1u, 2u, 4u, 8u}) {
-    const ContentionResult r = run_registry_contention(shards, params);
-    if (shards == 1) base_ops = r.ops_per_sec;
-    const double speedup = base_ops > 0.0 ? r.ops_per_sec / base_ops : 0.0;
-    std::printf("%-7zu %14.0f %12llu %12llu %7.1fx\n", shards,
-                r.ops_per_sec,
-                static_cast<unsigned long long>(r.lock_waits),
-                static_cast<unsigned long long>(r.lock_wait_us), speedup);
-    const std::string section = "registry." + std::to_string(shards);
-    report.integer(section, "shards", shards);
-    report.integer(section, "threads", params.n_threads);
-    report.integer(section, "keys", params.n_keys);
-    report.number(section, "ops_per_sec", r.ops_per_sec);
-    report.integer(section, "lock_waits", r.lock_waits);
-    report.integer(section, "lock_wait_us", r.lock_wait_us);
-    report.number(section, "speedup_vs_1shard", speedup);
-  }
-
-  // Resolve-cache hit rate under the sharded service: 90% of lookups hit
-  // a small hot set, the rest keep creating cold keys and missing.
+  // Resolve-cache hit rate: 90% of lookups hit a small hot set, the rest
+  // keep creating cold keys and missing.
   {
-    ChannelMeter meter(params.n_hives);
-    RegistryService registry(params.n_hives, &meter, 8);
+    ChannelMeter meter(n_hives);
+    RegistryService registry(n_hives, &meter);
     RegistryService::Client client(registry, 1);
     std::vector<CellSet> hot;
     for (std::size_t i = 0; i < 64; ++i) {
       hot.push_back(CellSet::single("switches", "hot" + std::to_string(i)));
     }
     std::size_t cold = 0;
-    for (std::size_t i = 0; i < params.n_keys; ++i) {
+    for (std::size_t i = 0; i < n_bees; ++i) {
       const CellSet cells =
           (i % 10 != 0)
               ? hot[i % hot.size()]
@@ -227,7 +191,7 @@ int run_control_plane(const Args& args) {
                 static_cast<unsigned long long>(client.cache_hits()),
                 static_cast<unsigned long long>(client.cache_misses()),
                 100.0 * hit_rate);
-    report.integer("resolve_cache", "lookups", params.n_keys);
+    report.integer("resolve_cache", "lookups", n_bees);
     report.integer("resolve_cache", "hits", client.cache_hits());
     report.integer("resolve_cache", "misses", client.cache_misses());
     report.number("resolve_cache", "hit_rate", hit_rate);

@@ -7,11 +7,10 @@ namespace beehive {
 namespace {
 
 /// Registers the channel totals (beehive_channel_bytes_total,
-/// _messages_total, _hotspot_share) and every registry shard's contention
-/// counters (beehive_registry_ops_total, _lock_waits_total,
-/// _lock_wait_us_total, _invalidations_total, labeled {shard=<n>}) as
-/// pull-gauges. The meter's stripe locks and the shard stats make the reads
-/// safe at scrape time.
+/// _messages_total, _hotspot_share) and the registry's stats row
+/// (beehive_registry_ops_total, _lock_waits_total, _lock_wait_us_total,
+/// _invalidations_total) as pull-gauges. The meter's stripe locks and the
+/// registry lock make the reads safe at scrape time.
 void register_cluster_metrics(MetricsRegistry& reg, const ChannelMeter& meter,
                               const RegistryService& registry) {
   reg.gauge_fn(
@@ -28,38 +27,32 @@ void register_cluster_metrics(MetricsRegistry& reg, const ChannelMeter& meter,
       "beehive_channel_hotspot_share", {},
       [&meter] { return meter.hotspot_share(); },
       "Fraction of inter-hive traffic involving the busiest hive.");
-  for (std::uint32_t s = 0; s < registry.shard_count(); ++s) {
-    const MetricLabels labels{{"shard", std::to_string(s)}};
-    reg.gauge_fn(
-        "beehive_registry_ops_total", labels,
-        [&registry, s] {
-          return static_cast<double>(registry.shard_stats(s).ops);
-        },
-        "Registry operations that locked this shard.",
-        /*counter_semantics=*/true);
-    reg.gauge_fn(
-        "beehive_registry_lock_waits_total", labels,
-        [&registry, s] {
-          return static_cast<double>(registry.shard_stats(s).lock_waits);
-        },
-        "Shard lock acquisitions that contended (try_lock failed).",
-        /*counter_semantics=*/true);
-    reg.gauge_fn(
-        "beehive_registry_lock_wait_us_total", labels,
-        [&registry, s] {
-          return static_cast<double>(registry.shard_stats(s).lock_wait_ns) /
-                 1000.0;
-        },
-        "Microseconds spent blocked on this shard's lock.",
-        /*counter_semantics=*/true);
-    reg.gauge_fn(
-        "beehive_registry_invalidations_total", labels,
-        [&registry, s] {
-          return static_cast<double>(registry.shard_stats(s).invalidations);
-        },
-        "Cache invalidations issued by ownership writes to this shard.",
-        /*counter_semantics=*/true);
-  }
+  reg.gauge_fn(
+      "beehive_registry_ops_total", {},
+      [&registry] { return static_cast<double>(registry.stats().ops); },
+      "Acquisitions of the registry service lock.",
+      /*counter_semantics=*/true);
+  reg.gauge_fn(
+      "beehive_registry_lock_waits_total", {},
+      [&registry] {
+        return static_cast<double>(registry.stats().lock_waits);
+      },
+      "Registry lock acquisitions that contended (try_lock failed).",
+      /*counter_semantics=*/true);
+  reg.gauge_fn(
+      "beehive_registry_lock_wait_us_total", {},
+      [&registry] {
+        return static_cast<double>(registry.stats().lock_wait_ns) / 1000.0;
+      },
+      "Microseconds spent blocked on the registry lock.",
+      /*counter_semantics=*/true);
+  reg.gauge_fn(
+      "beehive_registry_invalidations_total", {},
+      [&registry] {
+        return static_cast<double>(registry.stats().invalidations);
+      },
+      "Cache invalidations issued by registry ownership writes.",
+      /*counter_semantics=*/true);
 }
 
 }  // namespace
@@ -108,13 +101,9 @@ HealthReport ClusterBase::health_report(
     h.suspected = suspected(h.hive);
     report.hives.push_back(h);
   }
-  report.registry_shards.reserve(registry_.shard_count());
-  for (std::uint32_t s = 0; s < registry_.shard_count(); ++s) {
-    const RegistryShardStats stats = registry_.shard_stats(s);
-    report.registry_shards.push_back({s, stats.ops, stats.lock_waits,
-                                      stats.lock_wait_ns / 1000,
-                                      stats.invalidations, stats.resolves});
-  }
+  const RegistryStats stats = registry_.stats();
+  report.registry = {stats.ops, stats.lock_waits, stats.lock_wait_ns / 1000,
+                     stats.invalidations, stats.resolves};
   return report;
 }
 

@@ -39,11 +39,11 @@ struct ClusterConfig {
   /// traces that end slow, shed or failed. Applied to every per-hive
   /// recorder when tracing is on.
   TailSamplerConfig tail;
-  /// Own a MetricsRegistry and register every hive's counters, gauges,
-  /// latency histograms and rate rings into it. Registration happens once,
-  /// at construction; the per-message hot path is unchanged (the counters
-  /// are the same atomic cells either way), and windowed values are
-  /// published once per metrics report. The registry, and therefore
+  /// Own a MetricsRegistry and expose every hive's counter and latency
+  /// cells, its signal pull-gauges and the cluster's channel and registry
+  /// totals in it. Registration happens once, at construction; the
+  /// per-message hot path is unchanged (the cells are written either way),
+  /// and every scrape reads them live. The registry, and therefore
   /// /metrics via net/http_export.h, is safe to scrape from any thread.
   bool metrics = true;
   /// Keep a bounded ring of recent log lines and decisions per hive
@@ -104,8 +104,8 @@ class ClusterBase : public RuntimeEnv {
   /// A runtime's constructor calls it once, before anything runs.
   void build_hives(const AppSet& apps);
 
-  /// Every hive's health snapshot as of its last metrics report, plus one
-  /// row per registry shard; `suspected(hive)` marks the hives to flag.
+  /// Every hive's health snapshot as of its last metrics report, plus the
+  /// registry's stats row; `suspected(hive)` marks the hives to flag.
   HealthReport health_report(
       TimePoint at, const std::function<bool(HiveId)>& suspected) const;
 

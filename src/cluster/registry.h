@@ -18,24 +18,17 @@
 // obligation of paper §2), the registry atomically reassigns all involved
 // cells to a winner and reports the losers so the hives can merge state.
 //
-// -- Control-plane scale (DESIGN.md §13) ------------------------------------
-// The service is internally partitioned into N independent shards by
-// cell-key hash. Each shard owns its own mutex, ownership tables, bee
-// records (a bee is "homed" in the shard of the cells it was created for)
-// and cacher lists, so resolves against disjoint key ranges never contend.
-// The public API is unchanged: a thin router computes the set of shards an
-// operation touches and locks exactly those, in ascending index order;
-// when the decision turns out to involve bees homed elsewhere (a
-// cross-shard merge), the router releases everything and retries with the
-// expanded set — the classic lock-coupling restart, which single-shard
-// steady-state traffic never pays.
+// -- One lock (DESIGN.md §13) ------------------------------------------------
+// One mutex guards the whole service: the ownership tables, the bee
+// records, the cacher sets, the hooks, the client list, the bee-id
+// counters and the stats row. Steady-state resolves never reach it: each
+// hive's client cache answers them. A client's cache miss is filled by the
+// service before it releases the lock, so a concurrent ownership write
+// either lands first (the fill sees it) or invalidates the fresh entry.
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -84,14 +77,20 @@ struct ResolveOutcome {
   std::vector<Loser> losers;
 };
 
-/// One shard's contention/throughput counters, for /metrics and beectl.
-struct RegistryShardStats {
-  std::uint64_t ops = 0;            ///< locked operations through the shard
+/// The service's lock and throughput counters, for /metrics, /health.json
+/// and beectl.
+struct RegistryStats {
+  std::uint64_t ops = 0;            ///< acquisitions of the service lock
   std::uint64_t lock_waits = 0;     ///< acquisitions that contended
   std::uint64_t lock_wait_ns = 0;   ///< total time spent waiting for the lock
   std::uint64_t invalidations = 0;  ///< cache-invalidation events issued
-  std::uint64_t resolves = 0;       ///< resolve decisions anchored here
+  std::uint64_t resolves = 0;       ///< resolve decisions
 };
+
+/// Shim for beebench, which still sums per-shard rows: the service has one
+/// row. Deleted with shard_count()/shard_stats() when beebench reads
+/// RegistryService::stats().
+using RegistryShardStats = RegistryStats;
 
 /// The hive the registry service logically runs on. Its own lookups are
 /// local and lossless; every other hive's RPCs cross the metered channel.
@@ -101,22 +100,14 @@ inline constexpr HiveId kRegistryHive = 0;
 
 class RegistryService {
  public:
-  /// Default shard count; 8 keeps single-lock behavior measurable in
-  /// benches (pass 1) while removing the global-mutex hotspot by default.
-  static constexpr std::size_t kDefaultShards = 8;
-  /// Shard sets are tracked as a 64-bit mask; counts are clamped to this.
-  static constexpr std::size_t kMaxShards = 64;
-  /// Sentinel shard index: home_of's answer for a bee id it does not know.
-  static constexpr std::uint32_t kAllShards = 0xffffffffu;
-
   /// `meter` may be null (tests). The service logically runs on
   /// kRegistryHive: RPCs from other hives are billed to the channel.
-  RegistryService(std::size_t n_hives, ChannelMeter* meter,
-                  std::size_t n_shards = kDefaultShards);
+  RegistryService(std::size_t n_hives, ChannelMeter* meter);
 
   /// Benches override initial placement (the paper's "artificially assign
   /// the cells of all switches to the bees on the first hive"). Returning
-  /// the requester's id reproduces the default local-creation rule.
+  /// the requester's id reproduces the default local-creation rule. The
+  /// hook runs under the service lock and must not call the registry.
   using PlacementHook =
       std::function<HiveId(AppId, const CellSet&, HiveId requester)>;
   void set_placement_hook(PlacementHook hook);
@@ -157,11 +148,6 @@ class RegistryService {
   bool cancel_migration(BeeId bee, HiveId origin, HiveId requester,
                         TimePoint now);
 
-  /// Registers one additional state transfer decided into `bee` outside a
-  /// resolve. Keeps the fence accounting balanced for paths the resolve
-  /// did not count.
-  void add_expected_transfer(BeeId bee);
-
   /// Resets a bee's transfer fence (crash recovery: the adopted bee starts
   /// from replica state with fresh counters; transfers in flight to the
   /// dead hive are lost by definition).
@@ -178,24 +164,27 @@ class RegistryService {
   /// Follows the forwarding chain to the live successor of `bee`.
   BeeId live_successor(BeeId bee) const;
 
-  const BeeRecord* find(BeeId bee) const;
+  /// A copy of `bee`'s record (dead or alive); nullopt for unknown ids.
+  std::optional<BeeRecord> find(BeeId bee) const;
   std::vector<BeeRecord> live_bees() const;
   std::size_t live_bee_count() const;
   std::size_t cells_on_hive(HiveId hive) const;
 
-  // -- Sharding introspection ----------------------------------------------
+  /// The stats row. Reading it takes the lock but counts no op, so a
+  /// scrape does not move the figures it reads.
+  RegistryStats stats() const;
 
-  std::size_t shard_count() const { return shards_.size(); }
-  /// Shard owning one cell's table entry. Whole-dict cells hash to the
-  /// dictionary's canonical shard (the one that also holds global owners).
-  std::uint32_t shard_of_cell(AppId app, const CellKey& cell) const;
-  RegistryShardStats shard_stats(std::size_t shard) const;
+  /// Shim for beebench (see RegistryShardStats): one "shard", whose row is
+  /// stats().
+  std::size_t shard_count() const { return 1; }
+  RegistryShardStats shard_stats(std::size_t) const { return stats(); }
 
   // -- Fault injection (lossy RPC channel) ---------------------------------
 
   /// Installed by the cluster runtime: decides whether one RPC attempt
   /// from `requester` is lost on the wire (driven by its FaultPlan and
-  /// seeded RNG). Null = RPCs never fail.
+  /// seeded RNG). Null = RPCs never fail. Runs under the service lock,
+  /// which orders the hook's draws from a shared seeded RNG.
   using RpcFaultHook = std::function<bool(HiveId requester)>;
   void set_rpc_fault_hook(RpcFaultHook hook);
 
@@ -218,120 +207,52 @@ class RegistryService {
  private:
   struct AppTables {
     std::unordered_map<CellKey, BeeId, CellKeyHash> owner;
-    // dict name -> bee owning (dict, "*"), if any (canonical shard only).
+    // dict name -> bee owning (dict, "*"), if any.
     std::unordered_map<std::string, BeeId> global_owner;
-    // dict name -> bees owning at least one cell of the dict in this shard.
+    // dict name -> bees owning at least one cell of the dict.
     std::unordered_map<std::string, std::unordered_set<BeeId>> dict_bees;
   };
 
-  /// One independent partition of the lock service. Records homed here
-  /// never move to another shard, so a (bee -> shard) lookup needs no
-  /// revalidation after its lock is dropped.
-  struct Shard {
-    mutable std::mutex mutex;
-    std::unordered_map<AppId, AppTables> apps;
-    std::unordered_map<BeeId, BeeRecord> bees;  ///< records homed here
-    // Which client hives have each homed bee cached (invalidation fan-out).
-    std::unordered_map<BeeId, std::unordered_set<HiveId>> cachers;
-    // Contention stats (atomics: read lock-free by shard_stats()).
-    std::atomic<std::uint64_t> ops{0};
-    std::atomic<std::uint64_t> lock_waits{0};
-    std::atomic<std::uint64_t> lock_wait_ns{0};
-    std::atomic<std::uint64_t> invalidations{0};
-    std::atomic<std::uint64_t> resolves{0};
-  };
+  /// Takes the service lock, counting one op and, when it contends, the
+  /// wait.
+  std::unique_lock<std::mutex> lock() const;
 
-  /// RAII multi-shard lock: acquires every shard in `mask` in ascending
-  /// index order (the global lock order that makes expand-and-retry safe).
-  class MaskGuard {
-   public:
-    MaskGuard(const RegistryService& svc, std::uint64_t mask);
-    ~MaskGuard();
-    MaskGuard(const MaskGuard&) = delete;
-    MaskGuard& operator=(const MaskGuard&) = delete;
+  // Everything below runs with mutex_ held.
 
-   private:
-    const RegistryService& svc_;
-    std::uint64_t mask_;
-  };
+  /// The record of `bee` (dead or alive), or nullptr.
+  BeeRecord* record_locked(BeeId bee);
+  const BeeRecord* record_locked(BeeId bee) const;
+  /// The live record at the end of `bee`'s forwarding chain, or nullptr.
+  BeeRecord* live_record_locked(BeeId bee);
+  const BeeRecord* live_record_locked(BeeId bee) const;
 
-  static constexpr std::uint64_t bit(std::uint32_t shard) {
-    return std::uint64_t{1} << shard;
-  }
-  std::uint64_t all_mask() const {
-    return shards_.size() >= 64 ? ~std::uint64_t{0}
-                                : (std::uint64_t{1} << shards_.size()) - 1;
-  }
-
-  std::uint32_t dict_shard(AppId app, const std::string& dict) const;
-  std::size_t filter_slot(AppId app, const std::string& dict) const;
-  /// Shards an operation on `cells` must lock before discovery: each key
-  /// cell's shard, the dictionary's canonical shard when a whole-dict
-  /// owner may exist (dict_filter_), and every shard for whole-dict
-  /// requests (absorption scans all partitions).
-  std::uint64_t request_mask(AppId app, const CellSet& cells) const;
-  /// Just the dict_filter_-dependent bits of request_mask: the only bits
-  /// that can appear between the pre-lock mask computation and the
-  /// post-lock re-check (key→shard bits are pure hashes and never move).
-  std::uint64_t filter_mask(AppId app, const CellSet& cells) const;
-
-  void lock_shard(std::uint32_t shard) const;
-  /// Home shard of `bee` (kAllShards when unknown). Lock-free w.r.t. the
-  /// shard mutexes; the stripe mutex guards only one map lookup.
-  std::uint32_t home_of(BeeId bee) const;
-
-  /// Live record of `id` (following forwarding), visible only through
-  /// shards locked in `mask`. When the walk needs a shard outside the
-  /// mask, returns nullptr and ORs that shard into *miss_mask so the
-  /// caller can expand and retry.
-  BeeRecord* find_live_in_mask(BeeId id, std::uint64_t mask,
-                               std::uint64_t* miss_mask,
-                               std::uint32_t* shard_out = nullptr);
-
+  ResolveOutcome resolve_locked(AppId app, const CellSet& cells,
+                                HiveId requester, bool pinned, TimePoint now);
   BeeId allocate_bee_id(HiveId hive);
-  void assign_cells_locked(AppId app, BeeRecord& bee, const CellSet& cells);
+  void assign_cells_locked(AppTables& tables, BeeRecord& bee,
+                           const CellSet& cells);
   void bill_rpc(HiveId requester, std::size_t request_bytes, TimePoint now);
-  /// `home` must be the (locked) shard `rec` is homed in.
-  void invalidate_cachers_locked(Shard& home, const BeeRecord& rec,
-                                 TimePoint now);
-  /// Record lookup + callback under the bee's home shard lock; returns
-  /// false for unknown ids. The workhorse of all single-bee operations.
-  bool with_bee(BeeId bee, const std::function<void(Shard&, BeeRecord&)>& fn);
-  bool with_bee(BeeId bee,
-                const std::function<void(const Shard&, const BeeRecord&)>& fn)
-      const;
+  void invalidate_cachers_locked(const BeeRecord& rec, TimePoint now);
+
+  /// The client's miss paths: one locked call that decides, registers the
+  /// client as a cacher and fills its cache before the lock is released.
+  ResolveOutcome resolve_for(Client& client, AppId app, const CellSet& cells,
+                             bool pinned, TimePoint now);
+  std::optional<HiveId> locate_for(Client& client, BeeId bee, TimePoint now);
 
   std::size_t n_hives_;
   ChannelMeter* meter_;
-  std::vector<std::unique_ptr<Shard>> shards_;
 
-  // bee -> home shard. Striped: tiny critical sections, never held while
-  // taking a shard mutex (home assignments are immutable once written).
-  static constexpr std::size_t kHomeStripes = 16;
-  struct HomeStripe {
-    mutable std::mutex mutex;
-    std::unordered_map<BeeId, std::uint32_t> home;
-  };
-  mutable std::array<HomeStripe, kHomeStripes> home_;
-
-  /// Lock-free "might dict D have a whole-dict owner?" filter (counting,
-  /// never decremented). Slot 0 proves no owner exists, so single-key
-  /// resolves skip the canonical dict shard; false positives only cost an
-  /// extra shard lock. Incremented BEFORE the owning insert commits is not
-  /// needed: assign happens under the canonical shard's lock and readers
-  /// re-check the filter after locking (see resolve_or_create).
-  std::array<std::atomic<std::uint32_t>, 512> dict_filter_{};
-
-  /// Per-hive bee-id counters (lock-free allocation).
-  std::unique_ptr<std::atomic<std::uint32_t>[]> bee_counters_;
-
-  mutable std::mutex misc_mutex_;  ///< hooks, clients
+  mutable std::mutex mutex_;
+  std::unordered_map<AppId, AppTables> apps_;
+  std::unordered_map<BeeId, BeeRecord> bees_;
+  // Which client hives have each bee cached (invalidation fan-out).
+  std::unordered_map<BeeId, std::unordered_set<HiveId>> cachers_;
+  std::vector<std::uint32_t> bee_counters_;  ///< per hive
   PlacementHook placement_hook_;
-  /// Lets the resolve hot path skip the misc_mutex_ hook copy entirely
-  /// when no hook was ever installed (the overwhelmingly common case).
-  std::atomic<bool> has_placement_hook_{false};
   RpcFaultHook rpc_fault_hook_;
   std::vector<Client*> clients_;
+  mutable RegistryStats stats_;
 };
 
 /// Per-hive front end with a Chubby-style cache. Lookups served from the
@@ -344,6 +265,10 @@ class RegistryService {
 /// the client fails the lookup (resolve outcomes report bee == kNoBee,
 /// hive_of returns nullopt) and backs off exponentially — further misses
 /// fail fast, without billing the channel, until the backoff expires.
+///
+/// Lock order is service → client: the service fills and invalidates the
+/// cache under its own lock, so no client path calls the service while it
+/// holds the client mutex.
 class RegistryService::Client {
  public:
   Client(RegistryService& service, HiveId self);
@@ -400,6 +325,10 @@ class RegistryService::Client {
   /// Cache lookup; client mutex held.
   std::optional<ResolveOutcome> try_cache_locked(AppId app,
                                                  const CellSet& cells);
+
+  /// Cache fills; called by the service under its lock.
+  void fill(AppId app, const CellSet& cells, const ResolveOutcome& out);
+  void fill_hive(BeeId bee, HiveId hive);
 
   RegistryService& service_;
   HiveId self_;

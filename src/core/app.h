@@ -78,13 +78,12 @@ struct HandlerBinding {
   HandlerFn handle;
 };
 
+/// An `every*` timer: each period the hive fires a TimerTick that is
+/// dispatched through `binding` like any message of that kind.
 struct TimerBinding {
   std::uint32_t id = 0;
   Duration period = kSecond;
-  HandlerBinding::Kind kind = HandlerBinding::Kind::kMapped;
-  MapFn map;
-  std::string foreach_dict;
-  HandlerFn handle;
+  HandlerBinding binding;
 };
 
 class App {
@@ -163,13 +162,9 @@ class App {
   /// `on TimeOut(period) with cells(map(tick))`: the tick is injected on
   /// the cluster's timer-master hive and routed like any mapped message.
   void every(Duration period, MapFn map, HandlerFn fn) {
-    TimerBinding t;
-    t.id = static_cast<std::uint32_t>(timers_.size());
-    t.period = period;
-    t.kind = HandlerBinding::Kind::kMapped;
-    t.map = std::move(map);
-    t.handle = std::move(fn);
-    timers_.push_back(std::move(t));
+    TimerBinding& t = add_timer(period, HandlerBinding::Kind::kMapped);
+    t.binding.map = std::move(map);
+    t.binding.handle = std::move(fn);
   }
 
   /// `on TimeOut(period) foreach dict`: every hive fires the tick locally
@@ -177,16 +172,21 @@ class App {
   /// invocation per bee per period, cluster-wide (the paper's
   /// "for each switch in S: Query(switch)").
   void every_foreach(Duration period, std::string dict, HandlerFn fn) {
-    TimerBinding t;
-    t.id = static_cast<std::uint32_t>(timers_.size());
-    t.period = period;
-    t.kind = HandlerBinding::Kind::kForeachLocal;
-    t.foreach_dict = std::move(dict);
-    t.handle = std::move(fn);
-    timers_.push_back(std::move(t));
+    TimerBinding& t = add_timer(period, HandlerBinding::Kind::kForeachLocal);
+    t.binding.foreach_dict = std::move(dict);
+    t.binding.handle = std::move(fn);
   }
 
  private:
+  TimerBinding& add_timer(Duration period, HandlerBinding::Kind kind) {
+    TimerBinding& t = timers_.emplace_back();
+    t.id = static_cast<std::uint32_t>(timers_.size() - 1);
+    t.period = period;
+    t.binding.msg_type = msg_type_id<TimerTick>();
+    t.binding.kind = kind;
+    return t;
+  }
+
   std::string name_;
   AppId id_;
   bool pinned_;

@@ -200,7 +200,7 @@ void Hive::start() {
 }
 
 void Hive::inject(MessageEnvelope env) {
-  counters_.injected.bump();  // single-writer: only the loop thread injects
+  counters_.injected.bump();
   ensure_trace(env);
   trace_span(SpanKind::kIngress, env, kNoBee);
   route(env);
@@ -250,7 +250,7 @@ void Hive::dispatch_mapped(App& app, const HandlerBinding& binding,
   if (out.bee == kNoBee) {
     // Registry unreachable (lossy RPC channel, retries exhausted): the
     // message is dropped, like a control-channel loss without transport.
-    ++counters_.registry_failures;
+    counters_.registry_failures.bump();
     if (config_.recorder != nullptr) {
       config_.recorder->note(id_, "registry resolve failed app=" +
                                       app.name() + "; dropped msg type=" +
@@ -262,7 +262,7 @@ void Hive::dispatch_mapped(App& app, const HandlerBinding& binding,
   }
   trace_span(SpanKind::kRegistryResolve, env, out.bee, out.hive);
   if (!out.losers.empty()) {
-    ++counters_.merges_started;
+    counters_.merges_started.bump();
     start_merges(app.id(), out);
   }
   // `cells` is borrowed down the synchronous delivery chain so the local
@@ -307,7 +307,7 @@ void Hive::deliver(BeeId bee, AppId app, HiveId hive,
       if (successor != bee) {
         auto new_hive = registry_client_.hive_of(successor, env_.now());
         if (!new_hive.has_value()) {
-          ++counters_.registry_failures;
+          counters_.registry_failures.bump();
           return;
         }
         deliver(successor, app, *new_hive, env,
@@ -316,10 +316,10 @@ void Hive::deliver(BeeId bee, AppId app, HiveId hive,
       }
       local = &ensure_local_bee(bee, app);
     }
-    ++counters_.routed_local;
+    counters_.routed_local.bump();
     deliver_local(*local, env, min_transfers, mapped);
   } else {
-    ++counters_.routed_remote;
+    counters_.routed_remote.bump();
     send_app_msg(hive, bee, app, min_transfers, env);
   }
 }
@@ -342,7 +342,7 @@ void Hive::deliver_local(Bee& bee, const MessageEnvelope& env,
     if (oc != nullptr && oc->bounded &&
         bee.holdback_size() >= oc->mailbox_limit) {
       if (!bee.hold_bounded(env, *oc, &Hive::is_priority_type)) {
-        ++counters_.shed_total;
+        counters_.shed_total.bump();
         // A mailbox shed terminates the message's causal chain: record the
         // terminal span and let the tail sampler retain the trace (sheds
         // always qualify, independent of latency).
@@ -416,7 +416,7 @@ void Hive::process(Bee& bee, const MessageEnvelope& env,
   } catch (const std::exception& e) {
     // Atomic handler semantics: roll state back, drop emissions.
     ctx.state().rollback();
-    ++counters_.handler_failures;
+    counters_.handler_failures.bump();
     bee.window().handler_failures += 1;
     if (sampled) {
       const std::uint64_t dns = thread_cpu_now_ns() - cpu0;
@@ -540,23 +540,15 @@ std::optional<Hive::Bound> Hive::bind(App& app, const MessageEnvelope& env,
   // policy borrows it (it outlives the handler: process() runs inside the
   // dispatch frame that owns it). Without it — holdback drains, foreach
   // deliveries — Map runs here, once.
+  const HandlerBinding* hb = nullptr;
   if (env.is<TimerTick>()) {
     const TimerTick& tick = env.as<TimerTick>();
     if (tick.app != app.id()) return std::nullopt;
     const TimerBinding* t = app.timer(tick.timer_id);
-    if (t == nullptr) return std::nullopt;
-    Bound b;
-    b.handle = &t->handle;
-    if (t->kind != HandlerBinding::Kind::kMapped) {
-      b.policy = AccessPolicy::local_dict(t->foreach_dict);
-    } else if (mapped != nullptr) {
-      b.policy = AccessPolicy::cells_view(*mapped);
-    } else {
-      b.policy = AccessPolicy::cells(t->map(env));
-    }
-    return b;
+    if (t != nullptr) hb = &t->binding;
+  } else {
+    hb = app.binding_for(env.type());
   }
-  const HandlerBinding* hb = app.binding_for(env.type());
   if (hb == nullptr) return std::nullopt;
   Bound b;
   b.handle = &hb->handle;
@@ -777,7 +769,7 @@ void Hive::handle_app_msg(ByteReader& r) {
   }
   auto hive = registry_client_.hive_of(target, env_.now());
   if (!hive.has_value()) {
-    ++counters_.registry_failures;
+    counters_.registry_failures.bump();
     return;
   }
   // The fence value only meant something for the original target; when
@@ -790,7 +782,7 @@ void Hive::handle_app_msg(ByteReader& r) {
   if (*hive == id_) {
     deliver_local(ensure_local_bee(target, frame_app), env, min);
   } else {
-    ++counters_.forwarded;
+    counters_.forwarded.bump();
     // Stale-cache forward (rare): re-frame through the scratch writer,
     // reusing the received envelope bytes verbatim.
     frame_scratch_.clear();
@@ -810,7 +802,7 @@ void Hive::handle_app_msg(ByteReader& r) {
 void Hive::arm_app_timers() {
   for (const auto& app : apps_.apps()) {
     for (const TimerBinding& timer : app->timers()) {
-      if (timer.kind == HandlerBinding::Kind::kMapped &&
+      if (timer.binding.kind == HandlerBinding::Kind::kMapped &&
           id_ != kTimerMaster) {
         continue;  // mapped ticks fire once cluster-wide.
       }
@@ -831,22 +823,10 @@ void Hive::fire_timer(App& app, const TimerBinding& timer) {
   MessageEnvelope env = MessageEnvelope::make(
       TimerTick{app.id(), timer.id}, 0, kNoBee, id_, env_.now());
   ensure_trace(env);
-  if (timer.kind == HandlerBinding::Kind::kMapped) {
-    CellSet cells = timer.map(env);
-    if (cells.empty()) return;
-    ResolveOutcome out = registry_client_.resolve_or_create(
-        app.id(), cells, app.pinned(), env_.now());
-    if (out.bee == kNoBee) {
-      ++counters_.registry_failures;
-      return;  // registry unreachable; this tick is lost.
-    }
-    if (!out.losers.empty()) {
-      ++counters_.merges_started;
-      start_merges(app.id(), out);
-    }
-    deliver(out.bee, app.id(), out.hive, env, out.transfers_expected, &cells);
+  if (timer.binding.kind == HandlerBinding::Kind::kMapped) {
+    dispatch_mapped(app, timer.binding, env);
   } else {
-    dispatch_foreach_local(app.id(), timer.foreach_dict, env);
+    dispatch_foreach_local(app.id(), timer.binding.foreach_dict, env);
   }
 }
 

@@ -141,9 +141,9 @@ class Hive {
   const StateStore* replica_store(BeeId bee) const;
   std::size_t replica_count() const { return replicas_.size(); }
 
-  /// Routing/protocol counters. Each field is a registry Counter (relaxed
-  /// atomic) so the scrape thread can read while the hive thread writes;
-  /// ++/+=/implicit-uint64_t conversion keep call sites unchanged.
+  /// Routing/protocol counters. Each field is a registry Counter: the
+  /// hive's loop thread is its one writer (Counter::bump), the scrape
+  /// thread reads it live, and it converts to uint64_t implicitly.
   struct Counters {
     Counter injected;
     Counter routed_local;

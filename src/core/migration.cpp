@@ -151,8 +151,8 @@ void Hive::handle_migrate_xfer(const MigrateXferFrame& frame) {
     // it would graft outdated state onto the merge winner. Only a current
     // epoch proves the bee really was frozen when it merged away.
     if (frame.mig_epoch != 0) {
-      const BeeRecord* rec = registry_.find(frame.bee);
-      if (rec == nullptr || rec->mig_epoch != frame.mig_epoch) {
+      const std::optional<BeeRecord> rec = registry_.find(frame.bee);
+      if (!rec.has_value() || rec->mig_epoch != frame.mig_epoch) {
         BH_WARN << "hive " << id_ << ": stale migration transfer for "
                 << "merged-away bee " << to_string_bee(frame.bee)
                 << " dropped";
@@ -204,7 +204,7 @@ void Hive::handle_migrate_xfer(const MigrateXferFrame& frame) {
   bee.store().merge_from(StateStore::from_snapshot(frame.snapshot));
   bee.restore_transfer_counters(frame.transfers_applied,
                                 frame.transfers_required);
-  ++counters_.migrations_in;
+  counters_.migrations_in.bump();
   if (config_.recorder != nullptr) {
     config_.recorder->note(id_, "migrate in bee=" + to_string_bee(frame.bee) +
                                     " from=" +
@@ -238,7 +238,7 @@ void Hive::complete_migration(BeeId bee_id) {
   auto held = bee.take_holdback();
   AppId app = bee.app();
   std::uint64_t required = bee.transfers_required();
-  ++counters_.migrations_out;
+  counters_.migrations_out.bump();
   if (config_.recorder != nullptr) {
     config_.recorder->note(id_, "migrate out bee=" + to_string_bee(bee_id) +
                                     " to=" +
@@ -354,7 +354,7 @@ void Hive::check_migration(BeeId bee_id, std::uint64_t attempt_epoch) {
   --mr.attempts_left;
   mr.timeout *= 2;  // exponential backoff on the ack timeout
   ++mr.attempt;
-  ++counters_.migration_retries;
+  counters_.migration_retries.bump();
   if (config_.recorder != nullptr) {
     config_.recorder->note(id_, "migrate retry bee=" + to_string_bee(bee_id) +
                                     " to=" + std::to_string(mr.to) +
@@ -369,7 +369,7 @@ void Hive::check_migration(BeeId bee_id, std::uint64_t attempt_epoch) {
 /// the registry, so in-flight transfers cannot commit. The bee thaws and
 /// keeps living at its origin; its held-back messages drain locally.
 void Hive::abort_migration(Bee& bee) {
-  ++counters_.migration_aborts;
+  counters_.migration_aborts.bump();
   if (config_.recorder != nullptr) {
     config_.recorder->note(
         id_, "migrate abort bee=" + to_string_bee(bee.id()) + " to=" +

@@ -74,7 +74,7 @@ void ReliableTransport::send(HiveId to, Bytes inner) {
 
 void ReliableTransport::note_shed(HiveId to) {
   counters_.frames_shed.bump();
-  if (shed_counter_ != nullptr) ++*shed_counter_;
+  if (shed_counter_ != nullptr) shed_counter_->bump();
   if (tracing()) trace_link(SpanKind::kShed, to, 0);
 }
 
@@ -144,7 +144,7 @@ void ReliableTransport::retransmit_fired(HiveId to) {
     return;
   }
   if (++peer.rounds > config_.max_rounds) {
-    counters_.frames_abandoned.inc(peer.unacked.size());
+    counters_.frames_abandoned.bump(peer.unacked.size());
     BH_ERROR << "transport on hive " << self_ << ": abandoning "
              << peer.unacked.size() << " unacked frame(s) to hive " << to
              << " after " << config_.max_rounds << " retransmit rounds";

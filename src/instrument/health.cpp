@@ -51,19 +51,11 @@ std::string HealthReport::to_json() const {
     append_signals_json(out, h.signals);
     out += "}";
   }
-  out += "\n  ],\n  \"registry_shards\": [";
-  first = true;
-  for (const RegistryShardHealth& s : registry_shards) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    {\"shard\": " + std::to_string(s.shard) +
-           ", \"ops\": " + std::to_string(s.ops) +
-           ", \"lock_waits\": " + std::to_string(s.lock_waits) +
-           ", \"lock_wait_us\": " + std::to_string(s.lock_wait_us) +
-           ", \"invalidations\": " + std::to_string(s.invalidations) +
-           ", \"resolves\": " + std::to_string(s.resolves) + "}";
-  }
-  out += "\n  ]\n}\n";
+  out += "\n  ],\n  \"registry\": {\"ops\": " + std::to_string(registry.ops) +
+         ", \"lock_waits\": " + std::to_string(registry.lock_waits) +
+         ", \"lock_wait_us\": " + std::to_string(registry.lock_wait_us) +
+         ", \"invalidations\": " + std::to_string(registry.invalidations) +
+         ", \"resolves\": " + std::to_string(registry.resolves) + "}\n}\n";
   return out;
 }
 

@@ -33,10 +33,9 @@ struct HiveHealth {
   double score() const;
 };
 
-/// One registry shard's contention snapshot as carried in health reports
-/// (fed from RegistryService::shard_stats; DESIGN.md §13).
-struct RegistryShardHealth {
-  std::uint32_t shard = 0;
+/// The registry's stats row as carried in health reports (fed from
+/// RegistryService::stats; DESIGN.md §13).
+struct RegistryHealth {
   std::uint64_t ops = 0;
   std::uint64_t lock_waits = 0;
   std::uint64_t lock_wait_us = 0;
@@ -47,8 +46,9 @@ struct RegistryShardHealth {
 struct HealthReport {
   TimePoint at = 0;
   std::vector<HiveHealth> hives;
-  /// Per-shard registry contention; empty when the cluster didn't fill it.
-  std::vector<RegistryShardHealth> registry_shards;
+  /// Registry lock and throughput counters; zero when the cluster didn't
+  /// fill them.
+  RegistryHealth registry;
 
   /// Lowest hive score (100 when empty) — the cluster's headline number.
   double min_score() const;

@@ -154,42 +154,16 @@ MetricsRegistry::Entry* MetricsRegistry::find_locked(
   return nullptr;
 }
 
-Counter& MetricsRegistry::counter(const std::string& name, MetricLabels labels,
-                                  const std::string& help) {
-  std::lock_guard lock(mutex_);
-  if (Entry* e = find_locked(name, labels, Kind::kCounter)) {
-    return *e->counter;
-  }
-  Counter& c = counters_.emplace_back();
-  entries_.push_back(
-      {name, std::move(labels), help, Kind::kCounter, false, &c});
-  return c;
-}
-
-HistogramMetric& MetricsRegistry::histogram(const std::string& name,
-                                            MetricLabels labels,
-                                            const std::string& help) {
-  std::lock_guard lock(mutex_);
-  if (Entry* e = find_locked(name, labels, Kind::kHistogram)) {
-    return *e->histogram;
-  }
-  HistogramMetric& h = histograms_.emplace_back();
-  Entry e{name, std::move(labels), help, Kind::kHistogram};
-  e.histogram = &h;
-  entries_.push_back(std::move(e));
-  return h;
-}
-
 void MetricsRegistry::expose_counter(const std::string& name,
                                      MetricLabels labels, const Counter* cell,
                                      const std::string& help) {
   std::lock_guard lock(mutex_);
   if (Entry* e = find_locked(name, labels, Kind::kCounter)) {
-    e->counter = const_cast<Counter*>(cell);
+    e->counter = cell;
     return;
   }
   Entry e{name, std::move(labels), help, Kind::kCounter};
-  e.counter = const_cast<Counter*>(cell);
+  e.counter = cell;
   entries_.push_back(std::move(e));
 }
 
@@ -199,11 +173,11 @@ void MetricsRegistry::expose_histogram(const std::string& name,
                                        const std::string& help) {
   std::lock_guard lock(mutex_);
   if (Entry* e = find_locked(name, labels, Kind::kHistogram)) {
-    e->histogram = const_cast<HistogramMetric*>(cell);
+    e->histogram = cell;
     return;
   }
   Entry e{name, std::move(labels), help, Kind::kHistogram};
-  e.histogram = const_cast<HistogramMetric*>(cell);
+  e.histogram = cell;
   entries_.push_back(std::move(e));
 }
 
@@ -225,8 +199,8 @@ std::string MetricsRegistry::prometheus_text() const {
   // Copy the entry list under the lock, then render without it: pull
   // gauges (kFn) run user callbacks that may themselves touch the
   // registry, which would self-deadlock on the non-recursive mutex. The
-  // copied entries point at deque cells that are never removed, so they
-  // stay valid after release.
+  // copied entries point at exposed cells, which outlive every scrape
+  // (see expose_counter).
   std::vector<Entry> entries;
   {
     std::lock_guard lock(mutex_);

@@ -5,15 +5,14 @@
 // registers two kinds of series: exposed cells (a hive's routing Counters
 // and its queue/handler/e2e HistogramMetrics, the reliable transport's
 // Counters) and pull functions evaluated at scrape time (the hive signal
-// gauges over Hive::health()'s snapshot, channel and registry-shard
-// totals). Callers without a cell of their own (tests, benches) can have
-// the registry own one. A scraper (net/http_export.h serves the Prometheus
+// gauges over Hive::health()'s snapshot, the channel totals and the
+// registry's stats row). A scraper (net/http_export.h serves the Prometheus
 // text format) and tests can read it at any time, including while hive
 // threads run, which is why every cell is an atomic.
 //
-// Hot-path contract: updating a cell (Counter::inc/bump,
-// HistogramMetric::record/bump_at) is O(1) and allocation-free, asserted
-// by tests/test_introspection.cpp with a counting operator new. All
+// Hot-path contract: updating a cell (Counter::bump,
+// HistogramMetric::bump_at) is O(1) and allocation-free, asserted by
+// tests/test_introspection.cpp with a counting operator new. All
 // allocation happens at registration time, which runs once at cluster
 // construction.
 #pragma once
@@ -21,7 +20,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <mutex>
 #include <string>
@@ -38,36 +36,19 @@ namespace beehive {
 /// the exposition output.
 using MetricLabels = std::vector<std::pair<std::string, std::string>>;
 
-/// A monotonically increasing counter. Single atomic cell; writers may be
-/// any thread (hive loops), readers the scrape thread. Relaxed ordering is
-/// sufficient: monitoring tolerates staleness, never tearing.
-///
-/// The cell doubles as a drop-in replacement for the plain uint64_t
-/// counters it re-plumbs (Hive::Counters): ++, += and implicit conversion
-/// keep every existing call site source-compatible.
+/// A monotonically increasing counter cell. Exactly one thread writes it
+/// (each hive's Counters and its transport's counters are written solely
+/// by the hive's loop thread), so an increment is a plain load + store
+/// instead of an atomic read-modify-write; the scrape thread still reads
+/// untorn, monotonic values. Relaxed ordering is sufficient: monitoring
+/// tolerates staleness, never tearing.
 class Counter {
  public:
-  void inc(std::uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
-  std::uint64_t get() const { return v_.load(std::memory_order_relaxed); }
-
-  /// Single-writer increment: plain load + store instead of an atomic RMW.
-  /// Valid only when exactly one thread ever writes this counter (each
-  /// hive's Counters are written solely by its loop thread); concurrent
-  /// readers still see untorn, monotonic values. Saves the locked-op cost
-  /// on the per-message dispatch path.
-  void bump() {
-    v_.store(v_.load(std::memory_order_relaxed) + 1,
+  void bump(std::uint64_t n = 1) {
+    v_.store(v_.load(std::memory_order_relaxed) + n,
              std::memory_order_relaxed);
   }
-
-  Counter& operator++() {
-    inc();
-    return *this;
-  }
-  Counter& operator+=(std::uint64_t n) {
-    inc(n);
-    return *this;
-  }
+  std::uint64_t get() const { return v_.load(std::memory_order_relaxed); }
   operator std::uint64_t() const { return get(); }  // NOLINT: by design
 
  private:
@@ -76,19 +57,10 @@ class Counter {
 
 /// A scrape-safe histogram sharing LatencyHistogram's bucket geometry
 /// (log-bucketed microseconds) but with atomic slots, so a hive thread can
-/// record while the exposition thread reads. Both record paths touch three
-/// slots with relaxed atomics: O(1), allocation-free.
+/// record while the exposition thread reads. A record touches three slots
+/// with relaxed atomics: O(1), allocation-free.
 class HistogramMetric {
  public:
-  /// Any-thread record: atomic read-modify-write on each slot.
-  void record(Duration v) {
-    const std::uint64_t value = v < 0 ? 0 : static_cast<std::uint64_t>(v);
-    buckets_[LatencyHistogram::index(value)].fetch_add(
-        1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(value, std::memory_order_relaxed);
-  }
-
   /// Single-writer record with the bucket index precomputed by the caller
   /// (the Counter::bump contract): plain loads and stores instead of
   /// atomic read-modify-writes. Valid only when one thread ever writes the
@@ -134,15 +106,9 @@ class MetricsRegistry {
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   // -- Registration (allocates; call at startup, not on hot paths) --------
-  // Registering the same (name, labels) twice returns the same object, so
+  // Registering the same (name, labels) twice re-points the one series, so
   // re-created hives (tests constructing clusters in a loop over one
-  // registry) keep accumulating instead of colliding.
-
-  Counter& counter(const std::string& name, MetricLabels labels = {},
-                   const std::string& help = "");
-  HistogramMetric& histogram(const std::string& name,
-                             MetricLabels labels = {},
-                             const std::string& help = "");
+  // registry) replace their predecessors instead of colliding.
 
   /// Exposes an externally owned counter cell (e.g. a Hive::Counters
   /// field) without moving it: every scrape reads the cell itself. The
@@ -183,22 +149,19 @@ class MetricsRegistry {
     std::string help;
     Kind kind = Kind::kCounter;
     bool counter_semantics = false;   // for kFn
-    Counter* counter = nullptr;       // kCounter (owned or exposed)
-    HistogramMetric* histogram = nullptr;  // kHistogram (owned or exposed)
+    const Counter* counter = nullptr;          // kCounter
+    const HistogramMetric* histogram = nullptr;  // kHistogram
     std::function<double()> fn;       // kFn
   };
 
   /// Finds the entry for (name, labels), or nullptr. Throws
   /// std::logic_error when the pair exists with a different kind — e.g.
-  /// counter("x") after histogram("x") — instead of handing back a
-  /// reference into the wrong cell (a null dereference waiting to happen).
+  /// expose_counter("x") after expose_histogram("x") — instead of
+  /// re-pointing the series at the wrong kind of cell.
   Entry* find_locked(const std::string& name, const MetricLabels& labels,
                      Kind kind);
 
   mutable std::mutex mutex_;
-  // Deques: stable addresses for handed-out references as entries grow.
-  std::deque<Counter> counters_;
-  std::deque<HistogramMetric> histograms_;
   std::vector<Entry> entries_;
 };
 

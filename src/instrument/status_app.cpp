@@ -70,24 +70,6 @@ std::vector<TimeSeriesRing::Sample> TimeSeriesRing::snapshot() const {
   return out;
 }
 
-double TimeSeriesRing::rate_per_second() const {
-  if (size_ < 2) return 0.0;
-  const Sample& oldest = samples_[head_];
-  const Sample& newest = samples_[(head_ + size_ - 1) % samples_.size()];
-  const double span_us = static_cast<double>(newest.at - oldest.at);
-  if (span_us <= 0) return 0.0;
-  double sum = 0;
-  for (std::size_t i = 0; i < size_; ++i) {
-    sum += samples_[(head_ + i) % samples_.size()].value;
-  }
-  return sum / (span_us / 1e6);
-}
-
-double TimeSeriesRing::last() const {
-  if (size_ == 0) return 0.0;
-  return samples_[(head_ + size_ - 1) % samples_.size()].value;
-}
-
 void TimeSeriesRing::encode(ByteWriter& w) const {
   w.varint(samples_.size());
   w.varint(size_);

@@ -57,13 +57,6 @@ class TimeSeriesRing {
   /// Samples oldest-first.
   std::vector<Sample> snapshot() const;
 
-  /// Mean value per second over the retained samples: (sum of values) /
-  /// (newest.at - oldest.at). 0 with fewer than two samples.
-  double rate_per_second() const;
-
-  /// Most recent sample's value (0 when empty).
-  double last() const;
-
   void encode(ByteWriter& w) const;
   /// Throws DecodeError when the capacity exceeds kMaxCapacity or the
   /// sample count exceeds the capacity.

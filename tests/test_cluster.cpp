@@ -270,10 +270,12 @@ TEST_F(RegistryTest, ChainedMergeInheritsLoserLedger) {
 }
 
 TEST_F(RegistryTest, AddAndResetExpectedTransfers) {
-  auto out =
-      registry_.resolve_or_create(kApp, CellSet{{"d", "k"}}, 0, false, 0);
-  registry_.add_expected_transfer(out.bee);
-  registry_.add_expected_transfer(out.bee);
+  // Two merge losers add one expected transfer each to the winner.
+  registry_.resolve_or_create(kApp, CellSet{{"d", "a"}}, 0, false, 0);
+  registry_.resolve_or_create(kApp, CellSet{{"d", "b"}}, 1, false, 0);
+  registry_.resolve_or_create(kApp, CellSet{{"d", "c"}}, 2, false, 0);
+  auto out = registry_.resolve_or_create(
+      kApp, CellSet{{"d", "a"}, {"d", "b"}, {"d", "c"}}, 3, false, 0);
   EXPECT_EQ(registry_.expected_transfers(out.bee), 2u);
   registry_.reset_expected_transfers(out.bee);
   EXPECT_EQ(registry_.expected_transfers(out.bee), 0u);

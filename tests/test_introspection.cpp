@@ -44,33 +44,33 @@ using testing::CounterApp;
 using testing::I64;
 using testing::Incr;
 
+/// Records `v` the way a hive does: bucket index once, then bump_at.
+void record(HistogramMetric& h, std::uint64_t v) {
+  h.bump_at(LatencyHistogram::index(v), v);
+}
+
 // ---------------------------------------------------------------------------
 // Registry hot path: O(1), allocation-free updates
 // ---------------------------------------------------------------------------
 
 TEST(RegistryHotPath, UpdatesDoNotAllocate) {
   MetricsRegistry reg;
-  Counter& c = reg.counter("hot_counter", {{"hive", "0"}});
-  HistogramMetric& h = reg.histogram("hot_hist");
-  HistogramMetric exposed;  // a hive-owned cell, single writer
+  Counter c;  // hive-owned cells, single writer
+  HistogramMetric exposed;
+  reg.expose_counter("hot_counter", {{"hive", "0"}}, &c);
   reg.expose_histogram("hot_exposed", {}, &exposed);
   TimeSeriesRing ring;
 
   // Warm up once (first touches of lazily-paged memory are not allocs,
   // but keep the measured region strictly steady-state anyway).
-  c.inc();
   c.bump();
-  h.record(123);
   exposed.bump_at(LatencyHistogram::index(123), 123);
   ring.push(0, 1.0);
 
   const std::uint64_t before = testing::allocation_count();
   for (int i = 0; i < 10000; ++i) {
-    c.inc();
-    c += 2;
-    ++c;
     c.bump();
-    h.record(i);
+    c.bump(2);
     exposed.bump_at(LatencyHistogram::index(static_cast<std::uint64_t>(i)),
                     static_cast<std::uint64_t>(i));
     ring.push(i, 2.0);
@@ -79,8 +79,7 @@ TEST(RegistryHotPath, UpdatesDoNotAllocate) {
   EXPECT_EQ(after, before)
       << "metric updates must not allocate on the hot path";
 
-  EXPECT_EQ(c.get(), 2u + 10000u * 5u);
-  EXPECT_EQ(h.count(), 10001u);
+  EXPECT_EQ(c.get(), 1u + 10000u * 3u);
   EXPECT_EQ(exposed.count(), 10001u);
   EXPECT_EQ(ring.size(), ring.capacity());  // wrapped, still bounded
 }
@@ -100,8 +99,9 @@ TEST(PrometheusText, SanitizesNames) {
 
 TEST(PrometheusText, ExactCounterAndGaugeLines) {
   MetricsRegistry reg;
-  Counter& c = reg.counter("msgs_total", {{"hive", "3"}}, "Messages seen");
-  c.inc(5);
+  Counter c;
+  reg.expose_counter("msgs_total", {{"hive", "3"}}, &c, "Messages seen");
+  c.bump(5);
   reg.gauge_fn("depth", {}, [] { return 2.5; }, "Queue depth");
 
   const std::string text = reg.prometheus_text();
@@ -115,7 +115,9 @@ TEST(PrometheusText, ExactCounterAndGaugeLines) {
 
 TEST(PrometheusText, DirtyFamilyNameIsSanitizedInOutput) {
   MetricsRegistry reg;
-  reg.counter("http.requests-total", {{"hive", "1"}}).inc(7);
+  Counter c;
+  c.bump(7);
+  reg.expose_counter("http.requests-total", {{"hive", "1"}}, &c);
   const std::string text = reg.prometheus_text();
   EXPECT_NE(text.find("# TYPE http_requests_total counter\n"),
             std::string::npos);
@@ -126,10 +128,11 @@ TEST(PrometheusText, DirtyFamilyNameIsSanitizedInOutput) {
 
 TEST(PrometheusText, HistogramRendersCumulativeBuckets) {
   MetricsRegistry reg;
-  HistogramMetric& h = reg.histogram("lat_us", {}, "Latency");
-  h.record(3);
-  h.record(3);
-  h.record(200);
+  HistogramMetric h;
+  reg.expose_histogram("lat_us", {}, &h, "Latency");
+  record(h, 3);
+  record(h, 3);
+  record(h, 200);
 
   const std::string text = reg.prometheus_text();
   EXPECT_NE(text.find("# TYPE lat_us histogram\n"), std::string::npos);
@@ -147,10 +150,11 @@ TEST(PrometheusText, HistogramRendersCumulativeBuckets) {
 
 TEST(PrometheusText, HistogramBucketNotCountedAtBoundItStraddles) {
   MetricsRegistry reg;
-  HistogramMetric& h = reg.histogram("lat_us", {}, "Latency");
+  HistogramMetric h;
+  reg.expose_histogram("lat_us", {}, &h, "Latency");
   // 1050us lands in native bucket [1024, 1088), which straddles the
   // le="1024" bound; it must count toward le="4096", not le="1024".
-  h.record(1050);
+  record(h, 1050);
 
   const std::string text = reg.prometheus_text();
   EXPECT_NE(text.find("lat_us_bucket{le=\"1024\"} 0\n"), std::string::npos);
@@ -159,8 +163,12 @@ TEST(PrometheusText, HistogramBucketNotCountedAtBoundItStraddles) {
 
 TEST(PrometheusText, FamilyHeaderPrintsOncePerName) {
   MetricsRegistry reg;
-  reg.counter("family_total", {{"hive", "0"}}).inc(1);
-  reg.counter("family_total", {{"hive", "1"}}).inc(2);
+  Counter h0;
+  Counter h1;
+  h0.bump(1);
+  h1.bump(2);
+  reg.expose_counter("family_total", {{"hive", "0"}}, &h0);
+  reg.expose_counter("family_total", {{"hive", "1"}}, &h1);
   const std::string text = reg.prometheus_text();
 
   std::size_t headers = 0;
@@ -190,7 +198,9 @@ TEST(PrometheusText, PullGaugeHonorsCounterSemantics) {
 
 TEST(PrometheusText, LabelValuesAreEscaped) {
   MetricsRegistry reg;
-  reg.counter("esc_total", {{"path", "a\"b\\c"}}).inc(1);
+  Counter c;
+  c.bump();
+  reg.expose_counter("esc_total", {{"path", "a\"b\\c"}}, &c);
   const std::string text = reg.prometheus_text();
   EXPECT_NE(text.find("esc_total{path=\"a\\\"b\\\\c\"} 1\n"),
             std::string::npos);
@@ -202,18 +212,23 @@ TEST(PrometheusText, LabelValuesAreEscaped) {
 
 TEST(MetricsRegistry, RegistrationDeduplicatesByNameAndLabels) {
   MetricsRegistry reg;
-  Counter& a = reg.counter("c", {{"hive", "0"}});
-  Counter& b = reg.counter("c", {{"hive", "0"}});
-  Counter& other = reg.counter("c", {{"hive", "1"}});
-  EXPECT_EQ(&a, &b);
-  EXPECT_NE(&a, &other);
-  a.inc(3);
-  EXPECT_EQ(b.get(), 3u);
+  Counter a;
+  Counter b;
+  Counter other;
+  a.bump(3);
+  b.bump(5);
+  reg.expose_counter("c", {{"hive", "0"}}, &a);
+  reg.expose_counter("c", {{"hive", "0"}}, &b);  // re-points the series
+  reg.expose_counter("c", {{"hive", "1"}}, &other);
   EXPECT_EQ(reg.series_count(), 2u);
+  const std::string text = reg.prometheus_text();
+  EXPECT_NE(text.find("c{hive=\"0\"} 5\n"), std::string::npos);
+  EXPECT_EQ(text.find("c{hive=\"0\"} 3\n"), std::string::npos);
 
-  HistogramMetric& h1 = reg.histogram("h");
-  HistogramMetric& h2 = reg.histogram("h");
-  EXPECT_EQ(&h1, &h2);
+  HistogramMetric h1;
+  HistogramMetric h2;
+  reg.expose_histogram("h", {}, &h1);
+  reg.expose_histogram("h", {}, &h2);
   EXPECT_EQ(reg.series_count(), 3u);
 }
 
@@ -222,18 +237,21 @@ TEST(MetricsRegistry, KindMismatchOnExistingSeriesThrows) {
   reg.gauge_fn("x", {{"hive", "0"}}, [] { return 1.0; });
   // Same (name, labels) with a different kind must fail loudly instead of
   // dereferencing the wrong (null) cell pointer.
-  EXPECT_THROW(reg.counter("x", {{"hive", "0"}}), std::logic_error);
-  EXPECT_THROW(reg.histogram("x", {{"hive", "0"}}), std::logic_error);
+  Counter counter;
   HistogramMetric cell;
+  EXPECT_THROW(reg.expose_counter("x", {{"hive", "0"}}, &counter),
+               std::logic_error);
   EXPECT_THROW(reg.expose_histogram("x", {{"hive", "0"}}, &cell),
                std::logic_error);
   // Different labels are a different series: any kind is fine.
-  reg.counter("x", {{"hive", "1"}}).inc(1);
+  reg.expose_counter("x", {{"hive", "1"}}, &counter);
 }
 
 TEST(MetricsRegistry, ScrapeCallbacksRunWithoutTheRegistryLock) {
   MetricsRegistry reg;
-  reg.counter("plain_total").inc(2);
+  Counter plain;
+  plain.bump(2);
+  reg.expose_counter("plain_total", {}, &plain);
   // A pull gauge that re-enters the registry during the scrape: with the
   // mutex held across callbacks this self-deadlocks.
   reg.gauge_fn("reentrant", {}, [&reg] {
@@ -247,9 +265,9 @@ TEST(MetricsRegistry, ExposedCounterCellIsRenderedInPlace) {
   MetricsRegistry reg;
   Counter cell;  // externally owned, e.g. a Hive::Counters field
   reg.expose_counter("owned_total", {{"hive", "7"}}, &cell, "External cell");
-  cell += 41;
-  ++cell;
-  EXPECT_EQ(static_cast<std::uint64_t>(cell), 42u);  // drop-in conversions
+  cell.bump(41);
+  cell.bump();
+  EXPECT_EQ(static_cast<std::uint64_t>(cell), 42u);  // implicit conversion
   EXPECT_NE(reg.prometheus_text().find("owned_total{hive=\"7\"} 42\n"),
             std::string::npos);
 }
@@ -261,7 +279,7 @@ TEST(MetricsRegistry, ExposedHistogramCellIsReadAtEveryScrape) {
   EXPECT_NE(reg.prometheus_text().find("owned_us_count{hive=\"7\"} 0\n"),
             std::string::npos);
   cell.bump_at(LatencyHistogram::index(40), 40);
-  cell.record(2);
+  record(cell, 2);
   const std::string text = reg.prometheus_text();
   EXPECT_NE(text.find("# TYPE owned_us histogram\n"), std::string::npos);
   EXPECT_NE(text.find("owned_us_bucket{hive=\"7\",le=\"4\"} 1\n"),
@@ -286,17 +304,7 @@ TEST(TimeSeriesRingTest, WrapsAndSnapshotsOldestFirst) {
   EXPECT_EQ(samples.front().at, 3 * kSecond);  // 1 and 2 evicted
   EXPECT_EQ(samples.back().at, 6 * kSecond);
   EXPECT_DOUBLE_EQ(samples.front().value, 3.0);
-  EXPECT_DOUBLE_EQ(ring.last(), 6.0);
-}
-
-TEST(TimeSeriesRingTest, RatePerSecondAveragesOverSpan) {
-  TimeSeriesRing ring(8);
-  EXPECT_DOUBLE_EQ(ring.rate_per_second(), 0.0);  // empty
-  ring.push(0, 10.0);
-  EXPECT_DOUBLE_EQ(ring.rate_per_second(), 0.0);  // single sample
-  ring.push(2 * kSecond, 30.0);
-  // 40 units over 2 seconds.
-  EXPECT_DOUBLE_EQ(ring.rate_per_second(), 20.0);
+  EXPECT_DOUBLE_EQ(samples.back().value, 6.0);
 }
 
 TEST(TimeSeriesRingTest, WireRoundTripPreservesSamplesAndCapacity) {
@@ -382,20 +390,20 @@ TEST(LatencyHistogramEdge, SparseWireRoundTripKeepsClampBucket) {
 }
 
 TEST(HistogramMetricTest, MergeAndSnapshotMatchPlainHistogram) {
-  // Two plain histograms merged hold what one cell records through both
-  // of its paths: record() (any thread) and bump_at() (single writer).
-  LatencyHistogram any_thread;
-  any_thread.record(42);
-  any_thread.record(10);
-  LatencyHistogram single_writer;
-  single_writer.record(300);
-  single_writer.record(300);
-  LatencyHistogram merged = any_thread;
-  merged.merge(single_writer);
+  // Two plain histograms merged hold what one cell records through
+  // bump_at() from both value sets.
+  LatencyHistogram first;
+  first.record(42);
+  first.record(10);
+  LatencyHistogram second;
+  second.record(300);
+  second.record(300);
+  LatencyHistogram merged = first;
+  merged.merge(second);
 
   HistogramMetric m;
-  m.record(42);
-  m.record(10);
+  m.bump_at(LatencyHistogram::index(42), 42);
+  m.bump_at(LatencyHistogram::index(10), 10);
   m.bump_at(LatencyHistogram::index(300), 300);
   m.bump_at(LatencyHistogram::index(300), 300);
   EXPECT_EQ(m.count(), merged.count());
@@ -924,7 +932,9 @@ std::string http_get(std::uint16_t port, const std::string& path) {
 
 TEST(HttpExport, ServesMetricsStatusJsonAndNotFound) {
   MetricsRegistry reg;
-  reg.counter("beehive_up", {}, "Always 1").inc();
+  Counter up;
+  up.bump();
+  reg.expose_counter("beehive_up", {}, &up, "Always 1");
   HttpExportServer server(reg, /*port=*/0);  // ephemeral
   ASSERT_NE(server.port(), 0);
 
@@ -984,8 +994,10 @@ TEST(HttpExport, LateScrapeAfterDetachGets503NotDestroyedRegistry) {
   // endpoint is torn down must get a clean 503 — never a read of the
   // destroyed registry. The registry dies *before* the server here, which
   // is exactly the ordering detach() exists for.
+  Counter up;
+  up.bump();
   auto registry = std::make_unique<MetricsRegistry>();
-  registry->counter("beehive_up", {}, "Always 1").inc();
+  registry->expose_counter("beehive_up", {}, &up, "Always 1");
   HttpExportServer server(*registry, /*port=*/0);
   const std::uint16_t port = server.port();
 
@@ -1077,12 +1089,19 @@ TEST(HttpExport, DetachWaitsForARequestInsideASource) {
 
 TEST(PrometheusText, EveryFamilyGetsHelpAndTypeHeaders) {
   MetricsRegistry reg;
-  reg.counter("with_help", {}, "Documented counter.").inc();
+  Counter with_help;
+  Counter series0;
+  Counter series1;
+  HistogramMetric hist;
+  with_help.bump();
+  record(hist, 5);
+  reg.expose_counter("with_help", {}, &with_help, "Documented counter.");
   reg.gauge_fn("without_help", {}, [] { return 1.0; });  // no description
-  reg.counter("second_series_help", {{"hive", "0"}});  // first: helpless
-  reg.counter("second_series_help", {{"hive", "1"}},
-              "Help on a later series.");
-  reg.histogram("hist_no_help").record(5);
+  reg.expose_counter("second_series_help", {{"hive", "0"}},
+                     &series0);  // first: helpless
+  reg.expose_counter("second_series_help", {{"hive", "1"}}, &series1,
+                     "Help on a later series.");
+  reg.expose_histogram("hist_no_help", {}, &hist);
 
   const std::string text = reg.prometheus_text();
 
@@ -1127,7 +1146,8 @@ TEST(PrometheusText, EveryFamilyGetsHelpAndTypeHeaders) {
 
 TEST(PrometheusText, HelpTextEscapesBackslashAndNewline) {
   MetricsRegistry reg;
-  reg.counter("tricky", {}, "line one\nline two \\ backslash");
+  Counter tricky;
+  reg.expose_counter("tricky", {}, &tricky, "line one\nline two \\ backslash");
   const std::string text = reg.prometheus_text();
   EXPECT_NE(text.find("# HELP tricky line one\\nline two \\\\ backslash"),
             std::string::npos)

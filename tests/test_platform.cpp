@@ -50,8 +50,8 @@ class PlatformTest : public ::testing::Test {
     auto out = sim.registry().resolve_or_create(
         app, CellSet::single(std::string(CounterApp::kDict), key), 0, false,
         sim.now());
-    const BeeRecord* rec = sim.registry().find(out.bee);
-    EXPECT_NE(rec, nullptr);
+    const std::optional<BeeRecord> rec = sim.registry().find(out.bee);
+    EXPECT_TRUE(rec.has_value());
     Bee* bee = sim.hive(rec->hive).find_bee(out.bee);
     return {*rec, bee};
   }
@@ -68,7 +68,7 @@ class PlatformTest : public ::testing::Test {
     auto out = sim.registry().resolve_or_create(
         app, CellSet::whole_dict(std::string(SinkApp::kDict)), 0, false,
         sim.now());
-    const BeeRecord* rec = sim.registry().find(out.bee);
+    const std::optional<BeeRecord> rec = sim.registry().find(out.bee);
     return sim.hive(rec->hive).find_bee(out.bee);
   }
 

@@ -33,6 +33,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -289,8 +290,7 @@ std::vector<HiveRow> read_hive_rows(const Json& root) {
   return rows;
 }
 
-struct ShardRow {
-  std::uint64_t shard = 0;
+struct RegistryRow {
   std::uint64_t ops = 0;
   std::uint64_t lock_waits = 0;
   std::uint64_t lock_wait_us = 0;
@@ -331,27 +331,23 @@ std::size_t render_frame(const Options& opt, bool clear_screen) {
       http_get(opt.host, opt.port, "/status.json", status_status);
 
   std::vector<HiveRow> hives;
-  std::vector<ShardRow> shards;
+  std::optional<RegistryRow> registry;
   std::map<std::uint64_t, double> hive_pressure;
   double min_score = 100.0;
   if (health_status == 200) {
     Json root;
     if (JsonParser(health_body).parse(root)) {
       min_score = root.number("min_score", 100.0);
-      if (const Json* arr = root.find("registry_shards");
-          arr != nullptr && arr->kind == Json::Kind::kArray) {
-        for (const Json& s : arr->items) {
-          ShardRow row;
-          row.shard = static_cast<std::uint64_t>(s.number("shard"));
-          row.ops = static_cast<std::uint64_t>(s.number("ops"));
-          row.lock_waits =
-              static_cast<std::uint64_t>(s.number("lock_waits"));
-          row.lock_wait_us =
-              static_cast<std::uint64_t>(s.number("lock_wait_us"));
-          row.invalidations =
-              static_cast<std::uint64_t>(s.number("invalidations"));
-          shards.push_back(row);
-        }
+      if (const Json* r = root.find("registry");
+          r != nullptr && r->kind == Json::Kind::kObject) {
+        RegistryRow row;
+        row.ops = static_cast<std::uint64_t>(r->number("ops"));
+        row.lock_waits = static_cast<std::uint64_t>(r->number("lock_waits"));
+        row.lock_wait_us =
+            static_cast<std::uint64_t>(r->number("lock_wait_us"));
+        row.invalidations =
+            static_cast<std::uint64_t>(r->number("invalidations"));
+        registry = row;
       }
       hives = read_hive_rows(root);
     }
@@ -437,19 +433,14 @@ std::size_t render_frame(const Options& opt, bool clear_screen) {
   }
   if (hives.empty()) std::printf("  (no hive rows yet)\n");
 
-  if (!shards.empty()) {
-    // Registry contention by shard (DESIGN.md §13): a single hot shard
-    // (lock waits piling up) is the signal to re-hash or raise the count.
-    std::printf("\n%-5s %12s %8s %10s %8s\n", "SHARD", "OPS", "LOCKW",
-                "WAIT_US", "INVAL");
-    for (const ShardRow& s : shards) {
-      std::printf("%-5llu %12llu %8llu %10llu %8llu\n",
-                  static_cast<unsigned long long>(s.shard),
-                  static_cast<unsigned long long>(s.ops),
-                  static_cast<unsigned long long>(s.lock_waits),
-                  static_cast<unsigned long long>(s.lock_wait_us),
-                  static_cast<unsigned long long>(s.invalidations));
-    }
+  if (registry.has_value()) {
+    // The registry lock (DESIGN.md §13): lock waits piling up mean hives
+    // are missing their client caches.
+    std::printf("\nREGISTRY ops=%llu lockw=%llu wait_us=%llu inval=%llu\n",
+                static_cast<unsigned long long>(registry->ops),
+                static_cast<unsigned long long>(registry->lock_waits),
+                static_cast<unsigned long long>(registry->lock_wait_us),
+                static_cast<unsigned long long>(registry->invalidations));
   }
 
   std::printf("\n%-20s %-18s %5s %6s %6s %8s %10s %9s %s\n", "BEE", "APP",
