@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <future>
+#include <string>
 
 #include "util/logging.h"
 
@@ -15,6 +16,23 @@
 #endif
 
 namespace beehive {
+
+namespace {
+// How long a loop whose turn left its queue empty spins before it parks
+// (DESIGN.md §12). A hand-off that arrives within it costs no futex wake
+// and no wake-up of an idle CPU. The smallest budget that kept the
+// benchmark's latency gain; a longer one only burns CPU on idle loops.
+constexpr std::chrono::microseconds kSpinBudget{20};
+
+// One busy-wait step: lets a sibling hyperthread run and saves power.
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield" ::: "memory");
+#endif
+}
+}  // namespace
 
 #if defined(__linux__)
 namespace {
@@ -47,6 +65,13 @@ ThreadCluster::ThreadCluster(ClusterConfig config, const AppSet& apps)
   nodes_.reserve(config_.n_hives);
   for (std::size_t i = 0; i < config_.n_hives; ++i) {
     nodes_.push_back(std::make_unique<Node>());
+    if (metrics_) {
+      metrics_->expose_counter(
+          "beehive_runq_parks_total", {{"hive", std::to_string(i)}},
+          &nodes_.back()->parks,
+          "Times this hive's loop blocked on its condition variable after "
+          "spinning with nothing to run.");
+    }
   }
   if (metrics_ && config_.tracing) {
     // Critical-path blame totals over the slowest assembled traces
@@ -140,12 +165,13 @@ void ThreadCluster::schedule_after(HiveId hive, Duration delay,
   {
     std::lock_guard lock(node.mutex);
     node.queue.push_back(std::move(task));
+    node.pushed = true;
     node.q_hwm = std::max<std::uint64_t>(
         node.q_hwm, node.queue.size() + node.timed_size);
     wake = node.sleeping;
   }
   // Only a parked loop needs the syscall; a running one swaps this task
-  // out on its next turn.
+  // out on its next turn, and a spinning one sees `pushed`.
   if (wake) node.cv.notify_one();
 }
 
@@ -314,22 +340,36 @@ void ThreadCluster::loop(HiveId id) {
   };
   std::unique_lock lock(node.mutex);
   for (;;) {
-    // Park until a producer pushes, the next timer is due, or stop().
-    node.sleeping = true;
-    if (node.timed.empty()) {
-      node.cv.wait(lock, has_work);
-    } else {
-      node.cv.wait_until(
-          lock, epoch_ + std::chrono::microseconds(node.timed.top().at),
-          has_work);
+    if (!has_work()) {
+      // Spin with the lock released: a push that lands within the budget
+      // starts the next turn with no wake-up.
+      lock.unlock();
+      const bool budget_ran_out = spin(node);
+      lock.lock();
+      if (budget_ran_out) {
+        // Park until a producer pushes, the next timer is due, or stop().
+        // `sleeping` is set and the queue re-checked in one critical
+        // section, so a push after the spin is either seen here or
+        // notifies.
+        node.sleeping = true;
+        if (!has_work()) node.parks.bump();
+        if (node.timed.empty()) {
+          node.cv.wait(lock, has_work);
+        } else {
+          node.cv.wait_until(
+              lock, epoch_ + std::chrono::microseconds(node.timed.top().at),
+              has_work);
+        }
+        node.sleeping = false;
+      }
     }
-    node.sleeping = false;
     if (!running_.load()) return;
 
     // One turn: take everything pushed so far, in push order, and run it
     // with the lock released. `busy` keeps wait_idle from seeing an empty
     // queue while the batch is still executing.
     batch.swap(node.queue);
+    node.pushed = false;
     node.busy = true;
     lock.unlock();
 
@@ -358,6 +398,25 @@ void ThreadCluster::loop(HiveId id) {
     node.timed_size = node.timed.size();
     if (node_idle(node)) node.idle_cv.notify_all();
   }
+}
+
+bool ThreadCluster::spin(const Node& node) const {
+  using Clock = std::chrono::steady_clock;
+  Clock::time_point until = Clock::now() + kSpinBudget;
+  bool budget = true;
+  if (!node.timed.empty()) {
+    const Clock::time_point due =
+        epoch_ + std::chrono::microseconds(node.timed.top().at);
+    if (due < until) {
+      until = due;
+      budget = false;
+    }
+  }
+  while (Clock::now() < until) {
+    if (node.pushed || !running_) return false;
+    cpu_relax();
+  }
+  return budget;
 }
 
 bool ThreadCluster::node_idle(const Node& node) {

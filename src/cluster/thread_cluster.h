@@ -6,15 +6,16 @@
 // vector out once per turn and runs it with the lock released. Because one
 // lock orders every push, each producer's tasks run in the order it pushed
 // them, and frames between two hives arrive in the order they were sent.
-// Delayed tasks are filed into a heap owned by the loop thread. The loop
-// parks on a condition variable when it has nothing to run; producers
-// notify only while it is parked. Bees keep the one-handler-at-a-time
-// discipline while different hives execute concurrently. Frames between
-// hives are in-memory posts, metered on the same ChannelMeter as the
-// simulator. This runtime backs the runnable examples, the concurrency
-// tests, bench/overload_demo and the end-to-end benchmark (beebench/); the
-// other benches and the seeded experiments use the deterministic
-// SimCluster.
+// Delayed tasks are filed into a heap owned by the loop thread. When a turn
+// leaves the queue empty, the loop spins briefly on a "work pushed" flag
+// and only then parks on a condition variable, so a hand-off that follows
+// soon after costs no wake-up; producers notify only a parked loop. Bees
+// keep the one-handler-at-a-time discipline while different hives execute
+// concurrently. Frames between hives are in-memory posts, metered on the
+// same ChannelMeter as the simulator. This runtime backs the runnable
+// examples, the concurrency tests, bench/overload_demo and the end-to-end
+// benchmark (beebench/); the other benches and the seeded experiments use
+// the deterministic SimCluster.
 #pragma once
 
 #include <atomic>
@@ -29,6 +30,7 @@
 
 #include "cluster/cluster.h"
 #include "instrument/blame.h"
+#include "instrument/registry.h"
 
 namespace beehive {
 
@@ -104,6 +106,9 @@ class ThreadCluster final : public ClusterBase {
     /// Delayed tasks, ordered by (due time, sequence). Owned by the loop
     /// thread alone; no lock.
     std::priority_queue<Task, std::vector<Task>, std::greater<>> timed;
+    /// Times the loop parked in cv.wait/wait_until once its spin ran out.
+    /// Written by the loop thread alone; beehive_runq_parks_total.
+    Counter parks;
     /// Guards every field below it: the queue, the park and the idle state.
     std::mutex mutex;
     std::condition_variable cv;       ///< wakes the loop (work arrived, stop)
@@ -111,6 +116,10 @@ class ThreadCluster final : public ClusterBase {
     /// Every cross-thread submission, immediate and delayed, in push order.
     /// The loop swaps the whole vector out once per turn.
     std::vector<Task> queue;
+    /// Set by every push and cleared at the swap, both under the lock, so
+    /// it equals !queue.empty() whenever the lock is free. The loop spins
+    /// on it, lock released, before it parks.
+    std::atomic<bool> pushed{false};
     bool sleeping = false;  ///< loop parked in cv.wait: producers notify
     bool busy = false;      ///< a swapped-out batch has not finished running
     /// Size of the loop's timed heap, published at the end of each turn.
@@ -123,6 +132,9 @@ class ThreadCluster final : public ClusterBase {
 
   /// Hive `id`'s event loop; runs on that hive's thread until stop().
   void loop(HiveId id);
+  /// Spins, lock released, until a push, stop(), the timed heap's head
+  /// falling due, or kSpinBudget. True when the budget ran out: park.
+  bool spin(const Node& node) const;
   void pin_loop_thread(std::size_t hive_index);
   /// Nothing queued, running or timed on `node`. Caller holds node.mutex.
   static bool node_idle(const Node& node);

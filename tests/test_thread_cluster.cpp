@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -272,7 +273,7 @@ TEST_F(ThreadClusterTest, HealthScrapeRacesMetricsReports) {
   EXPECT_GT(scrapes, 0u);
 }
 
-// -- The run loop: quiescence, watermark, pinning ---------------------------
+// -- The run loop: quiescence, watermark, parking, pinning ------------------
 
 class RunLoopTest : public ThreadClusterTest {
  protected:
@@ -373,6 +374,43 @@ TEST_F(RunLoopTest, WatermarkSurfacesInQueueStats) {
   release.store(true, std::memory_order_release);
   cluster.wait_idle();
   EXPECT_GE(cluster.queue_stats(0).hwm, 32u);
+  cluster.stop();
+}
+
+TEST_F(RunLoopTest, ParksAfterTheSpinBudgetAndWakesOnPost) {
+  // A loop left with nothing to run spins only briefly: 20 ms idle is far
+  // past the spin budget, so it must have blocked on its condition
+  // variable, and a post must still wake it. metrics_period = 0 arms no
+  // timer, so nothing else can wake it. The posted closures' captures
+  // outlive the cluster, which joins its loop on destruction.
+  std::atomic<int> ran{0};
+  std::promise<void> woke;
+  ThreadCluster cluster(config(1), apps_);
+  ASSERT_NE(cluster.metrics(), nullptr);
+  cluster.start();
+  const auto parks = [&cluster] {
+    const std::string text = cluster.metrics()->prometheus_text();
+    const std::string series = "beehive_runq_parks_total{hive=\"0\"} ";
+    const std::size_t pos = text.find(series);
+    return pos == std::string::npos
+               ? -1.0
+               : std::atof(text.c_str() + pos + series.size());
+  };
+  cluster.post(0, [&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
+  cluster.wait_idle();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_GE(parks(), 1.0);
+
+  std::future<void> done = woke.get_future();
+  cluster.post(0, [&ran, &woke] {
+    ran.fetch_add(1, std::memory_order_relaxed);
+    woke.set_value();
+  });
+  ASSERT_EQ(done.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready)
+      << "a post to a parked loop did not wake it";
+  cluster.wait_idle();
+  EXPECT_EQ(ran.load(std::memory_order_relaxed), 2);
   cluster.stop();
 }
 
