@@ -46,8 +46,19 @@ const cpu_set_t kStartupCpus = [] {
   if (sched_getaffinity(0, sizeof(set), &set) != 0) CPU_ZERO(&set);
   return set;
 }();
+// A loop spins for work only when the process may use two CPUs or more:
+// on one, a spinning loop holds the CPU its producer needs (DESIGN.md §12).
+const bool kSpins = CPU_COUNT(&kStartupCpus) >= 2;
+}  // namespace
+#else
+namespace {
+const bool kSpins = std::thread::hardware_concurrency() >= 2;
 }  // namespace
 #endif
+
+// The frame task send_frame builds and the std::function that
+// RuntimeEnv::schedule_after hands in are both stored inline.
+static_assert(ThreadCluster::Task::kStoredInline<std::function<void()>>);
 
 ThreadCluster::ThreadCluster(ClusterConfig config, const AppSet& apps)
     : ClusterBase(config),
@@ -66,11 +77,16 @@ ThreadCluster::ThreadCluster(ClusterConfig config, const AppSet& apps)
   for (std::size_t i = 0; i < config_.n_hives; ++i) {
     nodes_.push_back(std::make_unique<Node>());
     if (metrics_) {
+      const std::string hive = std::to_string(i);
       metrics_->expose_counter(
-          "beehive_runq_parks_total", {{"hive", std::to_string(i)}},
-          &nodes_.back()->parks,
+          "beehive_runq_parks_total", {{"hive", hive}}, &nodes_.back()->parks,
           "Times this hive's loop blocked on its condition variable after "
           "spinning with nothing to run.");
+      metrics_->expose_counter(
+          "beehive_runq_spin_ns_total", {{"hive", hive}},
+          &nodes_.back()->spin_ns,
+          "Nanoseconds this hive's loop spun waiting for work; 0 when the "
+          "process has one CPU.");
     }
   }
   if (metrics_ && config_.tracing) {
@@ -149,48 +165,29 @@ void ThreadCluster::stop() {
   }
 }
 
-void ThreadCluster::post(HiveId hive, std::function<void()> fn) {
-  schedule_after(hive, 0, std::move(fn));
-}
-
 void ThreadCluster::schedule_after(HiveId hive, Duration delay,
                                    std::function<void()> fn) {
-  assert(hive < nodes_.size());
-  Node& node = *nodes_[hive];
-  Task task;
-  task.at = delay <= 0 ? 0 : now() + delay;
-  task.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  task.fn = std::move(fn);
-  bool wake = false;
-  {
-    std::lock_guard lock(node.mutex);
-    node.queue.push_back(std::move(task));
-    node.pushed = true;
-    node.q_hwm = std::max<std::uint64_t>(
-        node.q_hwm, node.queue.size() + node.timed_size);
-    wake = node.sleeping;
-  }
-  // Only a parked loop needs the syscall; a running one swaps this task
-  // out on its next turn, and a spinning one sees `pushed`.
-  if (wake) node.cv.notify_one();
+  push(hive, delay, std::move(fn));
 }
 
 void ThreadCluster::send_frame(HiveId from, HiveId to, Bytes frame) {
   assert(from < nodes_.size() && to < nodes_.size());
   meter_.record(from, to, frame.size(), now());
-  // Channel transit spans paired by a cluster-unique frame sequence. The
-  // send side records on the source hive's recorder (we are on its loop
-  // thread), the receive side on the target's — each recorder stays
-  // single-writer.
-  const std::uint64_t frame_seq = next_seq_.fetch_add(1);
+  // Channel transit spans paired by a cluster-unique frame sequence, drawn
+  // only when tracing. The send side records on the source hive's recorder
+  // (we are on its loop thread), the receive side on the target's — each
+  // recorder stays single-writer.
+  TraceRecorder* const sent = tracer(from);
+  const std::uint64_t frame_seq =
+      sent != nullptr ? next_seq_.fetch_add(1, std::memory_order_relaxed) : 0;
   const auto kind = frame.empty()
                         ? MsgTypeId{0}
                         : static_cast<MsgTypeId>(
                               static_cast<unsigned char>(frame[0]));
   const auto bytes = static_cast<std::uint32_t>(frame.size());
-  if (TraceRecorder* t = tracer(from); t != nullptr) {
-    t->record(TraceEvent{now(), SpanKind::kChannelSend, bytes, 0, from,
-                         kNoBee, 0, kind, frame_seq, to});
+  if (sent != nullptr) {
+    sent->record(TraceEvent{now(), SpanKind::kChannelSend, bytes, 0, from,
+                            kNoBee, 0, kind, frame_seq, to});
   }
   // The fault plan decides this frame's fate (drop / duplicate / delay).
   FaultPlan::Delivery fate;
@@ -204,16 +201,16 @@ void ThreadCluster::send_frame(HiveId from, HiveId to, Bytes frame) {
   // single-threaded-per-hive execution discipline.
   for (std::uint8_t copy = 0; copy < fate.copies; ++copy) {
     Bytes payload = (copy + 1 == fate.copies) ? std::move(frame) : frame;
-    schedule_after(to, fate.extra_delay[copy],
-                   [this, from, to, target, frame_seq, kind, bytes,
+    auto deliver = [this, from, to, target, frame_seq, kind, bytes,
                     f = std::move(payload)]() {
-                     if (TraceRecorder* t = tracer(to); t != nullptr) {
-                       t->record(TraceEvent{now(), SpanKind::kChannelRecv,
-                                            bytes, 0, from, kNoBee, 0, kind,
-                                            frame_seq, to});
-                     }
-                     target->on_wire(f);
-                   });
+      if (TraceRecorder* t = tracer(to); t != nullptr) {
+        t->record(TraceEvent{now(), SpanKind::kChannelRecv, bytes, 0, from,
+                             kNoBee, 0, kind, frame_seq, to});
+      }
+      target->on_wire(f);
+    };
+    static_assert(Task::kStoredInline<decltype(deliver)>);
+    push(to, fate.extra_delay[copy], std::move(deliver));
   }
 }
 
@@ -222,7 +219,7 @@ QueueStats ThreadCluster::queue_stats(HiveId hive) {
   Node& node = *nodes_[hive];
   std::lock_guard lock(node.mutex);
   QueueStats qs;
-  qs.depth = node.queue.size() + node.timed_size;
+  qs.depth = node.queue.size() + node.timed_size + node.own_size;
   // Window-watermark semantics: the current depth is the next window's
   // baseline.
   qs.hwm = std::max(node.q_hwm, qs.depth);
@@ -331,22 +328,27 @@ void ThreadCluster::pin_loop_thread(std::size_t hive_index) {
 void ThreadCluster::loop(HiveId id) {
   Node& node = *nodes_[id];
   if (config_.hive.pin_cpu >= 0) pin_loop_thread(id);
-  // Swapped with node.queue each turn and cleared after running: both
-  // vectors keep their capacity, so a steady-state turn allocates nothing.
+  this_loop_ = &node;
+  // Swapped with node.queue and node.own each turn and cleared after
+  // running: every vector keeps its capacity, so a steady-state turn
+  // allocates nothing.
   std::vector<Task> batch;
-  std::vector<std::function<void()>> run;
+  std::vector<Task> own;
   const auto has_work = [&] {
-    return !node.queue.empty() || !running_.load();
+    return !node.queue.empty() || !node.own.empty() || !running_.load();
   };
   std::unique_lock lock(node.mutex);
   for (;;) {
     if (!has_work()) {
       // Spin with the lock released: a push that lands within the budget
       // starts the next turn with no wake-up.
-      lock.unlock();
-      const bool budget_ran_out = spin(node);
-      lock.lock();
-      if (budget_ran_out) {
+      bool park = true;
+      if (kSpins) {
+        lock.unlock();
+        park = spin(node);
+        lock.lock();
+      }
+      if (park) {
         // Park until a producer pushes, the next timer is due, or stop().
         // `sleeping` is set and the queue re-checked in one critical
         // section, so a push after the spin is either seen here or
@@ -363,7 +365,7 @@ void ThreadCluster::loop(HiveId id) {
         node.sleeping = false;
       }
     }
-    if (!running_.load()) return;
+    if (!running_.load()) break;
 
     // One turn: take everything pushed so far, in push order, and run it
     // with the lock released. `busy` keeps wait_idle from seeing an empty
@@ -377,32 +379,46 @@ void ThreadCluster::loop(HiveId id) {
     for (Task& t : batch) {
       if (t.at != 0) node.timed.push(std::move(t));
     }
+    std::uint64_t ran = 0;
     // Due timed tasks run first (they were scheduled for an earlier
-    // instant), ordered by (due time, sequence) ...
+    // instant), ordered by (due time, sequence). Each leaves the heap
+    // before it runs, since it may push onto the heap.
     while (!node.timed.empty() && node.timed.top().at <= current) {
-      run.push_back(std::move(const_cast<Task&>(node.timed.top()).fn));
+      Task task = std::move(const_cast<Task&>(node.timed.top()));
       node.timed.pop();
+      task();
+      ++ran;
     }
-    // ... then this turn's immediate tasks, in push order.
+    // ... then this turn's immediate tasks, in push order ...
     for (Task& t : batch) {
-      if (t.at == 0) run.push_back(std::move(t.fn));
+      if (t.at == 0) {
+        t();
+        ++ran;
+      }
     }
-    batch.clear();
-    for (auto& fn : run) fn();
-    const std::size_t ran = run.size();
-    run.clear();  // releases the closures' captures
+    batch.clear();  // releases the closures' captures
+    // ... then the hive's immediate posts to itself. Those made while
+    // these run wait for the next turn, so a local ping-pong cannot starve
+    // posted work.
+    own.swap(node.own);
+    for (Task& t : own) t();
+    ran += own.size();
+    own.clear();
 
     lock.lock();
     node.busy = false;
     node.q_drained += ran;
     node.timed_size = node.timed.size();
+    node.own_size = node.own.size();
     if (node_idle(node)) node.idle_cv.notify_all();
   }
+  this_loop_ = nullptr;
 }
 
-bool ThreadCluster::spin(const Node& node) const {
+bool ThreadCluster::spin(Node& node) const {
   using Clock = std::chrono::steady_clock;
-  Clock::time_point until = Clock::now() + kSpinBudget;
+  const Clock::time_point start = Clock::now();
+  Clock::time_point until = start + kSpinBudget;
   bool budget = true;
   if (!node.timed.empty()) {
     const Clock::time_point due =
@@ -412,15 +428,20 @@ bool ThreadCluster::spin(const Node& node) const {
       budget = false;
     }
   }
-  while (Clock::now() < until) {
-    if (node.pushed || !running_) return false;
+  Clock::time_point at = start;
+  while (at < until && !node.pushed && running_) {
     cpu_relax();
+    at = Clock::now();
   }
-  return budget;
+  node.spin_ns.bump(static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(at - start)
+          .count()));
+  return budget && at >= until;
 }
 
 bool ThreadCluster::node_idle(const Node& node) {
-  return node.queue.empty() && !node.busy && node.timed_size == 0;
+  return node.queue.empty() && !node.busy && node.timed_size == 0 &&
+         node.own_size == 0;
 }
 
 void ThreadCluster::wait_idle() {

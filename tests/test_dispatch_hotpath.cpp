@@ -531,6 +531,48 @@ TEST(DispatchAllocs, LearningSwitchTableRmwWithinFourAllocsPerPacketIn) {
       << allocs << " allocs for " << n << " packets";
 }
 
+TEST(DispatchAllocs, ThreadedPostAllocatesNothingOnceWarm) {
+  // A run-queue hop stores its closure in the task: posting the shape of
+  // the end-to-end benchmark's inject closure (a Hive* and two envelopes)
+  // allocates nothing once the queue vectors have grown. A vector may still
+  // grow to a new peak when the poster outruns the loop further than
+  // before, hence an average rather than zero.
+  AppSet apps;
+  apps.emplace<CounterApp>();
+  ClusterConfig cfg;
+  cfg.n_hives = 1;
+  cfg.metrics = false;
+  cfg.hive.metrics_period = 0;
+  cfg.hive.timers_until = 0;
+  ThreadCluster cluster(cfg, apps);
+  cluster.start();
+  Hive* target = &cluster.hive(0);
+  const MessageEnvelope incr = MessageEnvelope::make(Incr{"k0", 1});
+  constexpr std::uint64_t kN = 5000;
+  const auto burst = [&cluster, target, &incr] {
+    for (std::uint64_t i = 0; i < kN; ++i) {
+      cluster.post(0, [target, a = incr, b = MessageEnvelope{}]() mutable {
+        target->inject(std::move(a));
+        if (b.has_body()) target->inject(std::move(b));
+      });
+    }
+    cluster.wait_idle();
+  };
+  burst();  // creates the bee, fills the caches, grows the queue vectors
+  burst();
+
+  const std::uint64_t runs_before = cluster.hive(0).counters().handler_runs;
+  const std::uint64_t before = testing::allocation_count();
+  burst();
+  const std::uint64_t allocs = testing::allocation_count() - before;
+  cluster.stop();
+
+  ASSERT_EQ(cluster.hive(0).counters().handler_runs - runs_before, kN);
+  EXPECT_LT(static_cast<double>(allocs) / static_cast<double>(kN), 0.01)
+      << "a warmed threaded post must not allocate; got " << allocs
+      << " allocs for " << kN << " posts";
+}
+
 TEST(DispatchAllocs, RemoteSteadyStateWithinTwoAllocsPerMessage) {
   AppSet apps;
   apps.emplace<CounterApp>();

@@ -6,10 +6,12 @@
 // maximize interleavings.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <future>
 #include <memory>
 #include <string>
@@ -283,7 +285,37 @@ class RunLoopTest : public ThreadClusterTest {
     c.hive.metrics_period = 0;
     return c;
   }
+
+  /// Hive 0's series of the counter `family` in /metrics, or -1 if absent.
+  static double hive0_counter(ThreadCluster& cluster,
+                              const std::string& family) {
+    const std::string text = cluster.metrics()->prometheus_text();
+    const std::string series = family + "{hive=\"0\"} ";
+    const std::size_t pos = text.find(series);
+    return pos == std::string::npos
+               ? -1.0
+               : std::atof(text.c_str() + pos + series.size());
+  }
 };
+
+#if defined(__linux__)
+/// Restores the calling thread's CPU mask on scope exit, and lists the CPUs
+/// it allowed at construction.
+struct AffinityRestore {
+  cpu_set_t saved;
+  AffinityRestore() { sched_getaffinity(0, sizeof(saved), &saved); }
+  ~AffinityRestore() {
+    pthread_setaffinity_np(pthread_self(), sizeof(saved), &saved);
+  }
+  std::vector<int> cpus() const {
+    std::vector<int> out;
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+      if (CPU_ISSET(cpu, &saved)) out.push_back(cpu);
+    }
+    return out;
+  }
+};
+#endif
 
 TEST_F(RunLoopTest, WaitIdleSeesInFlightBatches) {
   // Hammer wait_idle while posting: every time wait_idle returns, all work
@@ -388,18 +420,10 @@ TEST_F(RunLoopTest, ParksAfterTheSpinBudgetAndWakesOnPost) {
   ThreadCluster cluster(config(1), apps_);
   ASSERT_NE(cluster.metrics(), nullptr);
   cluster.start();
-  const auto parks = [&cluster] {
-    const std::string text = cluster.metrics()->prometheus_text();
-    const std::string series = "beehive_runq_parks_total{hive=\"0\"} ";
-    const std::size_t pos = text.find(series);
-    return pos == std::string::npos
-               ? -1.0
-               : std::atof(text.c_str() + pos + series.size());
-  };
   cluster.post(0, [&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
   cluster.wait_idle();
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_GE(parks(), 1.0);
+  EXPECT_GE(hive0_counter(cluster, "beehive_runq_parks_total"), 1.0);
 
   std::future<void> done = woke.get_future();
   cluster.post(0, [&ran, &woke] {
@@ -442,17 +466,8 @@ TEST_F(RunLoopTest, PinningStaysInsideAllowedCpus) {
   // this thread, so restricting the thread first starts the child on the
   // last two allowed CPUs: on an unrestricted machine, not CPUs 0 and 1.
   if (sysconf(_SC_NPROCESSORS_ONLN) < 3) GTEST_SKIP() << "needs 3 CPUs";
-  struct AffinityRestore {
-    cpu_set_t saved;
-    AffinityRestore() { sched_getaffinity(0, sizeof(saved), &saved); }
-    ~AffinityRestore() {
-      pthread_setaffinity_np(pthread_self(), sizeof(saved), &saved);
-    }
-  } restore;
-  std::vector<int> cpus;
-  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
-    if (CPU_ISSET(cpu, &restore.saved)) cpus.push_back(cpu);
-  }
+  const AffinityRestore restore;
+  const std::vector<int> cpus = restore.cpus();
   if (cpus.size() < 2) GTEST_SKIP() << "needs 2 allowed CPUs";
   const int allowed[2] = {cpus[cpus.size() - 2], cpus[cpus.size() - 1]};
   cpu_set_t two;
@@ -487,6 +502,119 @@ TEST_F(RunLoopTest, PinningStaysInsideAllowedCpus) {
       ::testing::ExitedWithCode(0), "");
 }
 #endif
+
+#if defined(__linux__)
+TEST_F(RunLoopTest, DoesNotSpinOnOneCpu) {
+  // A process started on one CPU parks a loop as soon as it runs dry: a
+  // spinning loop would hold the CPU its producer needs. On two CPUs the
+  // loop spins first. Each case re-executes this binary (a threadsafe death
+  // test, as above) on the first one or two allowed CPUs and reads the
+  // loop's spin counter after 100 post/wait_idle round trips.
+  const AffinityRestore restore;
+  const std::vector<int> cpus = restore.cpus();
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  for (const std::size_t n : {1u, 2u}) {
+    if (cpus.size() < n) break;
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    for (std::size_t i = 0; i < n; ++i) CPU_SET(cpus[i], &set);
+    ASSERT_EQ(pthread_setaffinity_np(pthread_self(), sizeof(set), &set), 0);
+    EXPECT_EXIT(
+        {
+          ThreadCluster cluster(config(1), apps_);
+          cluster.start();
+          for (int i = 0; i < 100; ++i) {
+            cluster.post(0, [] {});
+            cluster.wait_idle();
+          }
+          // A producer that preempts the loop each time it wakes can land
+          // every post before the spin's first check, so wait for a park:
+          // on two CPUs, only a spin that ran out its budget precedes one.
+          const auto deadline =
+              std::chrono::steady_clock::now() + std::chrono::seconds(10);
+          while (hive0_counter(cluster, "beehive_runq_parks_total") < 1.0 &&
+                 std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          }
+          const double spun =
+              hive0_counter(cluster, "beehive_runq_spin_ns_total");
+          cluster.stop();
+          std::exit((n == 1 ? spun == 0.0 : spun > 0.0) ? 0 : 1);
+        },
+        ::testing::ExitedWithCode(0), "")
+        << "spin counter wrong on " << n << " CPU(s)";
+  }
+}
+#endif
+
+TEST_F(RunLoopTest, OversizedClosureFallsBackToTheHeap) {
+  // A closure too large for a task's inline buffer is allocated on the
+  // heap. Enough of them to grow the queue vector (moving every task) must
+  // still each run once and release their captures once run.
+  constexpr int kPosts = 100;
+  ThreadCluster cluster(config(1), apps_);
+  cluster.start();
+  auto value = std::make_shared<int>(7);
+  std::atomic<int> ran{0};
+  std::array<unsigned char, 256> pad{};
+  pad.back() = 1;
+  for (int i = 0; i < kPosts; ++i) {
+    auto fn = [value, pad, &ran] {
+      ran.fetch_add(pad.back(), std::memory_order_relaxed);
+    };
+    static_assert(!ThreadCluster::Task::kStoredInline<decltype(fn)>);
+    cluster.post(0, std::move(fn));
+  }
+  cluster.wait_idle();
+  EXPECT_EQ(ran.load(std::memory_order_relaxed), kPosts);
+  EXPECT_EQ(value.use_count(), 1);
+  cluster.stop();
+}
+
+TEST_F(RunLoopTest, OwnPostsRunAtTurnEndWithoutStarvingPostedWork) {
+  // A task that re-posts itself from its loop runs once per turn, and each
+  // turn first runs what other threads pushed before it. So a chain of at
+  // least kLinks links, which ends only a link after it has seen the
+  // producer finish, finds every one of the producer's posts run.
+  // wait_idle must not return while a link is pending.
+  constexpr std::uint64_t kLinks = 10'000;
+  constexpr std::uint64_t kPosts = 1'000;
+  ThreadCluster cluster(config(1), apps_);
+  cluster.start();
+  std::atomic<bool> produced{false};
+  std::atomic<bool> chain_done{false};
+  // Touched only on the loop thread until wait_idle returns.
+  std::uint64_t external = 0;
+  std::uint64_t links = 0;
+  std::uint64_t external_at_end = 0;
+  bool saw_produced = false;
+  std::function<void()> link = [&] {
+    ++links;
+    if (links >= kLinks && saw_produced) {
+      external_at_end = external;
+      chain_done.store(true, std::memory_order_release);
+      return;
+    }
+    saw_produced = produced.load(std::memory_order_acquire);
+    cluster.post(0, link);
+  };
+  cluster.post(0, link);
+  std::thread producer([&cluster, &external, &produced] {
+    for (std::uint64_t i = 0; i < kPosts; ++i) {
+      cluster.post(0, [&external] { ++external; });
+    }
+    produced.store(true, std::memory_order_release);
+  });
+  cluster.wait_idle();
+  EXPECT_TRUE(chain_done.load(std::memory_order_acquire))
+      << "wait_idle returned with an own post pending";
+  producer.join();
+  cluster.wait_idle();
+  cluster.stop();
+  EXPECT_GE(links, kLinks);
+  EXPECT_EQ(external_at_end, kPosts)
+      << "the chain's own posts starved the producer's posts";
+}
 
 // -- FIFO on real threads ----------------------------------------------------
 
