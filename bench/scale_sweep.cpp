@@ -78,7 +78,6 @@ ClusterView synth_view(std::uint64_t seed, std::size_t n_bees,
     if (active) {
       bee.msgs_in = 16 + rng.next_below(1024);
       bee.cost_us = rng.next_below(4) == 0 ? bee.msgs_in * 3 : 0;
-      bee.handler_invocations = bee.msgs_in;
       // Skewed inbound row: a majority source plus two minor ones, so
       // greedy/costpressure find real candidates.
       const auto major = static_cast<HiveId>(rng.next_below(n_hives));

@@ -136,10 +136,9 @@ class Bee {
   /// Map element addresses are stable under insertion, so the cached
   /// pointers stay valid until reset_window() replaces the maps (which
   /// invalidates the memo).
-  void note_receive(BeeId from, HiveId from_hive, std::size_t bytes,
+  void note_receive(BeeId from, HiveId from_hive,
                     bool count_provenance = true, MsgTypeId type = 0) {
     window_.msgs_in += 1;
-    window_.bytes_in += bytes;
     if (memo_.valid && memo_.from == from && memo_.from_hive == from_hive &&
         memo_.type == type && memo_.provenance == count_provenance) {
       if (memo_.type_count != nullptr) ++*memo_.type_count;
@@ -157,19 +156,15 @@ class Bee {
     memo_.valid = true;
   }
 
-  void note_emit(MsgTypeId in_reply_to, MsgTypeId emitted, std::size_t bytes) {
-    window_.on_emit(in_reply_to, emitted, bytes);
+  void note_emit(MsgTypeId in_reply_to, MsgTypeId emitted) {
+    ++window_.causation[{in_reply_to, emitted}];
   }
 
   /// Charges one sampled handler run's thread-CPU nanoseconds (profiler;
   /// see instrument/profiler.h for the sampling discipline).
   void note_cost(std::uint64_t sampled_ns) {
     window_.cost_ns_sampled += sampled_ns;
-    window_.cost_samples += 1;
   }
-
-  /// Counts one transaction's committed write records.
-  void note_txn_ops(std::uint64_t n) { window_.txn_ops += n; }
 
   void reset_window() {
     window_ = BeeMetrics{};

@@ -327,7 +327,7 @@ void Hive::deliver(BeeId bee, AppId app, HiveId hive,
 void Hive::deliver_local(Bee& bee, const MessageEnvelope& env,
                          std::uint64_t min_transfers, const CellSet* mapped) {
   bee.note_required_transfers(min_transfers);
-  bee.note_receive(env.from_bee(), env.from_hive(), env.wire_size(),
+  bee.note_receive(env.from_bee(), env.from_hive(),
                    /*count_provenance=*/!env.is<TimerTick>(), env.type());
   // Hold when the transfer fence is up — and also behind an existing
   // holdback, so per-bee arrival order is preserved. The borrowed Map
@@ -378,7 +378,6 @@ void Hive::process(Bee& bee, const MessageEnvelope& env,
   if (!bound) return;
 
   counters_.handler_runs.bump();
-  bee.window().handler_invocations += 1;
 
   const TimePoint started = env_.now();
   const Duration queued = started - env.emitted_at();
@@ -407,7 +406,7 @@ void Hive::process(Bee& bee, const MessageEnvelope& env,
   TraceLogScope log_scope(env.trace_id(), env.causal_depth());
   // Cost sampling: every activation pays the tick (one increment + mask
   // test); the sampled Nth additionally reads the thread CPU clock around
-  // the handler and charges the measured time to the bee and its cells.
+  // the handler and charges the measured time to the bee.
   const bool sampled = profiler_.tick();
   const std::uint64_t cpu0 = sampled ? thread_cpu_now_ns() : 0;
   try {
@@ -417,12 +416,7 @@ void Hive::process(Bee& bee, const MessageEnvelope& env,
     // Atomic handler semantics: roll state back, drop emissions.
     ctx.state().rollback();
     counters_.handler_failures.bump();
-    bee.window().handler_failures += 1;
-    if (sampled) {
-      const std::uint64_t dns = thread_cpu_now_ns() - cpu0;
-      bee.note_cost(dns);
-      profiler_.attribute(ctx.state().policy(), bee.app(), dns);
-    }
+    if (sampled) bee.note_cost(thread_cpu_now_ns() - cpu0);
     record_latency(bee, queued, env_.now() - started);
     trace_span(SpanKind::kHandlerEnd, env, bee.id(), 0, /*failed=*/1);
     // Failed traces always qualify for tail retention.
@@ -441,12 +435,7 @@ void Hive::process(Bee& bee, const MessageEnvelope& env,
     return;
   }
 
-  if (sampled) {
-    const std::uint64_t dns = thread_cpu_now_ns() - cpu0;
-    bee.note_cost(dns);
-    profiler_.attribute(ctx.state().policy(), bee.app(), dns);
-  }
-  bee.note_txn_ops(ctx.state().writes().size());
+  if (sampled) bee.note_cost(thread_cpu_now_ns() - cpu0);
 
   const TimePoint ended = env_.now();
   record_latency(bee, queued, ended - started);
@@ -473,7 +462,7 @@ void Hive::process(Bee& bee, const MessageEnvelope& env,
   // Emissions wait in the outbox; the end-of-turn flush routes them.
   for (MessageEnvelope& out : ctx.emitted()) {
     out.inherit_trace(env);
-    bee.note_emit(env.type(), out.type(), out.wire_size());
+    bee.note_emit(env.type(), out.type());
     trace_span(SpanKind::kEnqueue, out, bee.id());
     outbox_.push_back(std::move(out));
   }
@@ -489,7 +478,6 @@ void Hive::process(Bee& bee, const MessageEnvelope& env,
     stats.last_us.store(note.duration_us, std::memory_order_relaxed);
     stats.rounds.fetch_add(1, std::memory_order_relaxed);
     stats.scored.fetch_add(note.scored, std::memory_order_relaxed);
-    stats.moves.fetch_add(note.moves, std::memory_order_relaxed);
   }
 }
 
@@ -853,18 +841,10 @@ void Hive::report_metrics() {
     sample.hive = id_;
     const BeeMetrics& w = bee->window();
     sample.msgs_in = w.msgs_in;
-    sample.msgs_out = w.msgs_out;
-    sample.bytes_in = w.bytes_in;
-    sample.bytes_out = w.bytes_out;
-    sample.handler_invocations = w.handler_invocations;
-    sample.handler_failures = w.handler_failures;
     sample.handler_p99_us = w.handler_latency.p99();
     handler_window.merge(w.handler_latency);
     sample.cost_us = w.cost_ns_sampled * profiler_.scale() / 1000;
-    sample.cost_samples = w.cost_samples;
-    sample.txn_ops = w.txn_ops;
     sample.cells = bee->store().all_cells().size();
-    sample.state_bytes = bee->store().byte_size();
     sample.holdback = bee->holdback_size();
     if (const App* app = apps_.find(bee->app())) {
       sample.pinned = app->pinned();

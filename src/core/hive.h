@@ -181,9 +181,6 @@ class Hive {
 
   // -- Cost / pressure / health (DESIGN.md §9) ----------------------------
 
-  /// The hive's sampling cost profiler (heat table, activation counts).
-  const CostProfiler& profiler() const { return profiler_; }
-
   /// Snapshot of this hive's health signals, as of the last metrics
   /// report. Safe to call from any thread (the HTTP export path): copies
   /// the signals report_metrics() last wrote. `suspected` is always
@@ -407,7 +404,6 @@ class Hive {
     std::atomic<std::uint64_t> last_us{0};
     std::atomic<std::uint64_t> rounds{0};
     std::atomic<std::uint64_t> scored{0};
-    std::atomic<std::uint64_t> moves{0};
   };
   PlacementRoundStats round_full_;
   PlacementRoundStats round_incremental_;

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "msg/registry.h"
+#include "util/logging.h"
 
 namespace beehive {
 
@@ -16,27 +17,6 @@ namespace {
 
 std::uint64_t ud(Duration d) {
   return d > 0 ? static_cast<std::uint64_t>(d) : 0;
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += ' ';
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 std::string msg_name(MsgTypeId type) {

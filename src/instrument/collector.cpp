@@ -83,8 +83,6 @@ CollectorApp::CollectorApp(std::shared_ptr<PlacementStrategy> strategy,
           agg.pinned = sample.pinned;
           agg.cells = sample.cells;
           agg.msgs_in_window += sample.msgs_in;
-          agg.handler_invocations += sample.handler_invocations;
-          agg.handler_failures += sample.handler_failures;
           agg.cost_us_window += sample.cost_us;
           for (const BeeMetricsSample::SourceCount& src : sample.sources) {
             agg.add_inbound(src.from_hive, src.count);
@@ -158,8 +156,6 @@ CollectorApp::CollectorApp(std::shared_ptr<PlacementStrategy> strategy,
           bee.dirty = dirty;
           bee.cells = agg.cells;
           bee.msgs_in = agg.msgs_in_window;
-          bee.handler_invocations = agg.handler_invocations;
-          bee.handler_failures = agg.handler_failures;
           bee.cost_us = agg.cost_us_window;
           for (const auto& [hive, count] : agg.inbound_by_hive) {
             bee.inbound_by_hive[hive] += count;
@@ -232,7 +228,7 @@ CollectorApp::CollectorApp(std::shared_ptr<PlacementStrategy> strategy,
           }
         }
         ctx.note_round({full ? "full" : "incremental", view.bees.size(),
-                        static_cast<std::uint64_t>(wall_us), moves.size()});
+                        static_cast<std::uint64_t>(wall_us)});
         for (const std::string& key : keys) {
           ctx.state().erase(bees, key);
         }
@@ -314,8 +310,6 @@ ClusterView CollectorApp::view_from_store(const StateStore& store,
       bee.pinned = agg.pinned;
       bee.cells = agg.cells;
       bee.msgs_in = agg.msgs_in_window;
-      bee.handler_invocations = agg.handler_invocations;
-      bee.handler_failures = agg.handler_failures;
       bee.cost_us = agg.cost_us_window;
       for (const auto& [hive, count] : agg.inbound_by_hive) {
         bee.inbound_by_hive[hive] += count;

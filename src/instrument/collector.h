@@ -31,8 +31,6 @@ struct BeeAgg {
   bool pinned = false;
   std::uint64_t cells = 0;
   std::uint64_t msgs_in_window = 0;
-  std::uint64_t handler_invocations = 0;
-  std::uint64_t handler_failures = 0;
   /// Profiler-estimated handler CPU microseconds accumulated since the
   /// last optimization round (0 when the profiler is off).
   std::uint64_t cost_us_window = 0;
@@ -55,8 +53,6 @@ struct BeeAgg {
     w.boolean(pinned);
     w.varint(cells);
     w.varint(msgs_in_window);
-    w.varint(handler_invocations);
-    w.varint(handler_failures);
     w.varint(cost_us_window);
     w.varint(inbound_by_hive.size());
     for (const auto& [hive, count] : inbound_by_hive) {
@@ -72,8 +68,6 @@ struct BeeAgg {
     a.pinned = r.boolean();
     a.cells = r.varint();
     a.msgs_in_window = r.varint();
-    a.handler_invocations = r.varint();
-    a.handler_failures = r.varint();
     a.cost_us_window = r.varint();
     std::uint64_t n = r.varint();
     for (std::uint64_t i = 0; i < n; ++i) {

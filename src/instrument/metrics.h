@@ -1,7 +1,7 @@
 // Per-bee runtime instrumentation (paper §3, "Runtime Instrumentation").
 //
-// Each bee records how many messages/bytes it handles, where they came
-// from (per-source-bee provenance — the input to the placement optimizer's
+// Each bee records how many messages it handles, where they came from
+// (per-source-bee provenance — the input to the placement optimizer's
 // "majority of messages" rule) and message causation (which input types
 // produce which output types). Hives aggregate these locally and
 // periodically report them to the collector application.
@@ -21,20 +21,11 @@ namespace beehive {
 
 struct BeeMetrics {
   std::uint64_t msgs_in = 0;
-  std::uint64_t msgs_out = 0;
-  std::uint64_t bytes_in = 0;
-  std::uint64_t bytes_out = 0;
-  std::uint64_t handler_invocations = 0;
-  std::uint64_t handler_failures = 0;
 
   /// Cost profiler (instrument/profiler.h): thread-CPU nanoseconds of the
   /// *sampled* handler runs (unscaled — multiply by the sampling period for
-  /// the window estimate), how many runs were sampled, and the committed
-  /// write records the bee's transactions produced. All zero with the
-  /// profiler off.
+  /// the window estimate). Zero with the profiler off.
   std::uint64_t cost_ns_sampled = 0;
-  std::uint64_t cost_samples = 0;
-  std::uint64_t txn_ops = 0;
 
   /// Messages received keyed by (emitting bee, hive it emitted from) — the
   /// provenance the optimizer's "majority of messages from hive H2" rule
@@ -54,12 +45,6 @@ struct BeeMetrics {
   /// The report ships only its p99; the hive's lifetime queue, handler and
   /// e2e distributions live in its own cells (Hive::queue_latency()).
   LatencyHistogram handler_latency;
-
-  void on_emit(MsgTypeId in_reply_to, MsgTypeId emitted, std::size_t bytes) {
-    ++msgs_out;
-    bytes_out += bytes;
-    ++causation[{in_reply_to, emitted}];
-  }
 };
 
 /// One bee's flattened metrics snapshot as shipped to the collector.
@@ -73,13 +58,7 @@ struct BeeMetricsSample {
   std::string app_name;
   HiveId hive = 0;
   std::uint64_t msgs_in = 0;
-  std::uint64_t msgs_out = 0;
-  std::uint64_t bytes_in = 0;
-  std::uint64_t bytes_out = 0;
-  std::uint64_t handler_invocations = 0;
-  std::uint64_t handler_failures = 0;
   std::uint64_t cells = 0;
-  std::uint64_t state_bytes = 0;
   /// Messages held behind the bee's transfer fence at report time — the
   /// instantaneous queue depth the StatusApp surfaces.
   std::uint64_t holdback = 0;
@@ -87,9 +66,6 @@ struct BeeMetricsSample {
   /// Profiler estimate of this bee's handler CPU microseconds over the
   /// window (sampled ns x sampling period / 1000; 0 with the profiler off).
   std::uint64_t cost_us = 0;
-  std::uint64_t cost_samples = 0;
-  /// Committed transaction write records this window.
-  std::uint64_t txn_ops = 0;
   /// Handler-duration p99 over the window (microseconds).
   std::uint64_t handler_p99_us = 0;
 
@@ -160,18 +136,10 @@ struct BeeMetricsSample {
     w.str(app_name);
     w.u32(hive);
     w.varint(msgs_in);
-    w.varint(msgs_out);
-    w.varint(bytes_in);
-    w.varint(bytes_out);
-    w.varint(handler_invocations);
-    w.varint(handler_failures);
     w.varint(cells);
-    w.varint(state_bytes);
     w.varint(holdback);
     w.boolean(pinned);
     w.varint(cost_us);
-    w.varint(cost_samples);
-    w.varint(txn_ops);
     w.varint(handler_p99_us);
     encode_vector(w, sources);
     encode_vector(w, in_types);
@@ -184,18 +152,10 @@ struct BeeMetricsSample {
     s.app_name = r.str();
     s.hive = r.u32();
     s.msgs_in = r.varint();
-    s.msgs_out = r.varint();
-    s.bytes_in = r.varint();
-    s.bytes_out = r.varint();
-    s.handler_invocations = r.varint();
-    s.handler_failures = r.varint();
     s.cells = r.varint();
-    s.state_bytes = r.varint();
     s.holdback = r.varint();
     s.pinned = r.boolean();
     s.cost_us = r.varint();
-    s.cost_samples = r.varint();
-    s.txn_ops = r.varint();
     s.handler_p99_us = r.varint();
     s.sources = decode_vector<BeeMetricsSample::SourceCount>(r);
     s.in_types = decode_vector<BeeMetricsSample::TypeCount>(r);

@@ -1,6 +1,5 @@
 #include "instrument/profiler.h"
 
-#include <algorithm>
 #include <ctime>
 
 namespace beehive {
@@ -14,85 +13,6 @@ std::uint64_t thread_cpu_now_ns() {
 #else
   return 0;
 #endif
-}
-
-void CellHeatTable::add(const std::string& cell, AppId app,
-                        std::uint64_t cost_ns) {
-  std::lock_guard lock(mutex_);
-  for (Row& row : rows_) {
-    if (row.cell == cell) {
-      row.cost_ns += cost_ns;
-      row.samples += 1;
-      return;
-    }
-  }
-  if (rows_.size() < capacity_) {
-    rows_.push_back(Row{cell, app, cost_ns, 1});
-    return;
-  }
-  // Table full: fold into the shared overflow bucket so memory stays
-  // bounded however many cells the application mints.
-  for (Row& row : rows_) {
-    if (row.cell == "(other)") {
-      row.cost_ns += cost_ns;
-      row.samples += 1;
-      return;
-    }
-  }
-  // Capacity is full of named cells; evict nothing, repurpose the coldest
-  // row as the overflow bucket (its history folds in).
-  auto coldest = std::min_element(
-      rows_.begin(), rows_.end(),
-      [](const Row& a, const Row& b) { return a.cost_ns < b.cost_ns; });
-  coldest->cell = "(other)";
-  coldest->app = 0;
-  coldest->cost_ns += cost_ns;
-  coldest->samples += 1;
-}
-
-std::vector<CellHeatTable::Row> CellHeatTable::top(std::size_t n) const {
-  std::vector<Row> out;
-  {
-    std::lock_guard lock(mutex_);
-    out = rows_;
-  }
-  std::sort(out.begin(), out.end(), [](const Row& a, const Row& b) {
-    if (a.cost_ns != b.cost_ns) return a.cost_ns > b.cost_ns;
-    return a.cell < b.cell;
-  });
-  if (out.size() > n) out.resize(n);
-  return out;
-}
-
-std::size_t CellHeatTable::size() const {
-  std::lock_guard lock(mutex_);
-  return rows_.size();
-}
-
-void CellHeatTable::clear() {
-  std::lock_guard lock(mutex_);
-  rows_.clear();
-}
-
-void CostProfiler::attribute(const AccessPolicy& policy, AppId app,
-                             std::uint64_t sampled_ns) {
-  const std::uint64_t scaled = sampled_ns * scale();
-  const CellSet& cells = policy.effective();
-  if (!cells.empty()) {
-    const std::uint64_t share = scaled / cells.size();
-    for (const CellKey& cell : cells) {
-      heat_.add(cell.to_string(), app, share);
-    }
-    return;
-  }
-  if (!policy.scan_dicts.empty()) {
-    const std::uint64_t share = scaled / policy.scan_dicts.size();
-    for (const std::string& dict : policy.scan_dicts) {
-      heat_.add(dict + "/*", app, share);
-    }
-    return;
-  }
-  heat_.add("(unmapped)", app, scaled);
 }
 
 }  // namespace beehive

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/context.h"
+#include "util/logging.h"
 
 namespace beehive {
 
@@ -146,7 +147,6 @@ StatusApp::StatusApp() : App("platform.status") {
           bs.at = report.at;
           bs.pinned = sample.pinned;
           bs.cells = sample.cells;
-          bs.state_bytes = sample.state_bytes;
           bs.queue_depth = sample.holdback;
           bs.msgs_in_window = sample.msgs_in;
           bs.cost_us = sample.cost_us;
@@ -241,7 +241,7 @@ std::string StatusReport::to_json() const {
     first = false;
     out += "    {\"bee\": " + std::to_string(b.bee) +
            ", \"app\": " + std::to_string(b.app) +
-           ", \"app_name\": \"" + b.app_name + "\"" +
+           ", \"app_name\": \"" + json_escape(b.app_name) + "\"" +
            ", \"hive\": " + std::to_string(b.hive) +
            ", \"pinned\": " + (b.pinned ? "true" : "false") +
            ", \"cells\": " + std::to_string(b.cells) +

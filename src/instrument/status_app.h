@@ -126,7 +126,6 @@ struct BeeStatus {
   TimePoint at = 0;
   bool pinned = false;
   std::uint64_t cells = 0;
-  std::uint64_t state_bytes = 0;
   std::uint64_t queue_depth = 0;  ///< holdback length at report time
   std::uint64_t msgs_in_window = 0;
   /// Profiler estimate of this bee's handler CPU microseconds, last window.
@@ -144,7 +143,6 @@ struct BeeStatus {
     w.i64(at);
     w.boolean(pinned);
     w.varint(cells);
-    w.varint(state_bytes);
     w.varint(queue_depth);
     w.varint(msgs_in_window);
     w.varint(cost_us);
@@ -160,7 +158,6 @@ struct BeeStatus {
     s.at = r.i64();
     s.pinned = r.boolean();
     s.cells = r.varint();
-    s.state_bytes = r.varint();
     s.queue_depth = r.varint();
     s.msgs_in_window = r.varint();
     s.cost_us = r.varint();

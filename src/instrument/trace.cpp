@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "msg/registry.h"
+#include "util/logging.h"
 
 namespace beehive {
 
@@ -15,29 +16,6 @@ namespace {
 /// Chrome trace pid for the synthetic "control channel" process; hive pids
 /// start at 0, so keep the channel process far away.
 constexpr std::uint64_t kChannelPid = 1u << 20;
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 /// Chrome-trace tid for a bee track. Bee ids are 64-bit but trace viewers
 /// want small ints; the per-hive counter is unique within a hive's process

@@ -3,10 +3,8 @@
 // A message carries a typed payload plus provenance (which app/bee/hive
 // emitted it and when). Within a process the payload travels as an
 // immutable shared object; when a message crosses a hive boundary it is
-// serialized through MsgTypeRegistry and re-materialized on the far side.
-// `wire_size` is computed eagerly at emission so the control-channel meter
-// and the instrumentation layer account identical byte counts in both the
-// simulated and the threaded runtimes.
+// serialized through MsgTypeRegistry and re-materialized on the far side,
+// so a message that never leaves its hive is never encoded.
 #pragma once
 
 #include <cassert>
@@ -35,7 +33,6 @@ class MessageEnvelope {
     m.from_bee_ = from_bee;
     m.from_hive_ = from_hive;
     m.emitted_at_ = emitted_at;
-    m.payload_size_ = static_cast<std::uint32_t>(encoded_size(body));
     m.body_ = std::make_shared<const T>(std::move(body));
     return m;
   }
@@ -67,12 +64,6 @@ class MessageEnvelope {
   void inherit_trace(const MessageEnvelope& cause) {
     set_trace(cause.trace_id_, cause.causal_depth_ + 1, cause.trace_root_at_);
   }
-
-  /// Payload bytes on the wire (excluding the fixed envelope header).
-  std::uint32_t payload_size() const { return payload_size_; }
-
-  /// Total bytes this message occupies on a control channel.
-  std::uint32_t wire_size() const { return kHeaderBytes + payload_size_; }
 
   bool has_body() const { return body_ != nullptr; }
 
@@ -141,7 +132,6 @@ class MessageEnvelope {
     // intermediate copy the old code made bought nothing.
     const std::uint64_t payload_len = r.varint();
     std::string_view payload = r.view(payload_len);
-    m.payload_size_ = static_cast<std::uint32_t>(payload.size());
     const auto* entry = MsgTypeRegistry::instance().find(m.type_);
     if (entry == nullptr) {
       throw std::logic_error("unregistered message type on wire");
@@ -153,14 +143,12 @@ class MessageEnvelope {
   // Fixed header fields, in wire order: type(4) + app(4) + bee(8) +
   // hive(4) + time(8) + trace_id(8) + causal_depth(4) + trace_root_at(8).
   // Kept as a sum of sizeofs so it cannot silently drift from to_wire();
-  // a test additionally asserts it against actual serialized bytes.
+  // a test additionally asserts it against actual serialized bytes. The
+  // payload follows as a length-prefixed string.
   static constexpr std::uint32_t kFixedHeaderBytes =
       sizeof(MsgTypeId) + sizeof(AppId) + sizeof(BeeId) + sizeof(HiveId) +
       sizeof(TimePoint) + sizeof(std::uint64_t) + sizeof(std::uint32_t) +
       sizeof(TimePoint);
-  /// Accounted header size on a control channel: the fixed fields plus the
-  /// payload length varint (amortized ~2 bytes).
-  static constexpr std::uint32_t kHeaderBytes = kFixedHeaderBytes + 2;
 
  private:
   MsgTypeId type_ = 0;
@@ -171,7 +159,6 @@ class MessageEnvelope {
   std::uint64_t trace_id_ = 0;
   std::uint32_t causal_depth_ = 0;
   TimePoint trace_root_at_ = 0;
-  std::uint32_t payload_size_ = 0;
   std::shared_ptr<const void> body_;
 };
 

@@ -34,8 +34,6 @@ struct BeeView {
   bool dirty = true;
   std::uint64_t cells = 0;
   std::uint64_t msgs_in = 0;
-  std::uint64_t handler_invocations = 0;
-  std::uint64_t handler_failures = 0;
   /// Profiler-estimated handler CPU microseconds since the last round
   /// (instrument/profiler.h); 0 when the profiler is off, in which case
   /// cost-aware strategies fall back to message counts.
@@ -59,7 +57,6 @@ struct PlacementRoundNote {
   std::string mode;  ///< "full" | "incremental"
   std::uint64_t scored = 0;
   std::uint64_t duration_us = 0;
-  std::uint64_t moves = 0;
 };
 
 struct ClusterView {

@@ -197,10 +197,6 @@ class Txn {
   bool committed() const { return committed_; }
   std::size_t write_count() const { return scratch_->redo_live; }
 
-  /// The access policy this transaction runs under (the cost profiler
-  /// attributes sampled handler runs to its cells).
-  const AccessPolicy& policy() const { return *policy_; }
-
   /// The redo log; meaningful after commit() (empty after rollback). A
   /// view into the scratch's entry pool — valid until the next Txn reuses
   /// the scratch.

@@ -19,7 +19,11 @@ const char* level_name(LogLevel level) {
   return "?";
 }
 
-std::string escape_json(const std::string& s) {
+std::mutex g_log_mutex;
+thread_local CurrentTrace g_current_trace;
+}  // namespace
+
+std::string json_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size() + 8);
   for (char c : s) {
@@ -41,10 +45,6 @@ std::string escape_json(const std::string& s) {
   }
   return out;
 }
-
-std::mutex g_log_mutex;
-thread_local CurrentTrace g_current_trace;
-}  // namespace
 
 Logger& Logger::instance() {
   static Logger logger;
@@ -91,7 +91,7 @@ void Logger::write(LogLevel level, const std::string& message) {
                       static_cast<unsigned long long>(trace.id), trace.depth);
         line += buf;
       }
-      line += ",\"msg\":\"" + escape_json(message) + "\"}";
+      line += ",\"msg\":\"" + json_escape(message) + "\"}";
       break;
   }
 

@@ -9,6 +9,7 @@
 #include <functional>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 namespace beehive {
 
@@ -54,6 +55,11 @@ class Logger {
   std::atomic<LogFormat> format_{LogFormat::kPlain};
   Sink sink_;  // guarded by the write mutex
 };
+
+/// `s` as the contents of a JSON string: quote, backslash and every control
+/// character escaped. The one escaper behind every JSON document the
+/// platform writes (JSON log lines, traces, blame reports, /status.json).
+std::string json_escape(std::string_view s);
 
 /// The trace context of the handler currently running on this thread
 /// (0 = none). Installed by the hive around every handler invocation so

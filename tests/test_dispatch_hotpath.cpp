@@ -1,6 +1,7 @@
 // Tests for the dispatch hot path: batched frame egress (coalescing,
 // per-link FIFO, span pairing, determinism under faults), the single-Map
-// dispatch contract, untrusted-length clamps, the threaded runtime's
+// dispatch contract, local messages that are never encoded, untrusted-
+// length clamps, the threaded runtime's
 // condition-variable quiescence, and allocation budgets for the local,
 // local-emission, learning-switch read-modify-write and remote
 // steady-state routes.
@@ -280,6 +281,73 @@ TEST(SingleMapDispatch, RemoteDeliveryRunsMapOncePerHive) {
 }
 
 // ---------------------------------------------------------------------------
+// Local messages stay typed
+// ---------------------------------------------------------------------------
+
+/// Payload encodes so far. The simulator runs every hive on the test's
+/// thread, so a plain counter is enough.
+std::uint64_t g_payload_encodes = 0;
+
+/// A payload that counts its encodes: the probe for "a message that never
+/// leaves its hive is never encoded".
+struct Ping {
+  static constexpr std::string_view kTypeName = "test.encode_probe.ping";
+  std::uint32_t n = 0;
+
+  void encode(ByteWriter& w) const {
+    ++g_payload_encodes;
+    w.u32(n);
+  }
+  static Ping decode(ByteReader& r) { return {r.u32()}; }
+};
+
+struct Pong {
+  static constexpr std::string_view kTypeName = "test.encode_probe.pong";
+  std::uint32_t n = 0;
+
+  void encode(ByteWriter& w) const {
+    ++g_payload_encodes;
+    w.u32(n);
+  }
+  static Pong decode(ByteReader& r) { return {r.u32()}; }
+};
+
+/// Answers every Ping with a Pong that another cell's bee handles.
+class PingPongApp : public App {
+ public:
+  PingPongApp() : App("test.ping_pong") {
+    on<Ping>([](const Ping&) { return CellSet::single("ping", "k"); },
+             [](AppContext& ctx, const Ping& m) { ctx.emit(Pong{m.n}); });
+    on<Pong>([](const Pong&) { return CellSet::single("pong", "k"); },
+             [](AppContext&, const Pong&) {});
+  }
+};
+
+TEST(LocalDispatch, MessagesThatNeverLeaveTheHiveAreNeverEncoded) {
+  AppSet apps;
+  apps.emplace<PingPongApp>();
+  ClusterConfig cfg;
+  cfg.n_hives = 1;
+  cfg.hive.metrics_period = 0;
+  SimCluster sim(cfg, apps);
+  sim.start();
+
+  g_payload_encodes = 0;
+  constexpr std::uint32_t kN = 100;
+  for (std::uint32_t i = 0; i < kN; ++i) {
+    sim.hive(0).inject(
+        MessageEnvelope::make(Ping{i}, 0, kNoBee, 0, sim.now()));
+  }
+  sim.run_to_idle();
+
+  EXPECT_EQ(sim.hive(0).counters().handler_runs, 2u * kN)
+      << "every Ping and every Pong must run a handler";
+  EXPECT_EQ(g_payload_encodes, 0u)
+      << "a message made, routed and handled on one hive must never be "
+         "encoded";
+}
+
+// ---------------------------------------------------------------------------
 // Untrusted-length clamp
 // ---------------------------------------------------------------------------
 
@@ -446,8 +514,8 @@ TEST(DispatchAllocs, LocalEmissionWithinTwoAllocsPerMessage) {
   // Each query's handler emits one CounterValue to a sink bee on the same
   // hive. What the emission may cost is its body and the first push into
   // the handler's emission buffer; the outbox hop to the sink is free.
-  // With the 8-char key the value encodes to 17 bytes, past the small-
-  // string buffer: sizing the payload must not allocate an encoding.
+  // The 8-char key makes the value's encoding 17 bytes, past the small-
+  // string buffer, were anything on the local path to encode it.
   for (const char* key : {"k0", "counter8"}) {
     SCOPED_TRACE(key);
     AppSet apps;

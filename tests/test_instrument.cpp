@@ -6,6 +6,7 @@
 #include "core/bee.h"
 #include "instrument/collector.h"
 #include "instrument/metrics.h"
+#include "instrument/status_app.h"
 #include "placement/strategy.h"
 #include "tests/test_helpers.h"
 
@@ -28,31 +29,28 @@ TEST(BeeMetrics, ReceiveAndEmitAccounting) {
   Bee bee(make_bee_id(0, 1), /*app=*/5);
   const BeeId a = make_bee_id(1, 7);
   const BeeId b = make_bee_id(2, 9);
-  bee.note_receive(a, 1, 100, /*count_provenance=*/true, /*type=*/3);
-  bee.note_receive(a, 1, 50, true, 3);
-  bee.note_receive(b, 2, 10, true, 3);
-  bee.note_receive(kNoBee, 0, 5, /*count_provenance=*/false, 4);
-  bee.note_emit(3, 6, 30);
+  bee.note_receive(a, 1, /*count_provenance=*/true, /*type=*/3);
+  bee.note_receive(a, 1, true, 3);
+  bee.note_receive(b, 2, true, 3);
+  bee.note_receive(kNoBee, 0, /*count_provenance=*/false, 4);
+  bee.note_emit(3, 6);
   const BeeMetrics& m = bee.window();
   EXPECT_EQ(m.msgs_in, 4u);
-  EXPECT_EQ(m.bytes_in, 165u);
   EXPECT_EQ(m.inbound_hive.size(), 2u);
   EXPECT_EQ((m.inbound_hive.at({a, 1})), 2u);
   EXPECT_EQ((m.inbound_hive.at({b, 2})), 1u);
   EXPECT_EQ(m.inbound_types.size(), 2u);
   EXPECT_EQ(m.inbound_types.at(3), 3u);
   EXPECT_EQ(m.inbound_types.at(4), 1u);
-  EXPECT_EQ(m.msgs_out, 1u);
-  EXPECT_EQ(m.bytes_out, 30u);
   EXPECT_EQ((m.causation.at({3, 6})), 1u);
 
   // reset_window() drops the memo with the maps it pointed into: repeating
   // the last combination, then the first one twice, counts in the new
   // window only.
   bee.reset_window();
-  bee.note_receive(kNoBee, 0, 5, false, 4);
-  bee.note_receive(a, 1, 100, true, 3);
-  bee.note_receive(a, 1, 100, true, 3);
+  bee.note_receive(kNoBee, 0, false, 4);
+  bee.note_receive(a, 1, true, 3);
+  bee.note_receive(a, 1, true, 3);
   EXPECT_EQ(m.msgs_in, 3u);
   EXPECT_EQ(m.inbound_types.at(4), 1u);
   EXPECT_EQ(m.inbound_types.at(3), 2u);
@@ -61,23 +59,110 @@ TEST(BeeMetrics, ReceiveAndEmitAccounting) {
   EXPECT_TRUE(m.causation.empty());
 }
 
+// Codec round trips give every field a distinct non-zero value, so an
+// encode and a decode that disagree on a field's position shift some value
+// into the wrong field and fail.
+
 TEST(BeeMetricsSample, CodecRoundTrip) {
   BeeMetricsSample s;
   s.bee = make_bee_id(3, 9);
-  s.app = 42;
+  s.app = 2;
+  s.app_name = "app";
   s.hive = 3;
-  s.msgs_in = 100;
-  s.cells = 7;
+  s.msgs_in = 4;
+  s.cells = 5;
+  s.holdback = 6;
   s.pinned = true;
-  s.sources.push_back({make_bee_id(1, 1), 1, 55});
-  s.sources.push_back({kNoBee, 3, 2});
+  s.cost_us = 7;
+  s.handler_p99_us = 8;
+  s.sources.push_back({make_bee_id(1, 1), 10, 11});
+  s.sources.push_back({kNoBee, 17, 18});
+  s.in_types.push_back({12, 13});
+  s.causations.push_back({14, 15, 16});
   auto back = decode_from_bytes<BeeMetricsSample>(encode_to_bytes(s));
   EXPECT_EQ(back.bee, s.bee);
-  EXPECT_EQ(back.msgs_in, 100u);
+  EXPECT_EQ(back.app, 2u);
+  EXPECT_EQ(back.app_name, "app");
+  EXPECT_EQ(back.hive, 3u);
+  EXPECT_EQ(back.msgs_in, 4u);
+  EXPECT_EQ(back.cells, 5u);
+  EXPECT_EQ(back.holdback, 6u);
   EXPECT_TRUE(back.pinned);
+  EXPECT_EQ(back.cost_us, 7u);
+  EXPECT_EQ(back.handler_p99_us, 8u);
   ASSERT_EQ(back.sources.size(), 2u);
-  EXPECT_EQ(back.sources[0].count, 55u);
-  EXPECT_EQ(back.sources[1].from_hive, 3u);
+  EXPECT_EQ(back.sources[0].from, make_bee_id(1, 1));
+  EXPECT_EQ(back.sources[0].from_hive, 10u);
+  EXPECT_EQ(back.sources[0].count, 11u);
+  EXPECT_EQ(back.sources[1].from, kNoBee);
+  EXPECT_EQ(back.sources[1].from_hive, 17u);
+  EXPECT_EQ(back.sources[1].count, 18u);
+  ASSERT_EQ(back.in_types.size(), 1u);
+  EXPECT_EQ(back.in_types[0].type, 12u);
+  EXPECT_EQ(back.in_types[0].count, 13u);
+  ASSERT_EQ(back.causations.size(), 1u);
+  EXPECT_EQ(back.causations[0].in, 14u);
+  EXPECT_EQ(back.causations[0].out, 15u);
+  EXPECT_EQ(back.causations[0].count, 16u);
+}
+
+TEST(BeeAgg, CodecRoundTrip) {
+  BeeAgg a;
+  a.bee = make_bee_id(4, 1);
+  a.app = 2;
+  a.hive = 3;
+  a.pinned = true;
+  a.cells = 5;
+  a.msgs_in_window = 6;
+  a.cost_us_window = 7;
+  a.add_inbound(8, 9);
+  a.add_inbound(10, 11);
+  auto back = decode_from_bytes<BeeAgg>(encode_to_bytes(a));
+  EXPECT_EQ(back.bee, a.bee);
+  EXPECT_EQ(back.app, 2u);
+  EXPECT_EQ(back.hive, 3u);
+  EXPECT_TRUE(back.pinned);
+  EXPECT_EQ(back.cells, 5u);
+  EXPECT_EQ(back.msgs_in_window, 6u);
+  EXPECT_EQ(back.cost_us_window, 7u);
+  EXPECT_EQ(back.inbound_by_hive, a.inbound_by_hive);
+}
+
+TEST(BeeStatus, CodecRoundTrip) {
+  BeeStatus s;
+  s.bee = make_bee_id(5, 1);
+  s.app = 2;
+  s.app_name = "app";
+  s.hive = 3;
+  s.at = 4;
+  s.pinned = true;
+  s.cells = 5;
+  s.queue_depth = 6;
+  s.msgs_in_window = 7;
+  s.cost_us = 8;
+  s.handler_p99_us = 9;
+  s.msgs_window = TimeSeriesRing(4);
+  s.msgs_window.push(10, 11.0);
+  s.msgs_window.push(12, 13.0);
+  auto back = decode_from_bytes<BeeStatus>(encode_to_bytes(s));
+  EXPECT_EQ(back.bee, s.bee);
+  EXPECT_EQ(back.app, 2u);
+  EXPECT_EQ(back.app_name, "app");
+  EXPECT_EQ(back.hive, 3u);
+  EXPECT_EQ(back.at, 4);
+  EXPECT_TRUE(back.pinned);
+  EXPECT_EQ(back.cells, 5u);
+  EXPECT_EQ(back.queue_depth, 6u);
+  EXPECT_EQ(back.msgs_in_window, 7u);
+  EXPECT_EQ(back.cost_us, 8u);
+  EXPECT_EQ(back.handler_p99_us, 9u);
+  EXPECT_EQ(back.msgs_window.capacity(), 4u);
+  const auto ring = back.msgs_window.snapshot();
+  ASSERT_EQ(ring.size(), 2u);
+  EXPECT_EQ(ring[0].at, 10);
+  EXPECT_EQ(ring[0].value, 11.0);
+  EXPECT_EQ(ring[1].at, 12);
+  EXPECT_EQ(ring[1].value, 13.0);
 }
 
 TEST(LocalMetricsReportMsg, CodecRoundTrip) {

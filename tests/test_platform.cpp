@@ -277,7 +277,6 @@ TEST_F(PlatformTest, ThrowingHandlerRollsBackStateAndEmissions) {
   EXPECT_EQ(sink_msgs_after, sink_msgs);  // emission discarded
   auto [rec, bee] = find_owner(sim, "p");
   ASSERT_NE(bee, nullptr);
-  EXPECT_EQ(bee->window().handler_failures, 1u);
   EXPECT_EQ(sim.hive(rec.hive).counters().handler_failures, 1u);
 }
 

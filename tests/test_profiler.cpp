@@ -1,9 +1,9 @@
 // Tests for the cost/pressure/health loop: the sampling cost profiler
-// (tick cadence, cell attribution, the bounded heat table), the hot-path
-// contract that a disabled profiler adds zero allocations, queue-pressure
-// accounting on the sim runtime, health scoring, and the cost x pressure
-// placement strategy's explained decisions — ending with the full loop: an
-// induced hot-bee skew whose migration decision cites the measured signal.
+// (tick cadence, per-bee cost), the hot-path contract that a disabled
+// profiler adds zero allocations, queue-pressure accounting on the sim
+// runtime, health scoring, and the cost x pressure placement strategy's
+// explained decisions — ending with the full loop: an induced hot-bee skew
+// whose migration decision cites the measured signal.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,7 +18,6 @@
 #include "instrument/profiler.h"
 #include "instrument/status_app.h"
 #include "placement/strategy.h"
-#include "state/txn.h"
 #include "tests/alloc_counter.h"
 #include "tests/test_helpers.h"
 
@@ -77,89 +76,12 @@ TEST(ThreadCpuClock, AdvancesUnderWork) {
 }
 
 // ---------------------------------------------------------------------------
-// Cell heat table
-// ---------------------------------------------------------------------------
-
-TEST(CellHeat, TopSortsHottestFirstAndBounds) {
-  CellHeatTable heat(8);
-  heat.add("d/cold", 1, 10);
-  heat.add("d/hot", 1, 500);
-  heat.add("d/warm", 1, 100);
-  heat.add("d/hot", 1, 500);
-
-  auto top = heat.top(2);
-  ASSERT_EQ(top.size(), 2u);
-  EXPECT_EQ(top[0].cell, "d/hot");
-  EXPECT_EQ(top[0].cost_ns, 1000u);
-  EXPECT_EQ(top[0].samples, 2u);
-  EXPECT_EQ(top[1].cell, "d/warm");
-}
-
-TEST(CellHeat, OverflowFoldsIntoOtherBucketWithoutGrowing) {
-  CellHeatTable heat(4);
-  for (int i = 0; i < 4; ++i) {
-    heat.add("d/k" + std::to_string(i), 1, 100 * (i + 1));
-  }
-  ASSERT_EQ(heat.size(), 4u);
-
-  // Past capacity: the coldest row ("d/k0", 100ns) is repurposed as the
-  // shared overflow bucket; the table never grows.
-  heat.add("d/new1", 1, 50);
-  heat.add("d/new2", 1, 60);
-  EXPECT_EQ(heat.size(), 4u);
-  bool has_other = false;
-  for (const auto& row : heat.top(4)) {
-    EXPECT_NE(row.cell, "d/new1");
-    EXPECT_NE(row.cell, "d/new2");
-    if (row.cell == "(other)") {
-      has_other = true;
-      EXPECT_EQ(row.cost_ns, 100u + 50u + 60u);  // folded history + overflow
-    }
-  }
-  EXPECT_TRUE(has_other);
-}
-
-// ---------------------------------------------------------------------------
-// Attribution
-// ---------------------------------------------------------------------------
-
-TEST(Attribution, SplitsScaledCostAcrossPolicyCells) {
-  CostProfiler p(ProfilerConfig{.enabled = true, .sample_every = 4});
-  CellSet cells{{"cnt", "a"}, {"cnt", "b"}};
-  p.attribute(AccessPolicy::cells(cells), /*app=*/7, /*sampled_ns=*/1000);
-
-  auto top = p.heat().top(4);
-  ASSERT_EQ(top.size(), 2u);
-  // 1000ns sample x scale 4 = 4000ns estimate, split over two cells.
-  EXPECT_EQ(top[0].cost_ns, 2000u);
-  EXPECT_EQ(top[1].cost_ns, 2000u);
-  EXPECT_EQ(top[0].app, 7u);
-}
-
-TEST(Attribution, ForeachPolicyChargesWholeDictMarker) {
-  CostProfiler p(ProfilerConfig{.enabled = true, .sample_every = 1});
-  p.attribute(AccessPolicy::local_dict("routes"), 3, 500);
-  auto top = p.heat().top(1);
-  ASSERT_EQ(top.size(), 1u);
-  EXPECT_EQ(top[0].cell, "routes/*");
-  EXPECT_EQ(top[0].cost_ns, 500u);
-}
-
-TEST(Attribution, UnmappedPolicyChargesFallbackBucket) {
-  CostProfiler p(ProfilerConfig{.enabled = true, .sample_every = 1});
-  p.attribute(AccessPolicy::all(), 3, 123);
-  auto top = p.heat().top(1);
-  ASSERT_EQ(top.size(), 1u);
-  EXPECT_EQ(top[0].cell, "(unmapped)");
-}
-
-// ---------------------------------------------------------------------------
-// Hot vs idle attribution in a real cluster
+// Hot vs idle bee cost in a real cluster
 // ---------------------------------------------------------------------------
 
 /// Burns a configurable amount of thread CPU per message on the "work"
-/// dict, next to a free handler on the "idle" dict — the contrast probe
-/// for attribution.
+/// dict, next to a free counter handler — the contrast probe for per-bee
+/// cost.
 struct Burn {
   static constexpr std::string_view kTypeName = "test.burn";
   std::string key;
@@ -217,13 +139,17 @@ TEST(Profiler, HotCellOutweighsIdleCellInHeatTable) {
   }
   sim.run_to_idle();
 
-  const CellHeatTable& heat = sim.hive(0).profiler().heat();
+  // No metrics report runs (metrics_period = 0), so each bee's window
+  // still holds every sampled run: the bee owning "work/hot" against the
+  // one owning "cnt/idle".
+  const AppId burn = apps.find_by_name("test.burn")->id();
   std::uint64_t hot_ns = 0, idle_ns = 0;
-  for (const auto& row : heat.top(16)) {
-    if (row.cell == "work/hot") hot_ns = row.cost_ns;
-    if (row.cell == "cnt/idle") idle_ns = row.cost_ns;
+  for (const BeeRecord& rec : sim.registry().live_bees()) {
+    const Bee* bee = sim.hive(rec.hive).find_bee(rec.id);
+    ASSERT_NE(bee, nullptr);
+    (rec.app == burn ? hot_ns : idle_ns) += bee->window().cost_ns_sampled;
   }
-  ASSERT_GT(hot_ns, 0u) << "the burning cell never got charged";
+  ASSERT_GT(hot_ns, 0u) << "the burning bee never got charged";
   // 32 x 200us of real CPU vs a counter increment: the measured ratio must
   // be decisive, not marginal (10x leaves huge slack under CI noise).
   EXPECT_GT(hot_ns, idle_ns * 10 + 1)

@@ -394,7 +394,6 @@ TEST_P(CodecProperty, EnvelopeRoundTripRandomized) {
     EXPECT_EQ(back.as<Incr>().key, msg.key);
     EXPECT_EQ(back.as<Incr>().amount, msg.amount);
     EXPECT_EQ(back.from_bee(), env.from_bee());
-    EXPECT_EQ(back.wire_size(), env.wire_size());
   }
 }
 

@@ -1,6 +1,7 @@
 // Tests for the tracing + latency subsystem: trace propagation on the
 // envelope wire format, the log-bucketed histogram, span recording across
-// a multi-hive simulation, and the Chrome trace-event exporter.
+// a multi-hive simulation, the Chrome trace-event exporter and the
+// /status.json document's string escaping.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -10,6 +11,7 @@
 #include "instrument/collector.h"
 #include "instrument/histogram.h"
 #include "instrument/metrics.h"
+#include "instrument/status_app.h"
 #include "instrument/trace.h"
 #include "msg/message.h"
 #include "tests/test_helpers.h"
@@ -49,21 +51,21 @@ TEST(EnvelopeTrace, InheritTraceDeepensByOne) {
 }
 
 TEST(EnvelopeTrace, HeaderBytesMatchesSerializedSize) {
-  // The header constant is what the channel meter accounts per message; it
-  // must track the actual serialized layout. With an empty payload the
-  // length varint is 1 byte; the amortized constant assumes 2.
-  auto empty = MessageEnvelope::make(CounterQuery{""});
-  ASSERT_EQ(empty.payload_size(),
-            1u);  // one length-prefix byte for the empty key
-  EXPECT_EQ(empty.to_wire().size(),
-            MessageEnvelope::kFixedHeaderBytes + 1 + empty.payload_size());
+  // The fixed header constant must track the actual serialized layout:
+  // fixed fields, then the payload behind its length varint.
+  const CounterQuery empty{""};
+  const std::size_t empty_len = encode_to_bytes(empty).size();
+  ASSERT_EQ(empty_len, 1u);  // one length-prefix byte for the empty key
+  EXPECT_EQ(MessageEnvelope::make(empty).to_wire().size(),
+            MessageEnvelope::kFixedHeaderBytes + 1 + empty_len);
 
-  // A payload in [128, 16384) takes a 2-byte length varint: exact match.
-  auto big = MessageEnvelope::make(Incr{std::string(300, 'x'), 1});
-  ASSERT_GE(big.payload_size(), 128u);
-  ASSERT_LT(big.payload_size(), 16384u);
-  EXPECT_EQ(big.to_wire().size(),
-            MessageEnvelope::kHeaderBytes + big.payload_size());
+  // A payload in [128, 16384) takes a 2-byte length varint.
+  const Incr big{std::string(300, 'x'), 1};
+  const std::size_t big_len = encode_to_bytes(big).size();
+  ASSERT_GE(big_len, 128u);
+  ASSERT_LT(big_len, 16384u);
+  EXPECT_EQ(MessageEnvelope::make(big).to_wire().size(),
+            MessageEnvelope::kFixedHeaderBytes + 2 + big_len);
 }
 
 // ---------------------------------------------------------------------------
@@ -147,12 +149,8 @@ TEST(LatencyHistogram, EmptyEncodesSmall) {
 TEST(MetricsCodec, SampleCarriesInvocationsAndLatency) {
   BeeMetricsSample s;
   s.bee = make_bee_id(1, 2);
-  s.handler_invocations = 17;
-  s.handler_failures = 3;
   s.handler_p99_us = 7;
   auto back = decode_from_bytes<BeeMetricsSample>(encode_to_bytes(s));
-  EXPECT_EQ(back.handler_invocations, 17u);
-  EXPECT_EQ(back.handler_failures, 3u);
   EXPECT_EQ(back.handler_p99_us, 7u);
 }
 
@@ -375,11 +373,11 @@ TEST(LatencyAccounting, CollectorAggregatesInvocations) {
   ASSERT_NE(collector_bee, nullptr);
 
   ClusterView view = CollectorApp::view_from_store(collector_bee->store(), 2);
-  std::uint64_t invocations = 0;
+  std::uint64_t msgs_in = 0;
   for (const BeeView& bee : view.bees) {
-    invocations += bee.handler_invocations;
+    msgs_in += bee.msgs_in;
   }
-  EXPECT_GE(invocations, 8u) << "collector must see every Incr handler run";
+  EXPECT_GE(msgs_in, 8u) << "collector must see every Incr a bee received";
   // The latency itself lives in the hive that ran the handlers: remote
   // injections cross the registry and channel, so the tail of hive 0's
   // e2e distribution is strictly positive even in virtual time.
@@ -454,6 +452,24 @@ TEST(ChromeTraceExport, EmptyEventsStillValid) {
   std::string json = to_chrome_trace({});
   EXPECT_TRUE(json_balanced(json));
   EXPECT_NE(json.find("traceEvents"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// /status.json
+// ---------------------------------------------------------------------------
+
+TEST(StatusJson, AppNameIsEscaped) {
+  // An app name is any string its author picked: a quote, a backslash or a
+  // control character in it must not end the JSON string early.
+  StatusReport report;
+  BeeStatus bee;
+  bee.bee = make_bee_id(0, 1);
+  bee.app_name = std::string("a\"b\\c\x01", 6);
+  report.bees.push_back(bee);
+  const std::string json = report.to_json();
+  EXPECT_TRUE(json_balanced(json)) << json;
+  EXPECT_NE(json.find(R"("app_name": "a\"b\\c\u0001")"), std::string::npos)
+      << json;
 }
 
 // ---------------------------------------------------------------------------
