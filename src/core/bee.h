@@ -129,30 +129,28 @@ class Bee {
   /// ticks): they count as load but not as inter-bee traffic, so they never
   /// skew the optimizer's "where do my messages come from" statistics.
   ///
-  /// Steady-state traffic is overwhelmingly "same source, same type, again",
-  /// so the per-type and per-source counter slots are memoized: a repeat of
-  /// the previous (from, hive, type) combination bumps the cached counters
-  /// directly instead of re-running two associative lookups per message.
-  /// Map element addresses are stable under insertion, so the cached
-  /// pointers stay valid until reset_window() replaces the maps (which
-  /// invalidates the memo).
-  void note_receive(BeeId from, HiveId from_hive,
-                    bool count_provenance = true, MsgTypeId type = 0) {
+  /// Steady-state traffic is overwhelmingly "same source hive, same type,
+  /// again", so the per-type and per-hive counter slots are memoized: a
+  /// repeat of the previous (hive, type) combination bumps the cached
+  /// counters directly instead of re-running two associative lookups per
+  /// message. Map element addresses are stable under insertion, so the
+  /// cached pointers stay valid until reset_window() replaces the maps
+  /// (which invalidates the memo).
+  void note_receive(HiveId from_hive, bool count_provenance = true,
+                    MsgTypeId type = 0) {
     window_.msgs_in += 1;
-    if (memo_.valid && memo_.from == from && memo_.from_hive == from_hive &&
-        memo_.type == type && memo_.provenance == count_provenance) {
+    if (memo_.valid && memo_.from_hive == from_hive && memo_.type == type &&
+        memo_.provenance == count_provenance) {
       if (memo_.type_count != nullptr) ++*memo_.type_count;
       if (memo_.source_count != nullptr) ++*memo_.source_count;
       return;
     }
-    memo_.from = from;
     memo_.from_hive = from_hive;
     memo_.type = type;
     memo_.provenance = count_provenance;
     memo_.type_count = type != 0 ? &++window_.inbound_types[type] : nullptr;
-    memo_.source_count = count_provenance
-                             ? &++window_.inbound_hive[{from, from_hive}]
-                             : nullptr;
+    memo_.source_count =
+        count_provenance ? &++window_.inbound_by_hive[from_hive] : nullptr;
     memo_.valid = true;
   }
 
@@ -172,16 +170,15 @@ class Bee {
   }
 
  private:
-  /// Cached counter slots for the last (from, hive, type) combination seen
-  /// by note_receive. See that method for the validity argument.
+  /// Cached counter slots for the last (hive, type) combination seen by
+  /// note_receive. See that method for the validity argument.
   struct ReceiveMemo {
-    BeeId from = kNoBee;
     HiveId from_hive = 0;
     MsgTypeId type = 0;
     bool provenance = false;
     bool valid = false;
     std::uint64_t* type_count = nullptr;    ///< window_.inbound_types slot
-    std::uint64_t* source_count = nullptr;  ///< window_.inbound_hive slot
+    std::uint64_t* source_count = nullptr;  ///< window_.inbound_by_hive slot
   };
   ReceiveMemo memo_;
 

@@ -71,7 +71,7 @@ class AppContext {
     decisions_.push_back(std::move(decision));
   }
 
-  /// Reports one optimizer round's summary (mode, bees scored, wall-clock
+  /// Reports one optimizer round's summary (bees scored, wall-clock
   /// latency). Buffered like emissions; the hive exports it as the
   /// beehive_placement_round_us / beehive_placement_rounds_total metrics.
   /// The wall-clock duration lives only in metrics — never in state or

@@ -145,38 +145,30 @@ void Hive::register_metrics() {
         std::string(row.help));
   }
 
-  // Optimizer-round latency by mode (DESIGN.md §13): non-zero only on the
-  // hive hosting the collector bee. The full/incremental split is what the
-  // incremental optimizer exists to improve, so it scrapes per mode.
-  const auto round_gauges = [&](const char* mode, PlacementRoundStats* st) {
-    MetricLabels mode_labels = labels;
-    mode_labels.emplace_back("mode", mode);
-    reg->gauge_fn(
-        "beehive_placement_round_us", mode_labels,
-        [st]() {
-          return static_cast<double>(
-              st->last_us.load(std::memory_order_relaxed));
-        },
-        "Wall-clock microseconds of the latest optimizer round (view "
-        "assembly + scoring) in this mode");
-    reg->gauge_fn(
-        "beehive_placement_rounds_total", mode_labels,
-        [st]() {
-          return static_cast<double>(
-              st->rounds.load(std::memory_order_relaxed));
-        },
-        "Optimizer rounds completed in this mode", /*counter_semantics=*/true);
-    reg->gauge_fn(
-        "beehive_placement_scored_total", mode_labels,
-        [st]() {
-          return static_cast<double>(
-              st->scored.load(std::memory_order_relaxed));
-        },
-        "Bees scored by optimizer rounds in this mode",
-        /*counter_semantics=*/true);
-  };
-  round_gauges("full", &round_full_);
-  round_gauges("incremental", &round_incremental_);
+  // Optimizer rounds (DESIGN.md §13): non-zero only on the hive hosting
+  // the collector bee.
+  reg->gauge_fn(
+      "beehive_placement_round_us", labels,
+      [this] {
+        return static_cast<double>(
+            placement_rounds_.last_us.load(std::memory_order_relaxed));
+      },
+      "Wall-clock microseconds of the latest optimizer round (view "
+      "assembly + scoring)");
+  reg->gauge_fn(
+      "beehive_placement_rounds_total", labels,
+      [this] {
+        return static_cast<double>(
+            placement_rounds_.rounds.load(std::memory_order_relaxed));
+      },
+      "Optimizer rounds completed", /*counter_semantics=*/true);
+  reg->gauge_fn(
+      "beehive_placement_scored_total", labels,
+      [this] {
+        return static_cast<double>(
+            placement_rounds_.scored.load(std::memory_order_relaxed));
+      },
+      "Bees scored by optimizer rounds", /*counter_semantics=*/true);
 
   // Tail-latency attribution (DESIGN.md §11): silent trace loss must be
   // visible, so ring overwrites + sampler budget rejections scrape live.
@@ -327,8 +319,8 @@ void Hive::deliver(BeeId bee, AppId app, HiveId hive,
 void Hive::deliver_local(Bee& bee, const MessageEnvelope& env,
                          std::uint64_t min_transfers, const CellSet* mapped) {
   bee.note_required_transfers(min_transfers);
-  bee.note_receive(env.from_bee(), env.from_hive(),
-                   /*count_provenance=*/!env.is<TimerTick>(), env.type());
+  bee.note_receive(env.from_hive(), /*count_provenance=*/!env.is<TimerTick>(),
+                   env.type());
   // Hold when the transfer fence is up — and also behind an existing
   // holdback, so per-bee arrival order is preserved. The borrowed Map
   // result cannot outlive this call, so held messages recompute it when
@@ -473,11 +465,11 @@ void Hive::process(Bee& bee, const MessageEnvelope& env,
   if (!ctx.decisions().empty()) record_decisions(env, ctx.decisions());
   if (ctx.round_note().has_value()) {
     const PlacementRoundNote& note = *ctx.round_note();
-    PlacementRoundStats& stats =
-        note.mode == "full" ? round_full_ : round_incremental_;
-    stats.last_us.store(note.duration_us, std::memory_order_relaxed);
-    stats.rounds.fetch_add(1, std::memory_order_relaxed);
-    stats.scored.fetch_add(note.scored, std::memory_order_relaxed);
+    placement_rounds_.last_us.store(note.duration_us,
+                                    std::memory_order_relaxed);
+    placement_rounds_.rounds.fetch_add(1, std::memory_order_relaxed);
+    placement_rounds_.scored.fetch_add(note.scored,
+                                       std::memory_order_relaxed);
   }
 }
 
@@ -837,20 +829,20 @@ void Hive::report_metrics() {
     BeeMetricsSample sample;
     sample.bee = id;
     sample.app = bee->app();
-    if (const App* a = apps_.find(bee->app())) sample.app_name = a->name();
+    if (const App* app = apps_.find(bee->app())) {
+      sample.app_name = app->name();
+      sample.pinned = app->pinned();
+    }
     sample.hive = id_;
     const BeeMetrics& w = bee->window();
     sample.msgs_in = w.msgs_in;
     sample.handler_p99_us = w.handler_latency.p99();
     handler_window.merge(w.handler_latency);
     sample.cost_us = w.cost_ns_sampled * profiler_.scale() / 1000;
-    sample.cells = bee->store().all_cells().size();
+    sample.cells = bee->store().cell_count();
     sample.holdback = bee->holdback_size();
-    if (const App* app = apps_.find(bee->app())) {
-      sample.pinned = app->pinned();
-    }
-    for (const auto& [key, count] : w.inbound_hive) {
-      sample.sources.push_back({key.first, key.second, count});
+    for (const auto& [from_hive, count] : w.inbound_by_hive) {
+      sample.sources.push_back({from_hive, count});
     }
     for (const auto& [type, count] : w.inbound_types) {
       sample.in_types.push_back({type, count});

@@ -397,16 +397,15 @@ class Hive {
   /// any thread (the HTTP export path). Written once per metrics report.
   mutable std::mutex signals_mutex_;
   HiveSignals signals_;
-  /// Latest optimizer-round summary per mode (ctx.note_round). Atomics:
-  /// the collector bee writes on its dispatch thread, scrapes read from
-  /// the metrics thread. Wall-clock only — never fed back into state.
+  /// Optimizer-round summary (ctx.note_round). Atomics: the collector bee
+  /// writes on its dispatch thread, scrapes read from the metrics thread.
+  /// Wall-clock only — never fed back into state.
   struct PlacementRoundStats {
     std::atomic<std::uint64_t> last_us{0};
     std::atomic<std::uint64_t> rounds{0};
     std::atomic<std::uint64_t> scored{0};
   };
-  PlacementRoundStats round_full_;
-  PlacementRoundStats round_incremental_;
+  PlacementRoundStats placement_rounds_;
   /// Set when a bounded kBlockSender mailbox hits its limit; cleared at
   /// report time once every bounded holdback has drained below half its
   /// limit, and in drain() when a holdback empties. Hysteresis keeps the

@@ -1,10 +1,10 @@
 // Per-bee runtime instrumentation (paper §3, "Runtime Instrumentation").
 //
-// Each bee records how many messages it handles, where they came from
-// (per-source-bee provenance — the input to the placement optimizer's
-// "majority of messages" rule) and message causation (which input types
-// produce which output types). Hives aggregate these locally and
-// periodically report them to the collector application.
+// Each bee records how many messages it handles, which hives they came
+// from (provenance — the input to the placement optimizer's "majority of
+// messages" rule) and message causation (which input types produce which
+// output types). Hives aggregate these locally and periodically report
+// them to the collector application.
 #pragma once
 
 #include <cstdint>
@@ -27,10 +27,10 @@ struct BeeMetrics {
   /// the window estimate). Zero with the profiler off.
   std::uint64_t cost_ns_sampled = 0;
 
-  /// Messages received keyed by (emitting bee, hive it emitted from) — the
+  /// Messages received keyed by the hive they were emitted from — the
   /// provenance the optimizer's "majority of messages from hive H2" rule
   /// consumes. Deterministically ordered for reporting.
-  std::map<std::pair<BeeId, HiveId>, std::uint64_t> inbound_hive;
+  std::map<HiveId, std::uint64_t> inbound_by_hive;
 
   /// Causation: (input type, output type) -> count. "packet_out messages
   /// are emitted upon receiving 80% of packet_in's" comes from this table.
@@ -69,20 +69,18 @@ struct BeeMetricsSample {
   /// Handler-duration p99 over the window (microseconds).
   std::uint64_t handler_p99_us = 0;
 
+  /// Messages received over the window, one row per source hive.
   struct SourceCount {
     static constexpr std::string_view kTypeName = "platform.source_count";
-    BeeId from = kNoBee;
     HiveId from_hive = 0;
     std::uint64_t count = 0;
 
     void encode(ByteWriter& w) const {
-      w.u64(from);
       w.u32(from_hive);
       w.varint(count);
     }
     static SourceCount decode(ByteReader& r) {
       SourceCount s;
-      s.from = r.u64();
       s.from_hive = r.u32();
       s.count = r.varint();
       return s;

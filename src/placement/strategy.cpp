@@ -45,10 +45,6 @@ std::vector<MigrationDecision> GreedyFollowSources::decide_explained(
 
   for (const BeeView& bee : view.bees) {
     if (bee.pinned) continue;
-    // Incremental rounds re-score only the dirty set. A clean bee has no
-    // window traffic (msgs_in == 0 ⇒ total == 0), so the full round would
-    // have skipped it below anyway — same moves, less scoring.
-    if (view.mode == RoundMode::kIncremental && !bee.dirty) continue;
     if (bee.msgs_in < config_.min_messages) continue;
 
     std::uint64_t total = 0;
@@ -131,10 +127,6 @@ std::vector<MigrationDecision> CostPressureStrategy::decide_explained(
   std::vector<Candidate> candidates;
   for (const BeeView& bee : view.bees) {
     if (bee.pinned) continue;
-    // Clean bees carry neither messages nor cost this window: their rank
-    // would be 0 and their total 0, so skipping them in incremental mode
-    // changes nothing but the scoring work.
-    if (view.mode == RoundMode::kIncremental && !bee.dirty) continue;
     if (bee.msgs_in < config_.min_messages) continue;
     const bool measured = bee.cost_us > 0;
     const std::uint64_t weight = measured ? bee.cost_us : bee.msgs_in;
@@ -240,10 +232,8 @@ std::vector<MigrationDecision> LoadBalanceStrategy::decide(
   std::vector<const BeeView*> candidates;
   for (const BeeView& bee : view.bees) {
     if (bee.pinned) continue;
-    if (view.mode == RoundMode::kIncremental && !bee.dirty) continue;
     // A zero-traffic bee can never improve the imbalance — moving it is
-    // pure churn (and would make incremental rounds diverge from full
-    // ones when min_messages is 0).
+    // pure churn, even when min_messages is 0.
     if (bee.msgs_in == 0) continue;
     if (bee.msgs_in >= config_.min_messages) candidates.push_back(&bee);
   }

@@ -22,16 +22,15 @@
 
 namespace beehive {
 
+/// One bee's measurements since the last optimization round: the value of
+/// one "stats.bees" cell in the collector and the row a strategy scores.
 struct BeeView {
+  static constexpr std::string_view kTypeName = "stats.bee_view";
+
   BeeId bee = kNoBee;
   AppId app = 0;
   HiveId hive = 0;
   bool pinned = false;
-  /// False when this bee's traffic-matrix row (messages, profiler cost)
-  /// did not change since the last optimization round. Incremental rounds
-  /// (ClusterView::mode) skip clean bees entirely: a clean bee has zero
-  /// window traffic, so no strategy could have produced a move for it.
-  bool dirty = true;
   std::uint64_t cells = 0;
   std::uint64_t msgs_in = 0;
   /// Profiler-estimated handler CPU microseconds since the last round
@@ -40,28 +39,49 @@ struct BeeView {
   std::uint64_t cost_us = 0;
   /// Messages received since the last optimization round, by source hive.
   std::map<HiveId, std::uint64_t> inbound_by_hive;
-};
 
-/// How an optimization round scores the view. A full round re-scores every
-/// bee; an incremental round re-scores only the dirty set (bees whose
-/// traffic-matrix rows changed since the last round). Because a clean bee
-/// has no window traffic, both modes pick the same moves over the same
-/// window data — periodic full rounds remain as the drift guard, and the
-/// decision log records the mode so the equivalence is checkable.
-enum class RoundMode { kFull, kIncremental };
+  void encode(ByteWriter& w) const {
+    w.u64(bee);
+    w.u32(app);
+    w.u32(hive);
+    w.boolean(pinned);
+    w.varint(cells);
+    w.varint(msgs_in);
+    w.varint(cost_us);
+    w.varint(inbound_by_hive.size());
+    for (const auto& [from, count] : inbound_by_hive) {
+      w.u32(from);
+      w.varint(count);
+    }
+  }
+  static BeeView decode(ByteReader& r) {
+    BeeView b;
+    b.bee = r.u64();
+    b.app = r.u32();
+    b.hive = r.u32();
+    b.pinned = r.boolean();
+    b.cells = r.varint();
+    b.msgs_in = r.varint();
+    b.cost_us = r.varint();
+    std::uint64_t n = r.varint();
+    for (std::uint64_t i = 0; i < n; ++i) {
+      HiveId from = r.u32();
+      b.inbound_by_hive.emplace(from, r.varint());
+    }
+    return b;
+  }
+};
 
 /// Summary of one optimizer round, buffered through AppContext::note_round
 /// so the hosting hive can export round latency without the wall-clock
 /// measurement ever entering deterministic state.
 struct PlacementRoundNote {
-  std::string mode;  ///< "full" | "incremental"
   std::uint64_t scored = 0;
   std::uint64_t duration_us = 0;
 };
 
 struct ClusterView {
   std::size_t n_hives = 0;
-  RoundMode mode = RoundMode::kFull;
   std::map<HiveId, std::uint64_t> hive_cells;
   /// Latest queue-pressure score per hive in [0,1) (LocalMetricsReport);
   /// absent hives read as 0 (unpressured).
@@ -155,11 +175,7 @@ struct PlacementRound {
   std::uint64_t round = 0;
   TimePoint at = 0;
   std::string strategy;
-  /// "full" | "incremental": whether this round re-scored every bee or
-  /// only the dirty set. Lets tests/benches verify incremental rounds
-  /// pick the same moves as the periodic full rounds.
-  std::string mode = "full";
-  /// How many bees this round actually scored (the view size it saw).
+  /// How many bees this round scored (the view size it saw).
   std::uint64_t scored = 0;
   std::vector<PlacementDecision> decisions;
 
@@ -167,7 +183,6 @@ struct PlacementRound {
     w.varint(round);
     w.i64(at);
     w.str(strategy);
-    w.str(mode);
     w.varint(scored);
     w.varint(decisions.size());
     for (const PlacementDecision& d : decisions) d.encode(w);
@@ -177,7 +192,6 @@ struct PlacementRound {
     p.round = r.varint();
     p.at = r.i64();
     p.strategy = r.str();
-    p.mode = r.str();
     p.scored = r.varint();
     std::uint64_t n = r.varint();
     for (std::uint64_t i = 0; i < n; ++i) {

@@ -122,12 +122,6 @@ class Dict {
   void for_each(
       const std::function<void(const std::string&, const Bytes&)>& fn) const;
 
-  /// Iterates keys in key order, without producing values.
-  template <typename Fn>
-  void for_each_key(Fn&& fn) const {
-    for (const auto& entry : entries_) fn(entry.first);
-  }
-
   /// Moves every entry of `other` in; `other`'s entry wins on a shared key.
   void merge_from(Dict&& other);
 

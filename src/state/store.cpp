@@ -49,14 +49,10 @@ StateStore StateStore::from_snapshot(std::string_view data) {
   return store;
 }
 
-CellSet StateStore::all_cells() const {
-  CellSet cells;
-  for (const auto& [name, d] : dicts_) {
-    d.for_each_key([&cells, &name](const std::string& k) {
-      cells.insert({name, k});
-    });
-  }
-  return cells;
+std::size_t StateStore::cell_count() const {
+  std::size_t total = 0;
+  for (const auto& [_, d] : dicts_) total += d.size();
+  return total;
 }
 
 }  // namespace beehive

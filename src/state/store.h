@@ -10,7 +10,6 @@
 #include <string>
 #include <string_view>
 
-#include "state/cell.h"
 #include "state/dict.h"
 #include "util/bytes.h"
 
@@ -39,9 +38,8 @@ class StateStore {
   Bytes snapshot() const;
   static StateStore from_snapshot(std::string_view data);
 
-  /// Enumerates every (dict, key) currently present, in deterministic
-  /// order. Used by the platform to reconcile ownership after merges.
-  CellSet all_cells() const;
+  /// Number of (dict, key) cells present, summed over the dictionaries.
+  std::size_t cell_count() const;
 
  private:
   std::map<std::string, Dict, std::less<>> dicts_;

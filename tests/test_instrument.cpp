@@ -2,6 +2,8 @@
 // (aggregation as a Beehive application), and placement strategies.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "cluster/sim.h"
 #include "core/bee.h"
 #include "instrument/collector.h"
@@ -23,22 +25,20 @@ using testing::Incr;
 
 TEST(BeeMetrics, ReceiveAndEmitAccounting) {
   // The path the hive runs per message: note_receive, then note_emit per
-  // emission. The second receive repeats the first's (source, hive, type)
-  // and takes the memoized counter slots; the fourth is a timer tick, which
-  // counts as load and by type but not as provenance.
+  // emission. The second receive repeats the first's (hive, type) and takes
+  // the memoized counter slots; the fourth is a timer tick, which counts as
+  // load and by type but not as provenance.
   Bee bee(make_bee_id(0, 1), /*app=*/5);
-  const BeeId a = make_bee_id(1, 7);
-  const BeeId b = make_bee_id(2, 9);
-  bee.note_receive(a, 1, /*count_provenance=*/true, /*type=*/3);
-  bee.note_receive(a, 1, true, 3);
-  bee.note_receive(b, 2, true, 3);
-  bee.note_receive(kNoBee, 0, /*count_provenance=*/false, 4);
+  bee.note_receive(1, /*count_provenance=*/true, /*type=*/3);
+  bee.note_receive(1, true, 3);
+  bee.note_receive(2, true, 3);
+  bee.note_receive(0, /*count_provenance=*/false, 4);
   bee.note_emit(3, 6);
   const BeeMetrics& m = bee.window();
   EXPECT_EQ(m.msgs_in, 4u);
-  EXPECT_EQ(m.inbound_hive.size(), 2u);
-  EXPECT_EQ((m.inbound_hive.at({a, 1})), 2u);
-  EXPECT_EQ((m.inbound_hive.at({b, 2})), 1u);
+  EXPECT_EQ(m.inbound_by_hive.size(), 2u);
+  EXPECT_EQ(m.inbound_by_hive.at(1), 2u);
+  EXPECT_EQ(m.inbound_by_hive.at(2), 1u);
   EXPECT_EQ(m.inbound_types.size(), 2u);
   EXPECT_EQ(m.inbound_types.at(3), 3u);
   EXPECT_EQ(m.inbound_types.at(4), 1u);
@@ -48,15 +48,79 @@ TEST(BeeMetrics, ReceiveAndEmitAccounting) {
   // the last combination, then the first one twice, counts in the new
   // window only.
   bee.reset_window();
-  bee.note_receive(kNoBee, 0, false, 4);
-  bee.note_receive(a, 1, true, 3);
-  bee.note_receive(a, 1, true, 3);
+  bee.note_receive(0, false, 4);
+  bee.note_receive(1, true, 3);
+  bee.note_receive(1, true, 3);
   EXPECT_EQ(m.msgs_in, 3u);
   EXPECT_EQ(m.inbound_types.at(4), 1u);
   EXPECT_EQ(m.inbound_types.at(3), 2u);
-  EXPECT_EQ(m.inbound_hive.size(), 1u);
-  EXPECT_EQ((m.inbound_hive.at({a, 1})), 2u);
+  EXPECT_EQ(m.inbound_by_hive.size(), 1u);
+  EXPECT_EQ(m.inbound_by_hive.at(1), 2u);
   EXPECT_TRUE(m.causation.empty());
+}
+
+TEST(BeeMetrics, ProvenanceHasOneRowPerSourceHive) {
+  // 20 counter bees on hive 1 each answer one CounterQuery with a
+  // CounterValue for the one sink bee on hive 0. The sink's sample for that
+  // window carries one provenance row: hive 1, 20 messages.
+  struct ReportSpy : App {
+    explicit ReportSpy(std::vector<LocalMetricsReport>* out)
+        : App("test.report_spy") {
+      on<LocalMetricsReport>(
+          [](const LocalMetricsReport&) { return CellSet::whole_dict("spy"); },
+          [out](AppContext&, const LocalMetricsReport& report) {
+            out->push_back(report);
+          });
+    }
+  };
+  std::vector<LocalMetricsReport> reports;
+  AppSet apps;
+  apps.emplace<CounterApp>();
+  apps.emplace<testing::SinkApp>();
+  apps.emplace<ReportSpy>(&reports);
+
+  ClusterConfig config;
+  config.n_hives = 2;
+  config.hive.metrics_period = kSecond;
+  config.hive.timers_until = 3 * kSecond;
+  SimCluster sim(config, apps);
+  sim.start();
+
+  // The sink bee lands on hive 0 in the first window; the queries, and so
+  // the counter bees, on hive 1 in the second.
+  sim.hive(0).inject(MessageEnvelope::make(testing::CounterValue{"seed", 0},
+                                           0, kNoBee, 0, 0));
+  sim.run_until(kSecond + kSecond / 2);
+  for (int i = 0; i < 20; ++i) {
+    sim.hive(1).inject(MessageEnvelope::make(
+        testing::CounterQuery{"k" + std::to_string(i)}, 0, kNoBee, 1,
+        sim.now()));
+  }
+  sim.run_until(2 * kSecond + kSecond / 2);
+
+  const AppId counter = apps.find_by_name("test.counter")->id();
+  const AppId sink = apps.find_by_name("test.sink")->id();
+  std::size_t sources_on_hive1 = 0;
+  for (const BeeRecord& rec : sim.registry().live_bees()) {
+    if (rec.app == counter && rec.hive == 1) ++sources_on_hive1;
+    if (rec.app == sink) {
+      EXPECT_EQ(rec.hive, 0u);
+    }
+  }
+  EXPECT_EQ(sources_on_hive1, 20u);
+
+  const BeeMetricsSample* sample = nullptr;
+  for (const LocalMetricsReport& report : reports) {
+    if (report.hive != 0 || report.at != 2 * kSecond) continue;
+    for (const BeeMetricsSample& s : report.bees) {
+      if (s.app == sink) sample = &s;
+    }
+  }
+  ASSERT_NE(sample, nullptr);
+  EXPECT_EQ(sample->msgs_in, 20u);
+  ASSERT_EQ(sample->sources.size(), 1u);
+  EXPECT_EQ(sample->sources[0].from_hive, 1u);
+  EXPECT_EQ(sample->sources[0].count, 20u);
 }
 
 // Codec round trips give every field a distinct non-zero value, so an
@@ -75,8 +139,8 @@ TEST(BeeMetricsSample, CodecRoundTrip) {
   s.pinned = true;
   s.cost_us = 7;
   s.handler_p99_us = 8;
-  s.sources.push_back({make_bee_id(1, 1), 10, 11});
-  s.sources.push_back({kNoBee, 17, 18});
+  s.sources.push_back({10, 11});
+  s.sources.push_back({17, 18});
   s.in_types.push_back({12, 13});
   s.causations.push_back({14, 15, 16});
   auto back = decode_from_bytes<BeeMetricsSample>(encode_to_bytes(s));
@@ -91,10 +155,8 @@ TEST(BeeMetricsSample, CodecRoundTrip) {
   EXPECT_EQ(back.cost_us, 7u);
   EXPECT_EQ(back.handler_p99_us, 8u);
   ASSERT_EQ(back.sources.size(), 2u);
-  EXPECT_EQ(back.sources[0].from, make_bee_id(1, 1));
   EXPECT_EQ(back.sources[0].from_hive, 10u);
   EXPECT_EQ(back.sources[0].count, 11u);
-  EXPECT_EQ(back.sources[1].from, kNoBee);
   EXPECT_EQ(back.sources[1].from_hive, 17u);
   EXPECT_EQ(back.sources[1].count, 18u);
   ASSERT_EQ(back.in_types.size(), 1u);
@@ -106,26 +168,50 @@ TEST(BeeMetricsSample, CodecRoundTrip) {
   EXPECT_EQ(back.causations[0].count, 16u);
 }
 
-TEST(BeeAgg, CodecRoundTrip) {
-  BeeAgg a;
-  a.bee = make_bee_id(4, 1);
-  a.app = 2;
-  a.hive = 3;
-  a.pinned = true;
-  a.cells = 5;
-  a.msgs_in_window = 6;
-  a.cost_us_window = 7;
-  a.add_inbound(8, 9);
-  a.add_inbound(10, 11);
-  auto back = decode_from_bytes<BeeAgg>(encode_to_bytes(a));
-  EXPECT_EQ(back.bee, a.bee);
+TEST(BeeView, CodecRoundTrip) {
+  BeeView b;
+  b.bee = make_bee_id(4, 1);
+  b.app = 2;
+  b.hive = 3;
+  b.pinned = true;
+  b.cells = 5;
+  b.msgs_in = 6;
+  b.cost_us = 7;
+  b.inbound_by_hive[8] = 9;
+  b.inbound_by_hive[10] = 11;
+  auto back = decode_from_bytes<BeeView>(encode_to_bytes(b));
+  EXPECT_EQ(back.bee, b.bee);
   EXPECT_EQ(back.app, 2u);
   EXPECT_EQ(back.hive, 3u);
   EXPECT_TRUE(back.pinned);
   EXPECT_EQ(back.cells, 5u);
-  EXPECT_EQ(back.msgs_in_window, 6u);
-  EXPECT_EQ(back.cost_us_window, 7u);
-  EXPECT_EQ(back.inbound_by_hive, a.inbound_by_hive);
+  EXPECT_EQ(back.msgs_in, 6u);
+  EXPECT_EQ(back.cost_us, 7u);
+  EXPECT_EQ(back.inbound_by_hive, b.inbound_by_hive);
+}
+
+TEST(PlacementRound, CodecRoundTrip) {
+  PlacementRound round;
+  round.round = 3;
+  round.at = 99;
+  round.strategy = "greedy";
+  round.scored = 17;
+  PlacementDecision d;
+  d.bee = 5;
+  d.to = 2;
+  d.accepted = true;
+  d.reason = "majority";
+  round.decisions.push_back(d);
+  auto back = decode_from_bytes<PlacementRound>(encode_to_bytes(round));
+  EXPECT_EQ(back.round, 3u);
+  EXPECT_EQ(back.at, 99);
+  EXPECT_EQ(back.strategy, "greedy");
+  EXPECT_EQ(back.scored, 17u);
+  ASSERT_EQ(back.decisions.size(), 1u);
+  EXPECT_EQ(back.decisions[0].bee, 5u);
+  EXPECT_EQ(back.decisions[0].to, 2u);
+  EXPECT_TRUE(back.decisions[0].accepted);
+  EXPECT_EQ(back.decisions[0].reason, "majority");
 }
 
 TEST(BeeStatus, CodecRoundTrip) {
@@ -397,6 +483,62 @@ TEST_F(CollectorTest, ReportsAggregateOnSingleCollectorBee) {
   EXPECT_EQ(view.n_hives, 3u);
   EXPECT_EQ(view.hive_cells.size(), 3u);  // every hive reported
   EXPECT_FALSE(view.bees.empty());
+}
+
+TEST_F(CollectorTest, EveryRoundSeesEveryReportingBee) {
+  // Records the bee ids of every view the collector hands it.
+  struct SpyStrategy : PlacementStrategy {
+    std::vector<std::vector<BeeId>> views;
+    std::string_view name() const override { return "spy"; }
+    std::vector<MigrationDecision> decide(const ClusterView& view) override {
+      std::vector<BeeId>& ids = views.emplace_back();
+      for (const BeeView& bee : view.bees) ids.push_back(bee.bee);
+      return {};
+    }
+  };
+  auto spy = std::make_shared<SpyStrategy>();
+  apps_.emplace<CounterApp>();
+  apps_.emplace<CollectorApp>(
+      spy, 2, CollectorConfig{.optimize_period = 2 * kSecond});
+
+  ClusterConfig config;
+  config.n_hives = 2;
+  config.hive.metrics_period = kSecond;
+  config.hive.timers_until = 5 * kSecond;
+  SimCluster sim(config, apps_);
+  sim.start();
+
+  // Keys a and b get traffic before the first round (2 s); only a gets
+  // traffic between the first round and the second (4 s).
+  sim.hive(0).inject(MessageEnvelope::make(Incr{"a", 1}, 0, kNoBee, 0, 0));
+  sim.hive(1).inject(MessageEnvelope::make(Incr{"b", 1}, 0, kNoBee, 1, 0));
+  sim.run_until(2 * kSecond + kSecond / 2);
+  sim.hive(0).inject(
+      MessageEnvelope::make(Incr{"a", 1}, 0, kNoBee, 0, sim.now()));
+  sim.run_until(4 * kSecond + kSecond / 2);
+
+  BeeId bee_a = kNoBee;
+  BeeId bee_b = kNoBee;
+  for (const BeeRecord& rec : sim.registry().live_bees()) {
+    const Dict* d =
+        sim.hive(rec.hive).find_bee(rec.id)->store().find_dict(
+            CounterApp::kDict);
+    if (d == nullptr) continue;
+    if (d->contains("a")) bee_a = rec.id;
+    if (d->contains("b")) bee_b = rec.id;
+  }
+  ASSERT_NE(bee_a, kNoBee);
+  ASSERT_NE(bee_b, kNoBee);
+  ASSERT_EQ(spy->views.size(), 2u);
+  const auto saw = [](const std::vector<BeeId>& ids, BeeId bee) {
+    return std::find(ids.begin(), ids.end(), bee) != ids.end();
+  };
+  EXPECT_TRUE(saw(spy->views[0], bee_a));
+  EXPECT_TRUE(saw(spy->views[0], bee_b));
+  EXPECT_TRUE(saw(spy->views[1], bee_a));
+  EXPECT_TRUE(saw(spy->views[1], bee_b))
+      << "the second round must score b, which reported no traffic since "
+         "the first round";
 }
 
 TEST_F(CollectorTest, CausationAnalyticsTrackEmissionRatios) {

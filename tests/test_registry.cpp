@@ -1,7 +1,7 @@
 // Tests for the registry service behind its one lock (DESIGN.md §13): the
 // stats row, client-cache isolation between bees, cache validity by
-// invalidation alone, cache fills racing ownership writes, concurrent
-// resolves, and full-vs-incremental placement equivalence.
+// invalidation alone, cache fills racing ownership writes and concurrent
+// resolves.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "cluster/registry.h"
-#include "placement/strategy.h"
 #include "util/rng.h"
 
 namespace beehive {
@@ -256,92 +255,6 @@ TEST(RegistryClient, CacheFillDoesNotOutliveAConcurrentInvalidation) {
   }
   mover.join();
   EXPECT_EQ(stale, 0) << "of " << kRounds << " rounds";
-}
-
-// ---------------------------------------------------------------------------
-// Incremental placement == full placement
-// ---------------------------------------------------------------------------
-
-ClusterView synth_view(std::uint64_t seed, RoundMode mode) {
-  constexpr std::size_t kBees = 500;
-  constexpr std::size_t kHives = 8;
-  Xoshiro256 rng(seed);
-  ClusterView view;
-  view.n_hives = kHives;
-  view.mode = mode;
-  for (HiveId h = 0; h < kHives; ++h) {
-    view.hive_cells[h] = 0;
-    view.hive_pressure[h] = 0.4 * rng.next_double();
-  }
-  for (std::size_t i = 0; i < kBees; ++i) {
-    const bool active = rng.next_double() < 0.1;
-    BeeView bee;
-    bee.bee = static_cast<BeeId>(i + 1);
-    bee.app = kApp;
-    bee.hive = static_cast<HiveId>(i % kHives);
-    bee.cells = 1 + rng.next_below(3);
-    view.hive_cells[bee.hive] += bee.cells;
-    bee.dirty = active;
-    if (active) {
-      bee.msgs_in = 8 + rng.next_below(256);
-      bee.cost_us = rng.next_below(2) == 0 ? bee.msgs_in * 5 : 0;
-      const auto major = static_cast<HiveId>(rng.next_below(kHives));
-      bee.inbound_by_hive[major] = (bee.msgs_in * 3) / 4;
-      bee.inbound_by_hive[bee.hive] += bee.msgs_in / 4;
-    }
-    if (mode == RoundMode::kIncremental && !active) continue;
-    view.bees.push_back(std::move(bee));
-  }
-  return view;
-}
-
-TEST(IncrementalPlacement, MatchesFullRoundForEveryStrategy) {
-  GreedyFollowSources greedy;
-  CostPressureStrategy costpressure;
-  LoadBalanceStrategy loadbalance;
-  PlacementStrategy* strategies[] = {&greedy, &costpressure, &loadbalance};
-  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    const ClusterView full = synth_view(seed, RoundMode::kFull);
-    const ClusterView incr = synth_view(seed, RoundMode::kIncremental);
-    for (PlacementStrategy* s : strategies) {
-      EXPECT_EQ(s->decide(full), s->decide(incr))
-          << s->name() << " seed " << seed;
-    }
-  }
-}
-
-TEST(IncrementalPlacement, FullViewWithIncrementalModeSkipsCleanBees) {
-  // Even when clean bees ARE present in the view (the full sweep every K
-  // rounds marks them clean), incremental mode must not move them.
-  const ClusterView full = synth_view(3, RoundMode::kFull);
-  ClusterView mixed = full;
-  mixed.mode = RoundMode::kIncremental;
-  GreedyFollowSources greedy;
-  EXPECT_EQ(greedy.decide(full), greedy.decide(mixed));
-}
-
-TEST(IncrementalPlacement, RoundModeRoundTripsThroughPlacementRound) {
-  PlacementRound round;
-  round.round = 3;
-  round.at = 99;
-  round.strategy = "greedy";
-  round.mode = "incremental";
-  round.scored = 17;
-  PlacementDecision d;
-  d.bee = 5;
-  d.to = 2;
-  d.accepted = true;
-  d.reason = "majority";
-  round.decisions.push_back(d);
-  ByteWriter w;
-  round.encode(w);
-  ByteReader r(w.bytes());
-  const PlacementRound back = PlacementRound::decode(r);
-  EXPECT_EQ(back.mode, "incremental");
-  EXPECT_EQ(back.scored, 17u);
-  EXPECT_EQ(back.round, 3u);
-  ASSERT_EQ(back.decisions.size(), 1u);
-  EXPECT_EQ(back.decisions[0].bee, 5u);
 }
 
 }  // namespace
