@@ -40,16 +40,11 @@ class CentralElephantApp : public App {
 
     every_foreach(kSecond, dict,
                   [dict](AppContext& ctx, const MessageEnvelope&) {
-                    std::vector<SwitchId> switches;
-                    ctx.state().for_each(
+                    ctx.state().for_each<FlowSeriesEntry>(
                         dict,
-                        [&switches](const std::string&, const Bytes& v) {
-                          switches.push_back(
-                              decode_from_bytes<FlowSeriesEntry>(v).sw);
+                        [&ctx](const std::string&, const FlowSeriesEntry& e) {
+                          ctx.emit(FlowStatQuery{e.sw});
                         });
-                    for (SwitchId sw : switches) {
-                      ctx.emit(FlowStatQuery{sw});
-                    }
                   });
 
     on<FlowStatReply>(

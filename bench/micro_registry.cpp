@@ -1,7 +1,8 @@
 // Microbenchmarks of the cell registry (the Chubby-substitute lock
 // service): resolution throughput, cache hit vs. miss cost, merge cost,
-// and invalidation fan-out. The client resolve-cache hit rate is measured
-// by `scale_sweep --control-plane`.
+// and invalidation fan-out. The client resolve-cache hit and miss counts
+// over a fixed lookup mix are pinned by
+// RegistryClient.HotKeysMissOnceAndColdKeysAlways (tests/test_registry.cpp).
 #include <benchmark/benchmark.h>
 
 #include <string>

@@ -1,17 +1,11 @@
 // Scalability sweep (extension beyond Figure 4): how the three TE designs
-// behave as the cluster grows, and how the registry client's resolve cache
-// holds up over 100k lookups (DESIGN.md §13).
+// behave as the cluster grows.
 //
-// Default mode sweeps the TE designs over hive counts: for each hive count
-// we report control-plane wire traffic, locality, hotspot share and TE bee
-// count. Expected shape: naive stays centralized (hotspot ~1.0 regardless
-// of hives), decoupled and optimized keep locality high as the cluster
-// grows — the platform's scaling argument in one table.
-//
-// --control-plane instead measures the registry client's resolve-cache
-// hit rate: 100k lookups on a 64-hive registry, 90% of them on 64 hot keys
-// and every 10th a new cold key. CI's scale-smoke job compares the hit
-// rate with the committed .bench-baseline/BENCH_scale.json.
+// For each hive count we report control-plane wire traffic, locality,
+// hotspot share and TE bee count. Expected shape: naive stays centralized
+// (hotspot ~1.0 regardless of hives), decoupled and optimized keep
+// locality high as the cluster grows — the platform's scaling argument in
+// one table.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -26,68 +20,17 @@ namespace {
 int usage(const char* argv0, int code) {
   std::fprintf(
       code == 0 ? stdout : stderr,
-      "usage: %s [--small] [--json PATH] [--control-plane]\n"
+      "usage: %s [--small] [--json PATH]\n"
       "  --small          trim the sweep for CI smoke runs\n"
-      "  --json PATH      append the machine-readable table to PATH\n"
-      "  --control-plane  measure the registry client's resolve-cache hit\n"
-      "                   rate over 100k lookups instead of the TE\n"
-      "                   designs (the figure CI compares with\n"
-      "                   .bench-baseline/BENCH_scale.json).\n",
+      "  --json PATH      append the machine-readable table to PATH\n",
       argv0);
   return code;
 }
 
 struct Args {
   bool small = false;
-  bool control_plane = false;
   std::string json_path;
 };
-
-int run_control_plane(const Args& args) {
-  const std::size_t n_lookups = args.small ? 10'000 : 100'000;
-  const std::size_t n_hives = args.small ? 16 : 64;
-  JsonReport report("scale_control_plane");
-
-  // Resolve-cache hit rate: 90% of lookups hit a small hot set, the rest
-  // keep creating cold keys and missing.
-  ChannelMeter meter(n_hives);
-  RegistryService registry(n_hives, &meter);
-  RegistryService::Client client(registry, 1);
-  std::vector<CellSet> hot;
-  for (std::size_t i = 0; i < 64; ++i) {
-    hot.push_back(CellSet::single("switches", "hot" + std::to_string(i)));
-  }
-  std::size_t cold = 0;
-  for (std::size_t i = 0; i < n_lookups; ++i) {
-    const CellSet cells =
-        (i % 10 != 0)
-            ? hot[i % hot.size()]
-            : CellSet::single("switches", "cold" + std::to_string(++cold));
-    auto out = client.resolve_or_create(1, cells, false, 0);
-    (void)out;
-  }
-  const double hit_rate =
-      static_cast<double>(client.cache_hits()) /
-      static_cast<double>(client.cache_hits() + client.cache_misses());
-  std::printf("resolve cache: %llu hits / %llu misses (%.1f%% hit rate)\n",
-              static_cast<unsigned long long>(client.cache_hits()),
-              static_cast<unsigned long long>(client.cache_misses()),
-              100.0 * hit_rate);
-  report.integer("resolve_cache", "lookups", n_lookups);
-  report.integer("resolve_cache", "hits", client.cache_hits());
-  report.integer("resolve_cache", "misses", client.cache_misses());
-  report.number("resolve_cache", "hit_rate", hit_rate);
-
-  if (!args.json_path.empty()) {
-    if (!report.write_file(args.json_path)) {
-      std::fprintf(stderr, "error: failed to write %s\n",
-                   args.json_path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", args.json_path.c_str());
-  }
-  return 0;
-}
 
 int run_te_sweep(const Args& args) {
   std::vector<std::size_t> hive_counts = {5, 10, 20, 40, 80};
@@ -141,8 +84,6 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--small") == 0) {
       args.small = true;
-    } else if (std::strcmp(argv[i], "--control-plane") == 0) {
-      args.control_plane = true;
     } else if (std::strcmp(argv[i], "--json") == 0) {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "error: --json requires a path\n");
@@ -157,5 +98,5 @@ int main(int argc, char** argv) {
       return usage(argv[0], 2);
     }
   }
-  return args.control_plane ? run_control_plane(args) : run_te_sweep(args);
+  return run_te_sweep(args);
 }

@@ -87,11 +87,10 @@ class WordCountApp : public App {
         [](AppContext& ctx, const TopWordQuery&) {
           std::string best;
           std::uint64_t best_n = 0;
-          ctx.state().for_each(
-              "words", [&](const std::string& word, const Bytes& value) {
-                std::uint64_t n = decode_from_bytes<Count>(value).n;
-                if (n > best_n) {
-                  best_n = n;
+          ctx.state().for_each<Count>(
+              "words", [&](const std::string& word, const Count& c) {
+                if (c.n > best_n) {
+                  best_n = c.n;
                   best = word;
                 }
               });

@@ -27,15 +27,11 @@ ElephantDetectorApp::ElephantDetectorApp(KandooConfig config)
   // query/reply traffic stays inside each switch's local controller.
   every_foreach(config.poll_period, dict,
                 [dict](AppContext& ctx, const MessageEnvelope&) {
-                  std::vector<SwitchId> switches;
-                  ctx.state().for_each(
-                      dict, [&switches](const std::string&, const Bytes& v) {
-                        switches.push_back(
-                            decode_from_bytes<FlowSeriesEntry>(v).sw);
+                  ctx.state().for_each<FlowSeriesEntry>(
+                      dict,
+                      [&ctx](const std::string&, const FlowSeriesEntry& e) {
+                        ctx.emit(FlowStatQuery{e.sw});
                       });
-                  for (SwitchId sw : switches) {
-                    ctx.emit(FlowStatQuery{sw});
-                  }
                 });
 
   // Detection: emit a (rare) ElephantDetected on upward threshold

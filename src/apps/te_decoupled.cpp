@@ -60,15 +60,10 @@ TEDecoupledApp::TEDecoupledApp(TEConfig config) : App("te.decoupled") {
   // Query — unchanged.
   every_foreach(config.query_period, S,
                 [S](AppContext& ctx, const MessageEnvelope&) {
-                  std::vector<SwitchId> switches;
-                  ctx.state().for_each(
-                      S, [&switches](const std::string&, const Bytes& v) {
-                        switches.push_back(
-                            decode_from_bytes<FlowSeriesEntry>(v).sw);
+                  ctx.state().for_each<FlowSeriesEntry>(
+                      S, [&ctx](const std::string&, const FlowSeriesEntry& e) {
+                        ctx.emit(FlowStatQuery{e.sw});
                       });
-                  for (SwitchId sw : switches) {
-                    ctx.emit(FlowStatQuery{sw});
-                  }
                 });
 
   // Route — reacts to alarms; owns only R (whole) and T (whole), both

@@ -47,15 +47,10 @@ TENaiveApp::TENaiveApp(TEConfig config) : App("te.naive") {
   // Query: on TimeOut(1s), foreach switch in S.
   every_foreach(config.query_period, S,
                 [S](AppContext& ctx, const MessageEnvelope&) {
-                  std::vector<SwitchId> switches;
-                  ctx.state().for_each(
-                      S, [&switches](const std::string&, const Bytes& v) {
-                        switches.push_back(
-                            decode_from_bytes<FlowSeriesEntry>(v).sw);
+                  ctx.state().for_each<FlowSeriesEntry>(
+                      S, [&ctx](const std::string&, const FlowSeriesEntry& e) {
+                        ctx.emit(FlowStatQuery{e.sw});
                       });
-                  for (SwitchId sw : switches) {
-                    ctx.emit(FlowStatQuery{sw});
-                  }
                 });
 
   // Route: on TimeOut(1s), with S and T — the centralizing whole-dict map.
@@ -72,19 +67,21 @@ TENaiveApp::TENaiveApp(TEConfig config) : App("te.naive") {
         };
         std::vector<Change> to_reroute;
         std::vector<FlowSeriesEntry> updated;
-        ctx.state().for_each(
-            S, [&](const std::string&, const Bytes& v) {
-              FlowSeriesEntry entry = decode_from_bytes<FlowSeriesEntry>(v);
-              bool dirty = false;
+        ctx.state().for_each<FlowSeriesEntry>(
+            S, [&](const std::string&, const FlowSeriesEntry& entry) {
+              // Copy the entry only once one of its flows is flagged.
+              FlowSeriesEntry* flagged = nullptr;
               for (const FlowStat& stat : entry.latest) {
+                const FlowSeriesEntry& seen = flagged ? *flagged : entry;
                 if (stat.rate_kbps > config.delta_kbps &&
-                    !entry.is_flagged(stat.flow)) {
+                    !seen.is_flagged(stat.flow)) {
+                  if (flagged == nullptr) {
+                    flagged = &updated.emplace_back(entry);
+                  }
                   to_reroute.push_back({entry.sw, stat.flow});
-                  entry.flag(stat.flow);
-                  dirty = true;
+                  flagged->flag(stat.flow);
                 }
               }
-              if (dirty) updated.push_back(std::move(entry));
             });
         for (FlowSeriesEntry& entry : updated) {
           const std::string key = switch_key(entry.sw);

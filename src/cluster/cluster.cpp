@@ -65,8 +65,7 @@ ClusterBase::ClusterBase(ClusterConfig config)
   config_.hive.n_hives = config_.n_hives;
   if (config_.metrics) metrics_ = std::make_unique<MetricsRegistry>();
   if (config_.flight_recorder) {
-    recorder_ = std::make_unique<FlightRecorder>(FlightRecorder::kLinesPerHive,
-                                                 config_.n_hives);
+    recorder_ = std::make_unique<FlightRecorder>();
   }
   if (config_.tracing) {
     tracers_.reserve(config_.n_hives);

@@ -10,18 +10,11 @@ void FaultPlan::set_link(HiveId from, HiveId to, const LinkFaults& faults) {
   links_[{from, to}] = faults;
 }
 
-void FaultPlan::set_link_pair(HiveId a, HiveId b, const LinkFaults& faults) {
-  set_link(a, b, faults);
-  set_link(b, a, faults);
-}
-
 void FaultPlan::partition(HiveId a, HiveId b) {
   partitions_.insert(ordered(a, b));
 }
 
 void FaultPlan::heal(HiveId a, HiveId b) { partitions_.erase(ordered(a, b)); }
-
-void FaultPlan::heal_all() { partitions_.clear(); }
 
 bool FaultPlan::partitioned(HiveId a, HiveId b) const {
   return partitions_.contains(ordered(a, b));

@@ -52,14 +52,11 @@ class FaultPlan {
   void set_default_link(const LinkFaults& faults);
   /// Directional override for frames from -> to.
   void set_link(HiveId from, HiveId to, const LinkFaults& faults);
-  /// Symmetric convenience: applies `faults` to both directions.
-  void set_link_pair(HiveId a, HiveId b, const LinkFaults& faults);
 
   /// Cuts the link in both directions: every frame (and registry RPC)
   /// between a and b is lost until heal(a, b).
   void partition(HiveId a, HiveId b);
   void heal(HiveId a, HiveId b);
-  void heal_all();
   bool partitioned(HiveId a, HiveId b) const;
   std::size_t partitions_active() const { return partitions_.size(); }
 

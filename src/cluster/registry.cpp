@@ -287,12 +287,6 @@ std::uint64_t RegistryService::expected_transfers(BeeId bee) const {
   return rec == nullptr ? 0 : rec->transfers_expected;
 }
 
-void RegistryService::move_bee_rpc(BeeId bee, HiveId to, HiveId requester,
-                                   TimePoint now) {
-  bill_rpc(requester, kRpcRequestBase, now);
-  move_bee(bee, to, now);
-}
-
 std::uint64_t RegistryService::begin_migration(BeeId bee, HiveId requester,
                                                TimePoint now) {
   auto held = lock();

@@ -122,9 +122,6 @@ class RegistryService {
   /// Re-points a live bee to a new hive (migration commit).
   void move_bee(BeeId bee, HiveId to, TimePoint now);
 
-  /// move_bee plus control-channel billing for the RPC from `requester`.
-  void move_bee_rpc(BeeId bee, HiveId to, HiveId requester, TimePoint now);
-
   // -- Migration epochs ------------------------------------------------------
   // The source hive mints an epoch when it freezes a bee for migration; the
   // target commits the move conditionally on that epoch. Aborting the

@@ -28,15 +28,4 @@ App* AppSet::find_by_name(std::string_view name) const {
   return nullptr;
 }
 
-std::vector<std::pair<App*, const HandlerBinding*>> AppSet::subscribers(
-    MsgTypeId type) const {
-  std::vector<std::pair<App*, const HandlerBinding*>> out;
-  for (const auto& app : apps_) {
-    if (const HandlerBinding* b = app->binding_for(type)) {
-      out.emplace_back(app.get(), b);
-    }
-  }
-  return out;
-}
-
 }  // namespace beehive

@@ -67,8 +67,9 @@ struct TimerTick {
 
 struct HandlerBinding {
   enum class Kind {
-    kMapped,         ///< Map() names the cells; platform routes to their bee.
-    kForeachLocal,   ///< Delivered to every local bee owning cells of a dict.
+    kMapped,        ///< Map() names the cells; platform routes to their bee.
+    kForeachLocal,  ///< `every_foreach` timers only: delivered to every
+                    ///< local bee owning cells of a dict.
   };
 
   MsgTypeId msg_type = 0;
@@ -142,23 +143,6 @@ class App {
     bindings_.push_back(std::move(b));
   }
 
-  /// `on M foreach dict`: delivered to every local bee holding cells of
-  /// `dict`; the handler may scan that dictionary's local entries.
-  template <WireEncodable M>
-  void on_foreach(std::string dict,
-                  std::function<void(AppContext&, const M&)> fn) {
-    MsgTypeRegistry::instance().ensure<M>();
-    HandlerBinding b;
-    b.msg_type = msg_type_id<M>();
-    b.kind = HandlerBinding::Kind::kForeachLocal;
-    b.foreach_dict = std::move(dict);
-    b.handle = [fn = std::move(fn)](AppContext& ctx,
-                                    const MessageEnvelope& env) {
-      fn(ctx, env.as<M>());
-    };
-    bindings_.push_back(std::move(b));
-  }
-
   /// `on TimeOut(period) with cells(map(tick))`: the tick is injected on
   /// the cluster's timer-master hive and routed like any mapped message.
   void every(Duration period, MapFn map, HandlerFn fn) {
@@ -214,13 +198,9 @@ class AppSet {
   App* find(AppId id) const;
   App* find_by_name(std::string_view name) const;
 
-  /// All (app, binding) pairs subscribed to a message type.
-  std::vector<std::pair<App*, const HandlerBinding*>> subscribers(
-      MsgTypeId type) const;
-
   /// Allocation-free subscriber visit for the dispatch hot path: invokes
-  /// `fn(App&, const HandlerBinding&)` for each subscribed app, in
-  /// deployment order — same sequence as subscribers(), minus the vector.
+  /// `fn(App&, const HandlerBinding&)` for each app subscribed to `type`,
+  /// in deployment order.
   template <typename Fn>
   void for_each_subscriber(MsgTypeId type, Fn&& fn) const {
     for (const auto& app : apps_) {

@@ -22,21 +22,10 @@ class Bee;
 
 class AppContext {
  public:
-  /// `txn_scratch` is optional reusable undo/redo log storage owned by the
-  /// dispatching hive; see Txn::Scratch.
-  AppContext(StateStore& store, AccessPolicy policy, AppId app, BeeId bee,
-             HiveId hive, TimePoint now, MsgTypeId in_reply_to,
-             Txn::Scratch* txn_scratch = nullptr)
-      : txn_(store, std::move(policy), txn_scratch),
-        app_(app),
-        bee_(bee),
-        hive_(hive),
-        now_(now),
-        in_reply_to_(in_reply_to) {}
-
-  /// Borrowed-policy variant for the dispatch hot path: the hive owns the
-  /// policy and it outlives the context (the handler runs synchronously
-  /// inside the dispatch frame), so no AccessPolicy is copied or moved.
+  /// The caller owns `policy` and it outlives the context (the hive runs
+  /// the handler synchronously inside the dispatch frame), so no
+  /// AccessPolicy is copied or moved. `txn_scratch` is optional reusable
+  /// undo/redo log storage owned by the dispatching hive; see Txn::Scratch.
   AppContext(StateStore& store, const AccessPolicy* policy, AppId app,
              BeeId bee, HiveId hive, TimePoint now, MsgTypeId in_reply_to,
              Txn::Scratch* txn_scratch = nullptr)

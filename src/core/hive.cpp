@@ -224,11 +224,7 @@ bool Hive::e2e_eligible(const MessageEnvelope& env) {
 void Hive::route(const MessageEnvelope& env) {
   apps_.for_each_subscriber(
       env.type(), [&](App& app, const HandlerBinding& binding) {
-        if (binding.kind == HandlerBinding::Kind::kForeachLocal) {
-          dispatch_foreach_local(app.id(), binding.foreach_dict, env);
-        } else {
-          dispatch_mapped(app, binding, env);
-        }
+        dispatch_mapped(app, binding, env);
       });
 }
 
@@ -395,7 +391,6 @@ void Hive::process(Bee& bee, const MessageEnvelope& env,
   } busy_reset{scratch == &txn_scratch_ ? &txn_scratch_busy_ : nullptr};
   AppContext ctx(bee.store(), &bound->policy, bee.app(), bee.id(),
                  id_, started, env.type(), scratch);
-  TraceLogScope log_scope(env.trace_id(), env.causal_depth());
   // Cost sampling: every activation pays the tick (one increment + mask
   // test); the sampled Nth additionally reads the thread CPU clock around
   // the handler and charges the measured time to the bee.
@@ -648,18 +643,15 @@ void Hive::flush() {
 void Hive::send_app_msg(HiveId to, BeeId bee, AppId app,
                         std::uint64_t min_transfers,
                         const MessageEnvelope& env) {
-  // Serialize the AppMsg frame through the reusable scratch chain (frame →
+  // Serialize the kAppMsg frame through the reusable scratch chain (frame →
   // envelope → payload). append_egress copies the bytes into the batch
   // before anything can reenter, so one set of scratch buffers suffices and
   // the steady-state remote send touches the heap only for buffer growth.
-  frame_scratch_.clear();
-  frame_scratch_.u8(static_cast<std::uint8_t>(FrameKind::kAppMsg));
-  frame_scratch_.u64(bee);
-  frame_scratch_.u32(app);
-  frame_scratch_.varint(min_transfers);
   env_scratch_.clear();
   env.encode_to(env_scratch_, payload_scratch_);
-  frame_scratch_.str(env_scratch_.bytes());
+  frame_scratch_.clear();
+  write_app_msg(frame_scratch_,
+                {bee, app, min_transfers, env_scratch_.bytes()});
   append_egress(to, frame_scratch_.bytes());
 }
 
@@ -726,25 +718,21 @@ void Hive::dispatch_frame(std::string_view frame) {
 void Hive::handle_app_msg(ByteReader& r) {
   // Decoded in place from the frame bytes: header fields are read directly
   // and the envelope payload is borrowed (from_wire materializes the typed
-  // body from a view into `env_bytes`, which outlives this synchronous
-  // delivery) — the receive path's only unavoidable allocation is the body
-  // object itself.
-  const BeeId frame_target = r.u64();
-  const AppId frame_app = r.u32();
-  const std::uint64_t frame_min = r.varint();
-  const std::uint64_t env_len = r.varint();
-  std::string_view env_bytes = r.view(env_len);
-  MessageEnvelope env = MessageEnvelope::from_wire(env_bytes);
-  if (Bee* bee = find_bee(frame_target)) {
-    deliver_local(*bee, env, frame_min);
+  // body from `frame.envelope`, a view into the frame, which outlives this
+  // synchronous delivery) — the receive path's only unavoidable allocation
+  // is the body object itself.
+  const AppMsg frame = read_app_msg(r);
+  MessageEnvelope env = MessageEnvelope::from_wire(frame.envelope);
+  if (Bee* bee = find_bee(frame.target)) {
+    deliver_local(*bee, env, frame.min_transfers);
     return;
   }
   // Not instantiated here: either it is ours (lazy creation) or it moved
   // and we must forward (sender's cache was stale).
-  BeeId target = registry_.live_successor(frame_target);
+  BeeId target = registry_.live_successor(frame.target);
   if (target == kNoBee) {
     BH_WARN << "hive " << id_ << ": dropping message for unknown bee "
-            << to_string_bee(frame_target);
+            << to_string_bee(frame.target);
     return;
   }
   auto hive = registry_client_.hive_of(target, env_.now());
@@ -756,21 +744,17 @@ void Hive::handle_app_msg(ByteReader& r) {
   // retargeting to a merge successor, re-fence at the successor's current
   // expected count — it inherited the dead bee's whole transfer ledger, so
   // this conservatively covers every transfer still chasing it.
-  std::uint64_t min = target == frame_target
-                          ? frame_min
+  std::uint64_t min = target == frame.target
+                          ? frame.min_transfers
                           : registry_.expected_transfers(target);
   if (*hive == id_) {
-    deliver_local(ensure_local_bee(target, frame_app), env, min);
+    deliver_local(ensure_local_bee(target, frame.app), env, min);
   } else {
     counters_.forwarded.bump();
     // Stale-cache forward (rare): re-frame through the scratch writer,
     // reusing the received envelope bytes verbatim.
     frame_scratch_.clear();
-    frame_scratch_.u8(static_cast<std::uint8_t>(FrameKind::kAppMsg));
-    frame_scratch_.u64(target);
-    frame_scratch_.u32(frame_app);
-    frame_scratch_.varint(min);
-    frame_scratch_.str(env_bytes);
+    write_app_msg(frame_scratch_, {target, frame.app, min, frame.envelope});
     append_egress(*hive, frame_scratch_.bytes());
   }
 }

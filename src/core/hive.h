@@ -214,7 +214,8 @@ class Hive {
   // the Map result already computed by the dispatch layer for this
   // message+app pair; it is borrowed down the synchronous delivery chain so
   // Map runs exactly once per message per hive. Callers that cannot supply
-  // it (holdback drain, foreach delivery) pass null and bind() recomputes.
+  // it (holdback drain, foreach timer ticks) pass null and bind()
+  // recomputes.
   void route(const MessageEnvelope& env);
   void dispatch_mapped(App& app, const HandlerBinding& binding,
                        const MessageEnvelope& env);
@@ -259,7 +260,7 @@ class Hive {
   void append_egress(HiveId to, std::string_view frame);
   void schedule_flush();
   void flush();
-  /// Serializes an AppMsgFrame for `env` straight into the egress buffer
+  /// Serializes a kAppMsg frame for `env` straight into the egress buffer
   /// through the reusable scratch writers — no per-message allocation.
   void send_app_msg(HiveId to, BeeId bee, AppId app,
                     std::uint64_t min_transfers, const MessageEnvelope& env);

@@ -12,9 +12,10 @@
 //
 // Migration (optimizer move): the source hive freezes the bee, ships a
 // state snapshot, the target installs it and commits the new location to
-// the registry, acks, and the source drains the held-back messages to the
-// new home. Stale frames that still arrive at the source are forwarded via
-// the registry lookup in handle_app_msg.
+// the registry under the epoch the source minted, acks, and the source
+// drains the held-back messages to the new home. Stale frames that still
+// arrive at the source are forwarded via the registry lookup in
+// handle_app_msg.
 #include <cassert>
 
 #include "core/hive.h"
@@ -150,14 +151,12 @@ void Hive::handle_migrate_xfer(const MigrateXferFrame& frame) {
     // the bee kept running there and this snapshot is stale — forwarding
     // it would graft outdated state onto the merge winner. Only a current
     // epoch proves the bee really was frozen when it merged away.
-    if (frame.mig_epoch != 0) {
-      const std::optional<BeeRecord> rec = registry_.find(frame.bee);
-      if (!rec.has_value() || rec->mig_epoch != frame.mig_epoch) {
-        BH_WARN << "hive " << id_ << ": stale migration transfer for "
-                << "merged-away bee " << to_string_bee(frame.bee)
-                << " dropped";
-        return;
-      }
+    const std::optional<BeeRecord> rec = registry_.find(frame.bee);
+    if (!rec.has_value() || rec->mig_epoch != frame.mig_epoch) {
+      BH_WARN << "hive " << id_ << ": stale migration transfer for "
+              << "merged-away bee " << to_string_bee(frame.bee)
+              << " dropped";
+      return;
     }
     if (successor != kNoBee) {
       auto hive = registry_client_.hive_of(successor, env_.now());
@@ -189,16 +188,12 @@ void Hive::handle_migrate_xfer(const MigrateXferFrame& frame) {
   // migration the origin has since aborted must not re-home the bee
   // (split-brain guard). Duplicates of a committed transfer re-commit
   // idempotently and re-ack — the first ack may have been lost.
-  if (frame.mig_epoch != 0) {
-    if (!registry_.commit_migration(frame.bee, id_, frame.mig_epoch, id_,
-                                    env_.now())) {
-      BH_WARN << "hive " << id_ << ": stale migration transfer for bee "
-              << to_string_bee(frame.bee) << " (epoch " << frame.mig_epoch
-              << ") dropped";
-      return;
-    }
-  } else {
-    registry_.move_bee_rpc(frame.bee, id_, id_, env_.now());
+  if (!registry_.commit_migration(frame.bee, id_, frame.mig_epoch, id_,
+                                  env_.now())) {
+    BH_WARN << "hive " << id_ << ": stale migration transfer for bee "
+            << to_string_bee(frame.bee) << " (epoch " << frame.mig_epoch
+            << ") dropped";
+    return;
   }
   Bee& bee = ensure_local_bee(frame.bee, frame.app);
   bee.store().merge_from(StateStore::from_snapshot(frame.snapshot));

@@ -19,12 +19,6 @@ ReliableTransport::ReliableTransport(HiveId self, RuntimeEnv& env,
                                      TransportConfig config)
     : self_(self), env_(env), config_(config) {}
 
-std::size_t ReliableTransport::unacked_frames() const {
-  std::size_t n = 0;
-  for (const auto& [_, peer] : peers_) n += peer.unacked.size();
-  return n;
-}
-
 std::int64_t ReliableTransport::credits_available() const {
   const std::uint64_t win = config_.credit_window;
   if (win == 0) return -1;

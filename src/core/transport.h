@@ -112,9 +112,6 @@ class ReliableTransport {
 
   const TransportCounters& counters() const { return counters_; }
 
-  /// Frames currently buffered awaiting ack, across all peers (tests).
-  std::size_t unacked_frames() const;
-
   // -- Flow control ---------------------------------------------------------
 
   /// Frames waiting for credit right now, across all peers. Relaxed

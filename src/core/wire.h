@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "msg/message.h"
@@ -38,7 +39,8 @@ enum class FrameKind : std::uint8_t {
   kAck = 10,      ///< Standalone cumulative ack (src, ack).
 };
 
-struct AppMsgFrame {
+/// One kAppMsg frame: an app message routed to a specific bee.
+struct AppMsg {
   BeeId target = kNoBee;
   AppId app = 0;
   /// Registry transfer count the target must have applied before this
@@ -46,23 +48,29 @@ struct AppMsgFrame {
   /// sender's resolve observed that many state transfers decided for the
   /// target, so processing earlier could read pre-merge state.
   std::uint64_t min_transfers = 0;
-  Bytes envelope;  ///< MessageEnvelope::to_wire()
-
-  void encode(ByteWriter& w) const {
-    w.u64(target);
-    w.u32(app);
-    w.varint(min_transfers);
-    w.str(envelope);
-  }
-  static AppMsgFrame decode(ByteReader& r) {
-    AppMsgFrame f;
-    f.target = r.u64();
-    f.app = r.u32();
-    f.min_transfers = r.varint();
-    f.envelope = r.str();
-    return f;
-  }
+  std::string_view envelope;  ///< MessageEnvelope bytes (to_wire layout)
 };
+
+/// Appends a whole kAppMsg frame, kind byte included, to `w`.
+inline void write_app_msg(ByteWriter& w, const AppMsg& m) {
+  w.u8(static_cast<std::uint8_t>(FrameKind::kAppMsg));
+  w.u64(m.target);
+  w.u32(m.app);
+  w.varint(m.min_transfers);
+  w.str(m.envelope);
+}
+
+/// Reads a kAppMsg frame's body (the kind byte already consumed). The
+/// envelope borrows the reader's bytes, so the frame must outlive it.
+inline AppMsg read_app_msg(ByteReader& r) {
+  AppMsg m;
+  m.target = r.u64();
+  m.app = r.u32();
+  m.min_transfers = r.varint();
+  const std::uint64_t len = r.varint();
+  m.envelope = r.view(len);
+  return m;
+}
 
 struct MergeCmdFrame {
   BeeId loser = kNoBee;

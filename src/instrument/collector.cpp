@@ -52,26 +52,35 @@ HiveId hive_of_key(const std::string& key) {
   return static_cast<HiveId>(std::stoul(key));
 }
 
-/// Builds the optimizer's input from a scan over the collector's dicts:
-/// the round's transaction or a collector bee's store.
-template <typename Scan>
-ClusterView assemble_view(const Scan& scan, std::size_t n_hives) {
+/// Typed scans of one collector dict: in the round's transaction, or over
+/// a collector bee's store.
+template <typename T, typename Fn>
+void scan(const Txn& txn, std::string_view dict, Fn&& fn) {
+  txn.for_each<T>(dict, fn);
+}
+template <typename T, typename Fn>
+void scan(const StateStore& store, std::string_view dict, Fn&& fn) {
+  if (const Dict* d = store.find_dict(dict)) d->for_each_as<T>(fn);
+}
+
+/// Builds the optimizer's input from the collector's dicts, read through
+/// `source` (a Txn or a StateStore).
+template <typename Source>
+ClusterView assemble_view(const Source& source, std::size_t n_hives) {
   ClusterView view;
   view.n_hives = n_hives;
-  scan(CollectorApp::kHivesDict,
-       [&view](const std::string& key, const Bytes& value) {
-         view.hive_cells[hive_of_key(key)] =
-             decode_from_bytes<HiveCells>(value).cells;
-       });
-  scan(CollectorApp::kPressureDict,
-       [&view](const std::string& key, const Bytes& value) {
-         view.hive_pressure[hive_of_key(key)] =
-             decode_from_bytes<HivePressure>(value).pressure;
-       });
-  scan(CollectorApp::kBeesDict,
-       [&view](const std::string&, const Bytes& value) {
-         view.bees.push_back(decode_from_bytes<BeeView>(value));
-       });
+  scan<HiveCells>(source, CollectorApp::kHivesDict,
+                  [&view](const std::string& key, const HiveCells& c) {
+                    view.hive_cells[hive_of_key(key)] = c.cells;
+                  });
+  scan<HivePressure>(source, CollectorApp::kPressureDict,
+                     [&view](const std::string& key, const HivePressure& p) {
+                       view.hive_pressure[hive_of_key(key)] = p.pressure;
+                     });
+  scan<BeeView>(source, CollectorApp::kBeesDict,
+                [&view](const std::string&, const BeeView& bee) {
+                  view.bees.push_back(bee);
+                });
   return view;
 }
 
@@ -136,11 +145,7 @@ CollectorApp::CollectorApp(std::shared_ptr<PlacementStrategy> strategy,
       [](const MessageEnvelope&) { return collector_cells(); },
       [strategy, n_hives](AppContext& ctx, const MessageEnvelope&) {
         const auto wall_start = std::chrono::steady_clock::now();
-        const ClusterView view = assemble_view(
-            [&ctx](std::string_view dict, const auto& fn) {
-              ctx.state().for_each(dict, fn);
-            },
-            n_hives);
+        const ClusterView view = assemble_view(ctx.state(), n_hives);
         std::vector<PlacementDecision> decision_log;
         std::vector<MigrationDecision> moves =
             strategy->decide_explained(view, &decision_log);
@@ -190,35 +195,35 @@ std::vector<CollectorApp::CausationRow> CollectorApp::causation_from_store(
     const StateStore& store) {
   // First index the per-(app, input type) counts.
   std::map<std::pair<AppId, MsgTypeId>, std::uint64_t> inputs;
-  if (const Dict* in_types = store.find_dict(kInTypesDict)) {
-    in_types->for_each([&inputs](const std::string& key, const Bytes& v) {
-      auto colon = key.find(':');
-      AppId app = static_cast<AppId>(std::stoul(key.substr(0, colon)));
-      auto type = static_cast<MsgTypeId>(std::stoul(key.substr(colon + 1)));
-      inputs[{app, type}] = decode_from_bytes<HiveCells>(v).cells;
-    });
-  }
+  scan<HiveCells>(store, kInTypesDict,
+                  [&inputs](const std::string& key, const HiveCells& c) {
+                    auto colon = key.find(':');
+                    AppId app =
+                        static_cast<AppId>(std::stoul(key.substr(0, colon)));
+                    auto type = static_cast<MsgTypeId>(
+                        std::stoul(key.substr(colon + 1)));
+                    inputs[{app, type}] = c.cells;
+                  });
 
   std::vector<CausationRow> rows;
-  if (const Dict* causation = store.find_dict(kCausationDict)) {
-    causation->for_each([&rows, &inputs](const std::string& key,
-                                         const Bytes& v) {
-      auto c1 = key.find(':');
-      auto c2 = key.find(':', c1 + 1);
-      CausationRow row;
-      row.app = static_cast<AppId>(std::stoul(key.substr(0, c1)));
-      row.in =
-          static_cast<MsgTypeId>(std::stoul(key.substr(c1 + 1, c2 - c1 - 1)));
-      row.out = static_cast<MsgTypeId>(std::stoul(key.substr(c2 + 1)));
-      row.emitted = decode_from_bytes<HiveCells>(v).cells;
-      auto it = inputs.find({row.app, row.in});
-      row.inputs = it == inputs.end() ? 0 : it->second;
-      row.ratio = row.inputs == 0 ? 0.0
-                                  : static_cast<double>(row.emitted) /
-                                        static_cast<double>(row.inputs);
-      rows.push_back(row);
-    });
-  }
+  scan<HiveCells>(
+      store, kCausationDict,
+      [&rows, &inputs](const std::string& key, const HiveCells& c) {
+        auto c1 = key.find(':');
+        auto c2 = key.find(':', c1 + 1);
+        CausationRow row;
+        row.app = static_cast<AppId>(std::stoul(key.substr(0, c1)));
+        row.in = static_cast<MsgTypeId>(
+            std::stoul(key.substr(c1 + 1, c2 - c1 - 1)));
+        row.out = static_cast<MsgTypeId>(std::stoul(key.substr(c2 + 1)));
+        row.emitted = c.cells;
+        auto it = inputs.find({row.app, row.in});
+        row.inputs = it == inputs.end() ? 0 : it->second;
+        row.ratio = row.inputs == 0 ? 0.0
+                                    : static_cast<double>(row.emitted) /
+                                          static_cast<double>(row.inputs);
+        rows.push_back(row);
+      });
   return rows;
 }
 
@@ -226,6 +231,7 @@ std::vector<PlacementRound> CollectorApp::decisions_from_store(
     const StateStore& store) {
   std::vector<PlacementRound> rounds;
   if (const Dict* d = store.find_dict(kDecisionsDict)) {
+    // A bytes scan: the "next" row is a HiveCells, not a round.
     d->for_each([&rounds](const std::string& key, const Bytes& value) {
       if (key == "next") return;
       rounds.push_back(decode_from_bytes<PlacementRound>(value));
@@ -240,11 +246,7 @@ std::vector<PlacementRound> CollectorApp::decisions_from_store(
 
 ClusterView CollectorApp::view_from_store(const StateStore& store,
                                           std::size_t n_hives) {
-  return assemble_view(
-      [&store](std::string_view dict, const auto& fn) {
-        if (const Dict* d = store.find_dict(dict)) d->for_each(fn);
-      },
-      n_hives);
+  return assemble_view(store, n_hives);
 }
 
 }  // namespace beehive

@@ -58,10 +58,9 @@ FailureDetectorApp::FailureDetectorApp(
         const std::string key = std::to_string(report.hive);
         bool was_suspected = false;
         TimePoint last_seen = 0;
-        if (auto prev = ctx.state().get(dict, key); prev.has_value()) {
-          HiveLiveness before = decode_from_bytes<HiveLiveness>(*prev);
-          was_suspected = before.suspected;
-          last_seen = before.last_seen;
+        if (auto before = ctx.state().get_as<HiveLiveness>(dict, key)) {
+          was_suspected = before->suspected;
+          last_seen = before->last_seen;
         }
         HiveLiveness liveness;
         liveness.last_seen = ctx.now();
@@ -82,9 +81,8 @@ FailureDetectorApp::FailureDetectorApp(
           HiveLiveness liveness;
         };
         std::vector<Suspect> suspects;
-        ctx.state().for_each(
-            dict, [&](const std::string& key, const Bytes& value) {
-              HiveLiveness liveness = decode_from_bytes<HiveLiveness>(value);
+        ctx.state().for_each<HiveLiveness>(
+            dict, [&](const std::string& key, const HiveLiveness& liveness) {
               if (liveness.suspected) return;
               if (ctx.now() - liveness.last_seen >= config.suspect_after) {
                 suspects.push_back(

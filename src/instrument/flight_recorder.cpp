@@ -1,36 +1,8 @@
 #include "instrument/flight_recorder.h"
 
-#include <csignal>
-#include <cstdio>
-#include <cstring>
 #include <fstream>
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include "util/logging.h"
-
 namespace beehive {
-
-namespace {
-
-// Crash-handler state: plain pointers set before handlers are installed,
-// read from the signal handler. Intentionally leaked references — the
-// process is about to die when they are used.
-FlightRecorder* g_crash_recorder = nullptr;
-char g_crash_path[512] = {0};
-
-extern "C" void crash_signal_handler(int sig) {
-  if (g_crash_recorder != nullptr && g_crash_path[0] != '\0') {
-    g_crash_recorder->crash_dump_unsafe(g_crash_path, sig);
-  }
-  // Restore the default handler and re-raise so the exit status and core
-  // dump behave as if we were never here.
-  std::signal(sig, SIG_DFL);
-  std::raise(sig);
-}
-
-}  // namespace
 
 void FlightRecorder::note(HiveId hive, std::string line) {
   std::lock_guard lock(mutex_);
@@ -43,16 +15,6 @@ void FlightRecorder::note(HiveId hive, std::string line) {
     ring.lines[ring.head] = std::move(line);
     ring.head = (ring.head + 1) % ring.lines.size();
   }
-}
-
-void FlightRecorder::tee_logger() {
-  Logger::instance().set_sink([this](LogLevel level, const std::string& line) {
-    // Attribute to hive 0: the logger has no hive context; hives that want
-    // precise attribution call note() directly.
-    note(0, line);
-    std::fprintf(stderr, "%s\n", line.c_str());
-    (void)level;
-  });
 }
 
 void FlightRecorder::set_span_source(SpanSource source) {
@@ -74,17 +36,9 @@ FlightRecorder::Ring& FlightRecorder::ring_for_locked(HiveId hive) {
   for (Ring& r : rings_) {
     if (r.hive == hive) return r;
   }
-  if (rings_.size() == max_hives_) {
-    // The table is full and must not reallocate (crash_dump_unsafe walks
-    // it without the mutex); overflow hives share the first ring.
-    return rings_.front();
-  }
   Ring& r = rings_.emplace_back();
   r.hive = hive;
   r.lines.resize(lines_per_hive_);
-  // Publish only after the ring is fully built: the crash handler reads
-  // rings_[0..ring_count_) with no lock.
-  ring_count_.store(rings_.size(), std::memory_order_release);
   return r;
 }
 
@@ -122,8 +76,7 @@ std::string FlightRecorder::render(const std::string& reason) const {
     traces = trace_source_;
   }
   // The health and trace sources run outside the mutex: they may note()
-  // into the recorder or take cluster locks. Never invoked on the crash
-  // path (crash_dump_unsafe), which must stay lock- and allocation-free.
+  // into the recorder or take cluster locks.
   if (health) {
     out += "--- health ---\n";
     out += health();
@@ -150,65 +103,6 @@ std::size_t FlightRecorder::line_count(HiveId hive) const {
     if (r.hive == hive) return r.size;
   }
   return 0;
-}
-
-void FlightRecorder::install_crash_handler(const std::string& path) {
-  g_crash_recorder = this;
-  std::snprintf(g_crash_path, sizeof(g_crash_path), "%s", path.c_str());
-  std::signal(SIGSEGV, crash_signal_handler);
-  std::signal(SIGABRT, crash_signal_handler);
-  std::signal(SIGFPE, crash_signal_handler);
-  std::signal(SIGBUS, crash_signal_handler);
-}
-
-void FlightRecorder::crash_dump_unsafe(const char* path, int sig) const {
-  // Async-signal-safe path: open(2)/write(2) only, no locking, no
-  // allocation. The ring table's storage is reserved at construction and
-  // ring_count_ is only advanced after a ring is fully built, so walking
-  // rings_[0..ring_count_) never touches reallocated or half-constructed
-  // memory. Individual lines may still race a writer mid-crash; a torn
-  // line is acceptable in a crash artifact.
-  int fd = ::open(path, O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return;
-  auto put = [fd](const char* s, std::size_t n) {
-    std::size_t off = 0;
-    while (off < n) {
-      ssize_t w = ::write(fd, s + off, n - off);
-      if (w <= 0) break;
-      off += static_cast<std::size_t>(w);
-    }
-  };
-  auto put_str = [&put](const char* s) { put(s, std::strlen(s)); };
-  auto put_num = [&put](std::uint64_t v) {
-    char buf[24];
-    char* p = buf + sizeof(buf);
-    *--p = '\0';
-    do {
-      *--p = static_cast<char>('0' + v % 10);
-      v /= 10;
-    } while (v != 0);
-    put(p, std::strlen(p));
-  };
-
-  put_str("=== flight recorder crash dump (signal ");
-  put_num(static_cast<std::uint64_t>(sig));
-  put_str(") ===\n");
-  const std::size_t n_rings = ring_count_.load(std::memory_order_acquire);
-  for (std::size_t ri = 0; ri < n_rings; ++ri) {
-    const Ring& ring = rings_[ri];
-    put_str("--- hive ");
-    put_num(ring.hive);
-    put_str(" ---\n");
-    const std::size_t cap = ring.lines.size();
-    if (cap == 0) continue;
-    const std::size_t n = ring.size < cap ? ring.size : cap;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::string& line = ring.lines[(ring.head + i) % cap];
-      put(line.data(), line.size());
-      put("\n", 1);
-    }
-  }
-  ::close(fd);
 }
 
 }  // namespace beehive

@@ -31,35 +31,6 @@ void append_json_ring(std::string& out, const TimeSeriesRing& ring) {
   out += "]";
 }
 
-/// Builds a StatusReport from a scan over the status dicts: the query
-/// handler's transaction or a status bee's store.
-template <typename Scan>
-StatusReport assemble_report(const Scan& scan, TimePoint at,
-                             std::uint64_t token) {
-  StatusReport report;
-  report.token = token;
-  report.at = at;
-  scan(StatusApp::kHivesDict, [&report](const std::string&, const Bytes& v) {
-    report.hives.push_back(decode_from_bytes<HiveStatus>(v));
-  });
-  scan(StatusApp::kBeesDict, [&report](const std::string&, const Bytes& v) {
-    report.bees.push_back(decode_from_bytes<BeeStatus>(v));
-  });
-  scan(StatusApp::kMetaDict, [&report](const std::string&, const Bytes& v) {
-    report.suspected.push_back(decode_from_bytes<HiveSuspected>(v).hive);
-  });
-  std::sort(report.hives.begin(), report.hives.end(),
-            [](const HiveStatus& a, const HiveStatus& b) {
-              return a.hive < b.hive;
-            });
-  std::sort(report.bees.begin(), report.bees.end(),
-            [](const BeeStatus& a, const BeeStatus& b) {
-              return a.bee < b.bee;
-            });
-  std::sort(report.suspected.begin(), report.suspected.end());
-  return report;
-}
-
 }  // namespace
 
 std::vector<TimeSeriesRing::Sample> TimeSeriesRing::snapshot() const {
@@ -99,7 +70,6 @@ StatusApp::StatusApp() : App("platform.status") {
   register_metrics_messages();
   MsgTypeRegistry::instance().ensure<HiveStatus>();
   MsgTypeRegistry::instance().ensure<BeeStatus>();
-  MsgTypeRegistry::instance().ensure<StatusReport>();
   MsgTypeRegistry::instance().ensure<HiveSuspected>();
 
   // Fold: every hive's heartbeat report refreshes its own row and its
@@ -158,12 +128,9 @@ StatusApp::StatusApp() : App("platform.status") {
         // Age out rows for bees that merged away or whose hive stopped
         // reporting; they would otherwise linger forever.
         std::vector<std::string> stale;
-        ctx.state().for_each(
-            bees, [&](const std::string& key, const Bytes& value) {
-              BeeStatus bs = decode_from_bytes<BeeStatus>(value);
-              if (bs.at + kStaleAfter < report.at) {
-                stale.push_back(key);
-              }
+        ctx.state().for_each<BeeStatus>(
+            bees, [&](const std::string& key, const BeeStatus& bs) {
+              if (bs.at + kStaleAfter < report.at) stale.push_back(key);
             });
         for (const std::string& key : stale) ctx.state().erase(bees, key);
       });
@@ -191,34 +158,44 @@ StatusApp::StatusApp() : App("platform.status") {
           ctx.state().put_as(hives, key, *hs);
         }
       });
-
-  // Query: assemble the snapshot and emit it back into the cluster; any
-  // app subscribed to StatusReport (a driver, a test sink, the HTTP
-  // bridge) receives it.
-  on<StatusQuery>(
-      [](const StatusQuery&) { return status_cells(); },
-      [](AppContext& ctx, const StatusQuery& q) {
-        ctx.emit(assemble_report(
-            [&ctx](std::string_view dict, const auto& fn) {
-              ctx.state().for_each(dict, fn);
-            },
-            ctx.now(), q.token));
-      });
 }
 
 StatusReport StatusApp::report_from_store(const StateStore& store,
-                                          TimePoint at,
-                                          std::uint64_t token) {
-  return assemble_report(
-      [&store](std::string_view dict, const auto& fn) {
-        if (const Dict* d = store.find_dict(dict)) d->for_each(fn);
-      },
-      at, token);
+                                          TimePoint at) {
+  StatusReport report;
+  report.at = at;
+  if (const Dict* d = store.find_dict(kHivesDict)) {
+    d->for_each_as<HiveStatus>([&report](const std::string&,
+                                         const HiveStatus& hs) {
+      report.hives.push_back(hs);
+    });
+  }
+  if (const Dict* d = store.find_dict(kBeesDict)) {
+    d->for_each_as<BeeStatus>([&report](const std::string&,
+                                        const BeeStatus& bs) {
+      report.bees.push_back(bs);
+    });
+  }
+  if (const Dict* d = store.find_dict(kMetaDict)) {
+    d->for_each_as<HiveSuspected>([&report](const std::string&,
+                                            const HiveSuspected& m) {
+      report.suspected.push_back(m.hive);
+    });
+  }
+  std::sort(report.hives.begin(), report.hives.end(),
+            [](const HiveStatus& a, const HiveStatus& b) {
+              return a.hive < b.hive;
+            });
+  std::sort(report.bees.begin(), report.bees.end(),
+            [](const BeeStatus& a, const BeeStatus& b) {
+              return a.bee < b.bee;
+            });
+  std::sort(report.suspected.begin(), report.suspected.end());
+  return report;
 }
 
 std::string StatusReport::to_json() const {
-  std::string out = "{\n  \"token\": " + std::to_string(token) +
-                    ",\n  \"at\": " + std::to_string(at) +
+  std::string out = "{\n  \"at\": " + std::to_string(at) +
                     ",\n  \"hives\": [";
   bool first = true;
   for (const HiveStatus& h : hives) {

@@ -4,11 +4,12 @@
 //
 // Every hive's periodic LocalMetricsReport folds into whole-dictionary
 // status cells (so the platform centralizes the app on one bee, under both
-// runtimes); failure-detector events mark hives suspected. Any client —
+// runtimes); failure-detector events mark hives suspected. A reader —
 // tests, examples, the HTTP /status.json endpoint under ThreadCluster —
-// injects a StatusQuery and gets back a StatusReport: per-hive and per-bee
-// snapshots with queue depths, windowed rate rings, latency digests,
-// the hive signals and the suspected set.
+// calls StatusApp::report_from_store on the status bee's thread and gets
+// a StatusReport: per-hive and per-bee snapshots with queue depths,
+// windowed rate rings, latency digests, the hive signals and the
+// suspected set.
 #pragma once
 
 #include <string>
@@ -24,7 +25,7 @@ namespace beehive {
 
 /// Fixed-capacity ring of (timestamp, value) samples, one per reporting
 /// window: a plain value type, kept by the StatusApp inside its state cells
-/// (one per hive and per bee row) and shipped in StatusReports. push() is
+/// (one per hive and per bee row) and copied into StatusReports. push() is
 /// O(1) and allocation-free after construction.
 class TimeSeriesRing {
  public:
@@ -66,16 +67,6 @@ class TimeSeriesRing {
   std::vector<Sample> samples_;
   std::size_t head_ = 0;
   std::size_t size_ = 0;
-};
-
-/// Ask the cluster for a status snapshot. `token` is echoed in the report
-/// so concurrent queriers can match answers.
-struct StatusQuery {
-  static constexpr std::string_view kTypeName = "platform.status_query";
-  std::uint64_t token = 0;
-
-  void encode(ByteWriter& w) const { w.varint(token); }
-  static StatusQuery decode(ByteReader& r) { return {r.varint()}; }
 };
 
 /// One hive's row in the status view (also the value of one "status.hives"
@@ -167,34 +158,13 @@ struct BeeStatus {
   }
 };
 
-/// The answer to a StatusQuery.
+/// A status snapshot, rows sorted by hive and bee id (see
+/// StatusApp::report_from_store).
 struct StatusReport {
-  static constexpr std::string_view kTypeName = "platform.status_report";
-
-  std::uint64_t token = 0;
   TimePoint at = 0;
   std::vector<HiveStatus> hives;
   std::vector<BeeStatus> bees;
   std::vector<HiveId> suspected;
-
-  void encode(ByteWriter& w) const {
-    w.varint(token);
-    w.i64(at);
-    encode_vector(w, hives);
-    encode_vector(w, bees);
-    w.varint(suspected.size());
-    for (HiveId h : suspected) w.u32(h);
-  }
-  static StatusReport decode(ByteReader& r) {
-    StatusReport s;
-    s.token = r.varint();
-    s.at = r.i64();
-    s.hives = decode_vector<HiveStatus>(r);
-    s.bees = decode_vector<BeeStatus>(r);
-    std::uint64_t n = r.varint();
-    for (std::uint64_t i = 0; i < n; ++i) s.suspected.push_back(r.u32());
-    return s;
-  }
 
   /// Human/CI-friendly JSON rendering (served at /status.json when a
   /// StatusApp feeds the HTTP exporter).
@@ -216,11 +186,11 @@ class StatusApp : public App {
   /// Suspected-hive markers, keyed "suspected:<hive>".
   static constexpr std::string_view kMetaDict = "status.meta";
 
-  /// Assembles a StatusReport straight from the status bee's store (tests
-  /// and SimCluster callers that don't want the emit round-trip).
+  /// Assembles a StatusReport from the status bee's store. Call it where
+  /// the bee's handlers cannot run concurrently: the status bee's hive
+  /// thread under ThreadCluster, or between SimCluster steps.
   static StatusReport report_from_store(const StateStore& store,
-                                        TimePoint at,
-                                        std::uint64_t token = 0);
+                                        TimePoint at);
 };
 
 }  // namespace beehive

@@ -45,10 +45,11 @@ class HttpExportServer {
 
   std::uint16_t port() const { return port_; }
 
-  /// Sets the /status.json body producer (e.g. a StatusQuery round trip,
-  /// as examples/quickstart.cpp does). Unset = 503 on that path. Like the
-  /// other sources, the callback runs on the server thread and must be
-  /// thread-safe with respect to the cluster.
+  /// Sets the /status.json body producer (e.g. StatusApp::report_from_store
+  /// run on the status bee's thread, as examples/quickstart.cpp does).
+  /// Unset = 503 on that path. Like the other sources, the callback runs
+  /// on the server thread and must be thread-safe with respect to the
+  /// cluster.
   void set_status_source(std::function<std::string()> source);
 
   /// Sets the /health.json body producer (e.g. ThreadCluster::health_json

@@ -34,11 +34,17 @@ class Dict {
     explicit Value(T typed)
         : typed_(std::move(typed)), encode_(&encode_typed<T>) {}
 
+    /// The entry's T object itself; null when it holds anything else.
+    template <WireEncodable T>
+    const T* typed() const {
+      return std::any_cast<T>(&typed_);
+    }
+
     /// The value as a T: a copy when the entry holds a T, otherwise T
     /// decoded from the entry's bytes. Never a cast between types.
     template <WireEncodable T>
     T as() const {
-      if (const T* typed = std::any_cast<T>(&typed_)) return *typed;
+      if (const T* t = typed<T>()) return *t;
       if (encode_ == nullptr) return decode_from_bytes<T>(raw_);
       return decode_from_bytes<T>(bytes());
     }
@@ -121,6 +127,20 @@ class Dict {
   /// `fn` each value's encoding, valid during the call only.
   void for_each(
       const std::function<void(const std::string&, const Bytes&)>& fn) const;
+
+  /// Iterates entries in key order, calling `fn(key, const T&)` with each
+  /// value as a T: a T entry itself, with nothing copied or encoded, and
+  /// any other entry decoded through Value::as.
+  template <WireEncodable T, typename Fn>
+  void for_each_as(Fn&& fn) const {
+    for (const auto& [k, v] : entries_) {
+      if (const T* t = v.template typed<T>()) {
+        fn(k, *t);
+      } else {
+        fn(k, v.template as<T>());
+      }
+    }
+  }
 
   /// Moves every entry of `other` in; `other`'s entry wins on a shared key.
   void merge_from(Dict&& other);

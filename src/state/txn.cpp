@@ -128,16 +128,13 @@ bool Txn::erase(std::string_view dict, std::string_view key) {
   return true;
 }
 
-void Txn::for_each(
-    std::string_view dict,
-    const std::function<void(const std::string&, const Bytes&)>& fn) const {
+const Dict* Txn::scannable_dict(std::string_view dict) const {
   if (!policy_->can_scan(dict)) {
     throw StateAccessError("handler scanned dictionary " + std::string(dict) +
                            " without whole-dict access " +
                            policy_->effective().to_string());
   }
-  const Dict* d = store_.find_dict(dict);
-  if (d != nullptr) d->for_each(fn);
+  return store_.find_dict(dict);
 }
 
 std::size_t Txn::dict_size(std::string_view dict) const {

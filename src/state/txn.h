@@ -12,7 +12,6 @@
 //       dictionary, so capturing it copies and encodes nothing.
 #pragma once
 
-#include <functional>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -177,11 +176,13 @@ class Txn {
 
   // -- Whole-dictionary access (requires (dict, "*") permission) ----------
 
-  /// Iterates all entries in key order. Mutating the dict during iteration
-  /// is not allowed; collect keys first if you must.
-  void for_each(
-      std::string_view dict,
-      const std::function<void(const std::string&, const Bytes&)>& fn) const;
+  /// Iterates all entries in key order, calling `fn(key, const T&)` with
+  /// each value as a T (see Dict::for_each_as). Mutating the dict during
+  /// iteration is not allowed; collect keys first if you must.
+  template <WireEncodable T, typename Fn>
+  void for_each(std::string_view dict, Fn&& fn) const {
+    if (const Dict* d = scannable_dict(dict)) d->for_each_as<T>(fn);
+  }
 
   std::size_t dict_size(std::string_view dict) const;
 
@@ -209,6 +210,9 @@ class Txn {
   /// Access check plus lookup for a key-level read; null when the
   /// dictionary does not exist.
   const Dict* readable_dict(std::string_view dict, std::string_view key) const;
+  /// Whole-dict access check plus lookup for a scan; null when the
+  /// dictionary does not exist.
+  const Dict* scannable_dict(std::string_view dict) const;
   void write(std::string_view dict, std::string_view key, Dict::Value value);
   void append_undo(std::string_view dict, std::string_view key,
                    std::optional<Dict::Value> prior);

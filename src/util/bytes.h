@@ -176,7 +176,4 @@ class ByteReader {
   std::size_t pos_ = 0;
 };
 
-/// Human-readable hex dump (for diagnostics and tests).
-std::string hex_dump(std::string_view data, std::size_t max_bytes = 64);
-
 }  // namespace beehive

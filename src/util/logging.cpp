@@ -20,7 +20,6 @@ const char* level_name(LogLevel level) {
 }
 
 std::mutex g_log_mutex;
-thread_local CurrentTrace g_current_trace;
 }  // namespace
 
 std::string json_escape(std::string_view s) {
@@ -51,50 +50,14 @@ Logger& Logger::instance() {
   return logger;
 }
 
-const CurrentTrace& current_trace() { return g_current_trace; }
-
-TraceLogScope::TraceLogScope(std::uint64_t trace_id, std::uint32_t depth)
-    : prev_(g_current_trace) {
-  g_current_trace = CurrentTrace{trace_id, depth};
-}
-
-TraceLogScope::~TraceLogScope() { g_current_trace = prev_; }
-
 void Logger::set_sink(Sink sink) {
   std::lock_guard lock(g_log_mutex);
   sink_ = std::move(sink);
 }
 
 void Logger::write(LogLevel level, const std::string& message) {
-  const CurrentTrace trace = g_current_trace;
-
-  // Format the line once, then hand it to whichever sink is installed.
-  char buf[64];
-  std::string line;
-  switch (format()) {
-    case LogFormat::kPlain:
-      line = std::string("[") + level_name(level) + "] " + message;
-      break;
-    case LogFormat::kKeyValue:
-      line = std::string("level=") + level_name(level);
-      if (trace.id != 0) {
-        std::snprintf(buf, sizeof(buf), " trace=%llx depth=%u",
-                      static_cast<unsigned long long>(trace.id), trace.depth);
-        line += buf;
-      }
-      line += " msg=\"" + message + "\"";
-      break;
-    case LogFormat::kJson:
-      line = std::string("{\"level\":\"") + level_name(level) + "\"";
-      if (trace.id != 0) {
-        std::snprintf(buf, sizeof(buf), ",\"trace\":\"%llx\",\"depth\":%u",
-                      static_cast<unsigned long long>(trace.id), trace.depth);
-        line += buf;
-      }
-      line += ",\"msg\":\"" + json_escape(message) + "\"}";
-      break;
-  }
-
+  const std::string line =
+      std::string("[") + level_name(level) + "] " + message;
   std::lock_guard lock(g_log_mutex);
   if (sink_) {
     sink_(level, line);

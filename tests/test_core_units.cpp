@@ -28,15 +28,20 @@ F frame_round_trip(FrameKind kind, const F& frame) {
 }
 
 TEST(WireFrames, AppMsgRoundTrip) {
-  AppMsgFrame f;
-  f.target = make_bee_id(3, 77);
-  f.app = 42;
-  f.min_transfers = 5;
-  f.envelope = MessageEnvelope::make(Incr{"k", 1}).to_wire();
-  AppMsgFrame back = frame_round_trip(FrameKind::kAppMsg, f);
-  EXPECT_EQ(back.target, f.target);
+  const Bytes envelope = MessageEnvelope::make(Incr{"k", 1}).to_wire();
+  ByteWriter w;
+  write_app_msg(w, {make_bee_id(3, 77), 42, 5, envelope});
+  ByteReader r(w.bytes());
+  EXPECT_EQ(static_cast<FrameKind>(r.u8()), FrameKind::kAppMsg);
+  const AppMsg back = read_app_msg(r);
+  EXPECT_TRUE(r.done());
+  EXPECT_EQ(back.target, make_bee_id(3, 77));
   EXPECT_EQ(back.app, 42u);
   EXPECT_EQ(back.min_transfers, 5u);
+  EXPECT_EQ(back.envelope, envelope);
+  // The reader borrows the envelope from the frame bytes.
+  EXPECT_GE(back.envelope.data(), w.bytes().data());
+  EXPECT_LT(back.envelope.data(), w.bytes().data() + w.bytes().size());
   MessageEnvelope env = MessageEnvelope::from_wire(back.envelope);
   EXPECT_EQ(env.as<Incr>().key, "k");
 }
@@ -140,14 +145,21 @@ TEST(AppSetUnit, SubscribersIndexedByType) {
   AppSet apps;
   apps.emplace<testing::CounterApp>();
   apps.emplace<testing::SinkApp>();
-  auto incr_subs = apps.subscribers(msg_type_id<Incr>());
-  ASSERT_EQ(incr_subs.size(), 1u);
-  EXPECT_EQ(incr_subs[0].first->name(), "test.counter");
+  auto names_for = [&apps](MsgTypeId type) {
+    std::vector<std::string> names;
+    apps.for_each_subscriber(
+        type, [&names, type](App& app, const HandlerBinding& binding) {
+          EXPECT_EQ(binding.msg_type, type);
+          names.push_back(app.name());
+        });
+    return names;
+  };
+  EXPECT_EQ(names_for(msg_type_id<Incr>()),
+            std::vector<std::string>{"test.counter"});
   // CounterValue: only the sink subscribes.
-  auto value_subs = apps.subscribers(msg_type_id<testing::CounterValue>());
-  ASSERT_EQ(value_subs.size(), 1u);
-  EXPECT_EQ(value_subs[0].first->name(), "test.sink");
-  EXPECT_TRUE(apps.subscribers(0xdeadbeef).empty());
+  EXPECT_EQ(names_for(msg_type_id<testing::CounterValue>()),
+            std::vector<std::string>{"test.sink"});
+  EXPECT_TRUE(names_for(0xdeadbeef).empty());
 }
 
 TEST(AppUnit, AppIdIsStableHashOfName) {
@@ -208,8 +220,8 @@ struct ForeachTicker : App {
     every_foreach(kSecond, "ft",
                   [](AppContext& ctx, const MessageEnvelope&) {
                     std::vector<std::string> keys;
-                    ctx.state().for_each(
-                        "ft", [&keys](const std::string& k, const Bytes&) {
+                    ctx.state().for_each<I64>(
+                        "ft", [&keys](const std::string& k, const I64&) {
                           keys.push_back(k);
                         });
                     for (const std::string& k : keys) {

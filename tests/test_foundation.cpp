@@ -41,6 +41,19 @@ struct U32Pair {
   }
 };
 
+/// An I64 that counts its encodes.
+struct CountedI64 {
+  static constexpr std::string_view kTypeName = "test.counted_i64";
+  static inline int encodes = 0;
+  std::int64_t v = 0;
+
+  void encode(ByteWriter& w) const {
+    ++encodes;
+    w.i64(v);
+  }
+  static CountedI64 decode(ByteReader& r) { return {r.i64()}; }
+};
+
 // ---------------------------------------------------------------------------
 // Bytes
 // ---------------------------------------------------------------------------
@@ -124,12 +137,6 @@ TEST(Bytes, TruncatedStringThrows) {
   w.raw("short");
   ByteReader r(w.bytes());
   EXPECT_THROW(r.str(), DecodeError);
-}
-
-TEST(Bytes, HexDumpTruncates) {
-  Bytes data(100, 'x');
-  std::string dump = hex_dump(data, 4);
-  EXPECT_EQ(dump, "78 78 78 78 ...");
 }
 
 // ---------------------------------------------------------------------------
@@ -441,12 +448,17 @@ TEST(Txn, PolicyBlocksUnmappedCell) {
 
 TEST(Txn, PolicyWholeDictAllowsScanAndAnyKey) {
   StateStore store;
-  store.dict("d").put("a", "1");
+  store.dict("d").put("a", encode_to_bytes(I64{1}));  // raw: decoded
   Txn txn(store, AccessPolicy::cells(CellSet::whole_dict("d")));
-  txn.put("d", "anything", "v");
+  txn.put_as("d", "anything", I64{2});  // typed: handed over
   int seen = 0;
-  txn.for_each("d", [&seen](const std::string&, const Bytes&) { ++seen; });
+  std::int64_t sum = 0;
+  txn.for_each<I64>("d", [&](const std::string&, const I64& v) {
+    ++seen;
+    sum += v.v;
+  });
   EXPECT_EQ(seen, 2);
+  EXPECT_EQ(sum, 3);
   EXPECT_EQ(txn.dict_size("d"), 2u);
   txn.commit();
 }
@@ -454,19 +466,35 @@ TEST(Txn, PolicyWholeDictAllowsScanAndAnyKey) {
 TEST(Txn, ScanWithoutWholeDictThrows) {
   StateStore store;
   Txn txn(store, AccessPolicy::cells(CellSet::single("d", "k")));
-  EXPECT_THROW(
-      txn.for_each("d", [](const std::string&, const Bytes&) {}),
-      StateAccessError);
+  EXPECT_THROW(txn.for_each<I64>("d", [](const std::string&, const I64&) {}),
+               StateAccessError);
   EXPECT_THROW(txn.dict_size("d"), StateAccessError);
+}
+
+TEST(Txn, TypedScanEncodesNoTypedEntry) {
+  StateStore store;
+  for (std::int64_t i = 0; i < 100; ++i) {
+    store.dict("d").put_as("k" + std::to_string(i), CountedI64{i});
+  }
+  CountedI64::encodes = 0;
+  Txn txn(store, AccessPolicy::cells(CellSet::whole_dict("d")));
+  std::int64_t sum = 0;
+  txn.for_each<CountedI64>(
+      "d", [&sum](const std::string&, const CountedI64& c) { sum += c.v; });
+  EXPECT_EQ(sum, 4950);
+  EXPECT_EQ(CountedI64::encodes, 0);
+  // The bytes scan encodes every typed entry.
+  store.dict("d").for_each([](const std::string&, const Bytes&) {});
+  EXPECT_EQ(CountedI64::encodes, 100);
 }
 
 TEST(Txn, LocalDictPolicyGrantsScanAndKeys) {
   StateStore store;
-  store.dict("d").put("a", "1");
+  store.dict("d").put_as("a", I64{1});
   Txn txn(store, AccessPolicy::local_dict("d"));
-  txn.put("d", "b", "2");
+  txn.put_as("d", "b", I64{2});
   std::size_t n = 0;
-  txn.for_each("d", [&n](const std::string&, const Bytes&) { ++n; });
+  txn.for_each<I64>("d", [&n](const std::string&, const I64&) { ++n; });
   EXPECT_EQ(n, 2u);
   EXPECT_THROW(txn.put("other", "k", "v"), StateAccessError);
   txn.commit();

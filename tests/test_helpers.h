@@ -153,10 +153,8 @@ class CounterApp : public App {
         [dict](const SumQuery&) { return CellSet::whole_dict(dict); },
         [dict](AppContext& ctx, const SumQuery&) {
           std::int64_t sum = 0;
-          ctx.state().for_each(
-              dict, [&sum](const std::string&, const Bytes& v) {
-                sum += decode_from_bytes<I64>(v).v;
-              });
+          ctx.state().for_each<I64>(
+              dict, [&sum](const std::string&, const I64& v) { sum += v.v; });
           ctx.emit(CounterValue{"*sum*", sum});
         });
 

@@ -1,7 +1,7 @@
 // Tests for the registry service behind its one lock (DESIGN.md §13): the
-// stats row, client-cache isolation between bees, cache validity by
-// invalidation alone, cache fills racing ownership writes and concurrent
-// resolves.
+// stats row, client-cache isolation between bees, the cache's hit and miss
+// counts over a fixed lookup mix, cache validity by invalidation alone,
+// cache fills racing ownership writes and concurrent resolves.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -71,6 +71,25 @@ TEST(RegistryClient, WriteToOneBeeKeepsOtherBeesCached) {
   EXPECT_EQ(moved.hive, 3u);
   EXPECT_EQ(client.cache_hits(), hits + 1);
   EXPECT_EQ(client.cache_misses(), misses + 1);
+}
+
+TEST(RegistryClient, HotKeysMissOnceAndColdKeysAlways) {
+  // 10k lookups on a 16-hive registry: nine in ten cycle over 64 hot keys,
+  // every tenth creates a new cold key. Each hot key misses on its first
+  // lookup only and every cold key misses: 64 + 1000 misses.
+  RegistryService reg(16, nullptr);
+  RegistryService::Client client(reg, 1);
+  std::vector<CellSet> hot;
+  for (int i = 0; i < 64; ++i) hot.push_back(one("hot" + std::to_string(i)));
+  std::size_t cold = 0;
+  for (std::size_t i = 0; i < 10'000; ++i) {
+    const CellSet cells = i % 10 != 0
+                              ? hot[i % hot.size()]
+                              : one("cold" + std::to_string(++cold));
+    ASSERT_NE(client.resolve_or_create(kApp, cells, false, 0).bee, kNoBee);
+  }
+  EXPECT_EQ(client.cache_hits(), 8936u);
+  EXPECT_EQ(client.cache_misses(), 1064u);
 }
 
 TEST(RegistryClient, AlternatingCellSetsKeepHittingTheCache) {
